@@ -24,144 +24,67 @@ import numpy as np
 
 from .data import SegmentRecord, validate_frames
 from .errors import CheckpointError, DataError, DimensionError, DivergenceError
-from .lstm import (
-    GATE_ORDER,
-    LstmGrads,
-    LstmParams,
-    cell_backward,
-    cell_forward,
-    gate_rows,
-    uniform_lstm_params,
-    zero_state,
-)
+from .lstm import GATE_ORDER, Tape, backward, backward_step, forward, step, weight_grads
 
 INIT_SCALE = 0.08
 CHECKPOINT_VERSION = 1
 
-
-@dataclass
-class DecoderParams:
-    """Decoder LSTM with two input projection blocks over a shared core.
-
-    ``in_z`` (4H x d) projects the embedding at step 1; ``in_y`` (4H x D)
-    projects the fed-back output frame at steps >= 2.  Recurrent weights,
-    peepholes and biases are shared between the two step kinds.
-    """
-
-    in_z: np.ndarray
-    in_y: np.ndarray
-    W_h: np.ndarray
-    b: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-
-    def step_params(self, first: bool) -> LstmParams:
-        return LstmParams(
-            W_x=self.in_z if first else self.in_y,
-            W_h=self.W_h,
-            b=self.b,
-            w_ci=self.w_ci,
-            w_cf=self.w_cf,
-            w_co=self.w_co,
-        )
+# Every weight block, in checkpoint order: (name, shape, gated).  Shapes are
+# written in D (input width), H (hidden units) and 4H (the stacked gates).
+# A gated block stacks its gate rows in GATE_ORDER and is saved as four keys
+# ``{name}{gate}``; any other block is saved under ``name``.  Biases (the
+# blocks whose last name part starts with "b") start at zero; every other
+# block draws uniform init values, in table order.
+LAYOUT = (
+    ("encoder.W_x", ("4H", "D"), True),
+    ("encoder.W_h", ("4H", "H"), True),
+    ("encoder.w_ci", ("H",), False),
+    ("encoder.w_cf", ("H",), False),
+    ("encoder.w_co", ("H",), False),
+    ("encoder.b_", ("4H",), True),
+    ("decoder.W_z.W_x", ("4H", "H"), True),
+    ("decoder.W_y.W_x", ("4H", "D"), True),
+    ("decoder.W_h", ("4H", "H"), True),
+    ("decoder.w_ci", ("H",), False),
+    ("decoder.w_cf", ("H",), False),
+    ("decoder.w_co", ("H",), False),
+    ("decoder.b_", ("4H",), True),
+    ("output.W", ("D", "H"), False),
+    ("output.b", ("D",), False),
+)
 
 
-@dataclass
-class DecoderGrads:
-    in_z: np.ndarray
-    in_y: np.ndarray
-    W_h: np.ndarray
-    b: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
+def _block_shapes(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...], bool]]:
+    sizes = {"D": input_dim, "H": hidden_dim, "4H": 4 * hidden_dim}
+    return [(name, tuple(sizes[s] for s in shape), gated) for name, shape, gated in LAYOUT]
 
-    @classmethod
-    def zeros_like(cls, params: DecoderParams) -> "DecoderGrads":
-        return cls(
-            in_z=np.zeros_like(params.in_z),
-            in_y=np.zeros_like(params.in_y),
-            W_h=np.zeros_like(params.W_h),
-            b=np.zeros_like(params.b),
-            w_ci=np.zeros_like(params.w_ci),
-            w_cf=np.zeros_like(params.w_cf),
-            w_co=np.zeros_like(params.w_co),
-        )
 
-    def step_grads(self, first: bool) -> LstmGrads:
-        # shares the underlying buffers, so accumulation lands in place
-        return LstmGrads(
-            W_x=self.in_z if first else self.in_y,
-            W_h=self.W_h,
-            b=self.b,
-            w_ci=self.w_ci,
-            w_cf=self.w_cf,
-            w_co=self.w_co,
-        )
+def unpack(flat: np.ndarray, input_dim: int, hidden_dim: int) -> dict[str, np.ndarray]:
+    """Named views into a flat parameter or gradient vector, in LAYOUT order."""
+    views = {}
+    offset = 0
+    for name, shape, _gated in _block_shapes(input_dim, hidden_dim):
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    if offset != flat.shape[0]:
+        raise DimensionError(f"parameter vector has {flat.shape[0]} entries, expected {offset}")
+    return views
 
 
 @dataclass
 class ModelParams:
-    """All trainable weights of the autoencoder plus provenance fields."""
+    """All trainable weights of the autoencoder, as one float64 vector laid
+    out by LAYOUT, plus provenance fields."""
 
     input_dim: int
     hidden_dim: int
-    encoder: LstmParams
-    decoder: DecoderParams
-    W_out: np.ndarray
-    b_out: np.ndarray
+    flat: np.ndarray
     rng_seed: int
     epoch_count: int = 0
 
-    def validate(self) -> None:
-        d, h = self.input_dim, self.hidden_dim
-        self.encoder.validate()
-        if self.encoder.input_dim != d or self.encoder.hidden_dim != h:
-            raise DimensionError("encoder shapes disagree with declared dimensions")
-        if self.decoder.in_z.shape != (4 * h, h) or self.decoder.in_y.shape != (4 * h, d):
-            raise DimensionError("decoder input block shapes disagree with declared dimensions")
-        self.decoder.step_params(True).validate()
-        self.decoder.step_params(False).validate()
-        if self.W_out.shape != (d, h) or self.b_out.shape != (d,):
-            raise DimensionError("output layer shapes disagree with declared dimensions")
-        if not (np.isfinite(self.W_out).all() and np.isfinite(self.b_out).all()):
-            raise DimensionError("output layer contains non-finite values")
-
-
-@dataclass
-class ModelGrads:
-    encoder: LstmGrads
-    decoder: DecoderGrads
-    W_out: np.ndarray
-    b_out: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "ModelGrads":
-        return cls(
-            encoder=LstmGrads.zeros_like(params.encoder),
-            decoder=DecoderGrads.zeros_like(params.decoder),
-            W_out=np.zeros_like(params.W_out),
-            b_out=np.zeros_like(params.b_out),
-        )
-
-    def arrays(self) -> list[np.ndarray]:
-        e, d = self.encoder, self.decoder
-        return [
-            e.W_x, e.W_h, e.b, e.w_ci, e.w_cf, e.w_co,
-            d.in_z, d.in_y, d.W_h, d.b, d.w_ci, d.w_cf, d.w_co,
-            self.W_out, self.b_out,
-        ]
-
-
-def parameter_arrays(params: ModelParams) -> list[np.ndarray]:
-    """The 15 unique weight arrays, in the same order as ModelGrads.arrays()."""
-    e, d = params.encoder, params.decoder
-    return [
-        e.W_x, e.W_h, e.b, e.w_ci, e.w_cf, e.w_co,
-        d.in_z, d.in_y, d.W_h, d.b, d.w_ci, d.w_cf, d.w_co,
-        params.W_out, params.b_out,
-    ]
+    def views(self) -> dict[str, np.ndarray]:
+        return unpack(self.flat, self.input_dim, self.hidden_dim)
 
 
 def init_params(input_dim: int, hidden_dim: int, seed: int) -> ModelParams:
@@ -169,56 +92,40 @@ def init_params(input_dim: int, hidden_dim: int, seed: int) -> ModelParams:
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError("input_dim and hidden_dim must be >= 1")
     rng = np.random.default_rng(seed)
-    h = hidden_dim
-
-    def u(shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-
-    encoder = uniform_lstm_params(rng, input_dim, hidden_dim, INIT_SCALE)
-    decoder = DecoderParams(
-        in_z=u((4 * h, h)),
-        in_y=u((4 * h, input_dim)),
-        W_h=u((4 * h, h)),
-        b=np.zeros(4 * h),
-        w_ci=u(h),
-        w_cf=u(h),
-        w_co=u(h),
-    )
-    return ModelParams(
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        encoder=encoder,
-        decoder=decoder,
-        W_out=u((input_dim, hidden_dim)),
-        b_out=np.zeros(input_dim),
-        rng_seed=seed,
-        epoch_count=0,
-    )
+    size = sum(math.prod(shape) for _, shape, _ in _block_shapes(input_dim, hidden_dim))
+    params = ModelParams(input_dim, hidden_dim, np.zeros(size), rng_seed=seed)
+    for name, view in params.views().items():
+        if not name.rsplit(".", 1)[1].startswith("b"):
+            view[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=view.shape)
+    return params
 
 
-def _encode_with_tape(params: ModelParams, x: np.ndarray):
-    state = zero_state(params.hidden_dim)
-    tape = []
-    for t in range(x.shape[0]):
-        state, entry = cell_forward(params.encoder, x[t], state)
-        tape.append(entry)
-    return state.h, tape
+def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, ...]:
+    """One network's recurrent weights and peepholes, in lstm.step's order."""
+    return views[f"{net}.W_h"], views[f"{net}.w_ci"], views[f"{net}.w_cf"], views[f"{net}.w_co"]
 
 
-def _decode_with_tape(params: ModelParams, z: np.ndarray, length: int):
-    state = zero_state(params.hidden_dim)
-    tape = []
-    hs = []
-    ys = []
-    inp = z
+def _encode(views: dict[str, np.ndarray], x: np.ndarray) -> Tape:
+    return forward(x, views["encoder.W_x"], views["encoder.b_"], *_cell(views, "encoder"))
+
+
+def _decode(views: dict[str, np.ndarray], z: np.ndarray, length: int) -> tuple[Tape, np.ndarray]:
+    """Decoder tape and output frames; step 1 reads z, later steps the previous frame."""
+    W_z, W_y, b = views["decoder.W_z.W_x"], views["decoder.W_y.W_x"], views["decoder.b_"]
+    W_out, b_out = views["output.W"], views["output.b"]
+    cell = _cell(views, "decoder")
+    tape = Tape(length, W_z.shape[1])
+    ys = np.empty((length, W_out.shape[0]))
     for t in range(length):
-        state, entry = cell_forward(params.decoder.step_params(t == 0), inp, state)
-        tape.append(entry)
-        hs.append(state.h)
-        y = params.W_out @ state.h + params.b_out
-        ys.append(y)
-        inp = y
-    return np.array(ys), hs, tape
+        if t == 0:
+            np.matmul(W_z, z, out=tape.gates[0])
+        else:
+            np.matmul(W_y, ys[t - 1], out=tape.gates[t])
+        tape.gates[t] += b
+        step(tape, t, *cell)
+        np.matmul(W_out, tape.h[t + 1], out=ys[t])
+        ys[t] += b_out
+    return tape, ys
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -228,8 +135,7 @@ def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"input width {x.shape[1]} does not match model input_dim {params.input_dim}"
         )
-    z, _ = _encode_with_tape(params, x)
-    return z
+    return _encode(params.views(), x).h[-1].copy()
 
 
 def decode(params: ModelParams, z: np.ndarray, length: int) -> np.ndarray:
@@ -239,8 +145,7 @@ def decode(params: ModelParams, z: np.ndarray, length: int) -> np.ndarray:
         raise DimensionError(f"embedding shape {z.shape}, expected ({params.hidden_dim},)")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    ys, _, _ = _decode_with_tape(params, z, length)
-    return ys
+    return _decode(params.views(), z, length)[1]
 
 
 def reconstruction_loss(x: np.ndarray, y: np.ndarray) -> float:
@@ -263,8 +168,8 @@ def corrupt_zero_mask(x: np.ndarray, p: float, rng: np.random.Generator) -> np.n
 
 def loss_and_gradients(
     params: ModelParams, x: np.ndarray, x_in: np.ndarray | None = None
-) -> tuple[float, ModelGrads]:
-    """Reconstruction loss of x and its exact gradient for every parameter.
+) -> tuple[float, np.ndarray]:
+    """Reconstruction loss of x and its exact gradient, laid out like ``params.flat``.
 
     ``x_in`` is the (possibly corrupted) sequence fed to the encoder; the
     loss target is always ``x``.  Backpropagation covers the decoder's
@@ -275,42 +180,37 @@ def loss_and_gradients(
         x_in = x
     else:
         x_in = np.asarray(x_in, dtype=np.float64)
-    z, enc_tape = _encode_with_tape(params, x_in)
+    views = params.views()
+    enc = _encode(views, x_in)
+    z = enc.h[-1]
     length = x.shape[0]
-    ys, hs, dec_tape = _decode_with_tape(params, z, length)
+    dec, ys = _decode(views, z, length)
     loss = reconstruction_loss(x, ys)
 
-    grads = ModelGrads.zeros_like(params)
-    h = params.hidden_dim
-    dh_rec = np.zeros(h)
-    dc_rec = np.zeros(h)
-    d_input = np.zeros(params.input_dim)  # gradient flowing into y_t via the feedback edge
+    grad = np.zeros_like(params.flat)
+    g = unpack(grad, params.input_dim, params.hidden_dim)
+    W_y, W_out = views["decoder.W_y.W_x"], views["output.W"]
+    dec_cell = _cell(views, "decoder")
+    dY = 2.0 * (ys - x)
+    dA = np.empty_like(dec.gates)
+    dh = np.zeros(params.hidden_dim)
+    dc = np.zeros(params.hidden_dim)
     for t in range(length - 1, -1, -1):
-        dy = 2.0 * (ys[t] - x[t])
         if t < length - 1:
-            dy = dy + d_input
-        grads.W_out += np.outer(dy, hs[t])
-        grads.b_out += dy
-        dh = params.W_out.T @ dy + dh_rec
-        first = t == 0
-        d_input, (dh_rec, dc_rec) = cell_backward(
-            params.decoder.step_params(first),
-            dec_tape[t],
-            dh,
-            dc_rec,
-            grads.decoder.step_grads(first),
-        )
-    dz = d_input  # step-1 input gradient: the z handoff into the encoder
+            dY[t] += W_y.T @ dA[t + 1]  # the feedback edge y_t -> step t+1
+        dh, dc = backward_step(dec, t, W_out.T @ dY[t] + dh, dc, *dec_cell, dA)
+    np.matmul(dY.T, dec.h[1:], out=g["output.W"])
+    np.sum(dY, axis=0, out=g["output.b"])
+    np.outer(dA[0], z, out=g["decoder.W_z.W_x"])
+    np.matmul(dA[1:].T, ys[:-1], out=g["decoder.W_y.W_x"])
+    weight_grads(dec, dA, *_cell(g, "decoder"), g["decoder.b_"])
 
-    dh = dz
-    dc = np.zeros(h)
-    for t in range(x_in.shape[0] - 1, -1, -1):
-        _, (dh, dc) = cell_backward(params.encoder, enc_tape[t], dh, dc, grads.encoder)
-    return loss, grads
-
-
-def global_grad_norm(grads: ModelGrads) -> float:
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.arrays()))
+    dH = np.zeros_like(enc.h[1:])
+    dH[-1] = views["decoder.W_z.W_x"].T @ dA[0]  # the z handoff
+    dA = backward(enc, dH, *_cell(views, "encoder"))
+    np.matmul(dA.T, x_in, out=g["encoder.W_x"])
+    weight_grads(enc, dA, *_cell(g, "encoder"), g["encoder.b_"])
+    return loss, grad
 
 
 @dataclass
@@ -354,7 +254,6 @@ def train(
         raise ValueError(f"clip_norm must be positive or None, got {config.clip_norm}")
 
     rng = np.random.default_rng(config.seed)
-    arrays = parameter_arrays(params)
     losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(records))
@@ -363,21 +262,17 @@ def train(
             rec = records[int(k)]
             x = rec.features
             x_in = corrupt_zero_mask(x, config.denoise_p, rng)
-            loss, grads = loss_and_gradients(params, x, x_in)
+            loss, grad = loss_and_gradients(params, x, x_in)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, record '{rec.id}'"
                 )
             total += loss
-            gr = grads.arrays()
             if config.clip_norm is not None:
-                norm = global_grad_norm(grads)
+                norm = math.sqrt(grad @ grad)
                 if norm > config.clip_norm:
-                    scale = config.clip_norm / norm
-                    for g in gr:
-                        g *= scale
-            for p_arr, g_arr in zip(arrays, gr):
-                p_arr -= config.lr * g_arr
+                    grad *= config.clip_norm / norm
+            params.flat -= config.lr * grad
         params.epoch_count += 1
         losses.append(total / len(records))
     if config.loss_log_path is not None:
@@ -392,27 +287,16 @@ def write_loss_log(losses: Sequence[float], path: str | Path) -> None:
             fh.write(f"{epoch},{repr(float(loss))}\n")
 
 
-def named_parameter_blocks(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Canonical (name, view) pairs for serialization, per-gate granularity."""
-    blocks: list[tuple[str, np.ndarray]] = []
-    enc, dec = params.encoder, params.decoder
-    for gate in GATE_ORDER:
-        blocks.append((f"encoder.W_x{gate}", gate_rows(enc.W_x, gate)))
-    for gate in GATE_ORDER:
-        blocks.append((f"encoder.W_h{gate}", gate_rows(enc.W_h, gate)))
-    blocks += [("encoder.w_ci", enc.w_ci), ("encoder.w_cf", enc.w_cf), ("encoder.w_co", enc.w_co)]
-    for gate in GATE_ORDER:
-        blocks.append((f"encoder.b_{gate}", gate_rows(enc.b, gate)))
-    for gate in GATE_ORDER:
-        blocks.append((f"decoder.W_z.W_x{gate}", gate_rows(dec.in_z, gate)))
-    for gate in GATE_ORDER:
-        blocks.append((f"decoder.W_y.W_x{gate}", gate_rows(dec.in_y, gate)))
-    for gate in GATE_ORDER:
-        blocks.append((f"decoder.W_h{gate}", gate_rows(dec.W_h, gate)))
-    blocks += [("decoder.w_ci", dec.w_ci), ("decoder.w_cf", dec.w_cf), ("decoder.w_co", dec.w_co)]
-    for gate in GATE_ORDER:
-        blocks.append((f"decoder.b_{gate}", gate_rows(dec.b, gate)))
-    blocks += [("output.W", params.W_out), ("output.b", params.b_out)]
+def checkpoint_blocks(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """(key, view) pairs in checkpoint order; gated blocks split into gate rows."""
+    blocks = []
+    views = params.views()
+    for name, _shape, gated in LAYOUT:
+        if gated:
+            rows = np.split(views[name], len(GATE_ORDER))
+            blocks += [(f"{name}{gate}", r) for gate, r in zip(GATE_ORDER, rows)]
+        else:
+            blocks.append((name, views[name]))
     return blocks
 
 
@@ -429,7 +313,7 @@ def save_checkpoint(
     }
     if train_meta is not None:
         payload["train"] = train_meta
-    payload["params"] = {name: arr.tolist() for name, arr in named_parameter_blocks(params)}
+    payload["params"] = {key: arr.tolist() for key, arr in checkpoint_blocks(params)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")
@@ -445,12 +329,14 @@ def _checkpoint_array(blob: dict, name: str) -> np.ndarray:
     return arr
 
 
-def _stack_gate_blocks(blob: dict, prefix: str) -> np.ndarray:
-    arrs = [_checkpoint_array(blob, f"{prefix}{g}") for g in GATE_ORDER]
+def _checkpoint_block(blob: dict, name: str, gated: bool) -> np.ndarray:
+    if not gated:
+        return _checkpoint_array(blob, name)
+    arrs = [_checkpoint_array(blob, f"{name}{g}") for g in GATE_ORDER]
     try:
         return np.concatenate(arrs)
     except ValueError as exc:
-        raise CheckpointError(f"gate blocks '{prefix}*' have inconsistent shapes") from exc
+        raise CheckpointError(f"gate blocks '{name}*' have inconsistent shapes") from exc
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -480,35 +366,15 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if not isinstance(blob, dict):
         raise CheckpointError(f"{path}: 'params' must be an object")
 
-    encoder = LstmParams(
-        W_x=_stack_gate_blocks(blob, "encoder.W_x"),
-        W_h=_stack_gate_blocks(blob, "encoder.W_h"),
-        b=_stack_gate_blocks(blob, "encoder.b_"),
-        w_ci=_checkpoint_array(blob, "encoder.w_ci"),
-        w_cf=_checkpoint_array(blob, "encoder.w_cf"),
-        w_co=_checkpoint_array(blob, "encoder.w_co"),
-    )
-    decoder = DecoderParams(
-        in_z=_stack_gate_blocks(blob, "decoder.W_z.W_x"),
-        in_y=_stack_gate_blocks(blob, "decoder.W_y.W_x"),
-        W_h=_stack_gate_blocks(blob, "decoder.W_h"),
-        b=_stack_gate_blocks(blob, "decoder.b_"),
-        w_ci=_checkpoint_array(blob, "decoder.w_ci"),
-        w_cf=_checkpoint_array(blob, "decoder.w_cf"),
-        w_co=_checkpoint_array(blob, "decoder.w_co"),
-    )
-    params = ModelParams(
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        encoder=encoder,
-        decoder=decoder,
-        W_out=_checkpoint_array(blob, "output.W"),
-        b_out=_checkpoint_array(blob, "output.b"),
-        rng_seed=seed,
-        epoch_count=epochs,
-    )
-    try:
-        params.validate()
-    except DimensionError as exc:
-        raise CheckpointError(f"{path}: inconsistent shapes: {exc}") from exc
-    return params
+    blocks = []
+    for name, shape, gated in _block_shapes(input_dim, hidden_dim):
+        arr = _checkpoint_block(blob, name, gated)
+        if arr.shape != shape:
+            raise CheckpointError(
+                f"{path}: inconsistent shapes: '{name}' is {arr.shape}, expected {shape}"
+            )
+        blocks.append(arr.ravel())
+    flat = np.concatenate(blocks)
+    if not np.isfinite(flat).all():
+        raise CheckpointError(f"{path}: parameters contain non-finite values")
+    return ModelParams(input_dim, hidden_dim, flat, rng_seed=seed, epoch_count=epochs)

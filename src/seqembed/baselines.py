@@ -86,23 +86,11 @@ def dtw_distance(a: np.ndarray, b: np.ndarray, normalize: bool = False) -> float
     With ``normalize`` the total is divided by the alignment path length
     (number of aligned cells); off by default.
     """
-    acc, prev = _dtw_tables(a, b)
-    total = acc[-1][-1]
-    if not normalize:
-        return total
-    # walk back to count path cells; the distance itself is unaffected
-    i, j = len(acc) - 1, len(acc[0]) - 1
-    steps = 1
-    while prev[i][j] != -1:
-        code = prev[i][j]
-        if code == 0:
-            i, j = i - 1, j - 1
-        elif code == 1:
-            i -= 1
-        else:
-            j -= 1
-        steps += 1
-    return total / steps
+    if normalize:
+        total, path = dtw_path(a, b)
+        return total / len(path)
+    acc, _ = _dtw_tables(a, b)
+    return acc[-1][-1]
 
 
 def dtw_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list[tuple[int, int]]]:

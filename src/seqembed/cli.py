@@ -8,6 +8,7 @@ desk-scale runs override them explicitly.
 from __future__ import annotations
 
 import argparse
+import csv
 import re
 import sys
 from pathlib import Path
@@ -177,9 +178,10 @@ def cmd_search(args, parser) -> int:
         words = {seg_id: word for seg_id, word, _vec in archive.entries}
         ranked = rank(query_vec, archive, exclude_id=exclude, top_k=args.top)
 
-    print("rank,id,word,score")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["rank", "id", "word", "score"])
     for position, (seg_id, score) in enumerate(ranked, start=1):
-        print(f"{position},{seg_id},{words[seg_id]},{repr(float(score))}")
+        writer.writerow([position, seg_id, words[seg_id], repr(float(score))])
     return EXIT_OK
 
 
@@ -261,9 +263,10 @@ def cmd_analyze_edit_distance(args, parser) -> int:
         write_similarity_table(rows, args.out)
         print(f"wrote similarity table to {args.out}")
     else:
-        print("edit_distance,pair_count,mean_cosine")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["edit_distance", "pair_count", "mean_cosine"])
         for row in rows:
-            print(f"{row.label},{row.pair_count},{repr(float(row.mean_cosine))}")
+            writer.writerow([row.label, row.pair_count, repr(float(row.mean_cosine))])
     return EXIT_OK
 
 
@@ -296,9 +299,10 @@ def cmd_analyze_diff_vectors(args, parser) -> int:
         write_diff_vectors(pairs, diffs, projections, args.out)
         print(f"wrote difference vectors to {args.out}")
     else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         for (w1, w2), diff, proj in zip(pairs, diffs, projections):
-            head = ",".join(repr(float(v)) for v in diff)
-            print(f"{w1}:{w2},{head},{repr(float(proj[0]))},{repr(float(proj[1]))}")
+            writer.writerow([f"{w1}:{w2}", *(repr(float(v)) for v in diff),
+                             repr(float(proj[0])), repr(float(proj[1]))])
     return EXIT_OK
 
 

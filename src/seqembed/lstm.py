@@ -1,204 +1,68 @@
-"""Single-layer peephole LSTM: cell forward pass and exact analytic backward.
+"""Single-layer peephole LSTM as a sequence kernel with exact analytic backward.
 
-Gate weights are stored stacked along the first axis in the fixed order
+Gate weights are stacked along the first axis in the fixed order
 (input, forget, candidate, output), so one matrix product per source
 (input, recurrent) computes all four gate pre-activations.  Peephole
 weights are elementwise H-vectors; the input and forget gates read the
 previous cell state, the output gate reads the freshly updated one.
+
+One sequence of T steps lives in a preallocated ``Tape``: the activated
+gates (T, 4H) and the hidden and cell states (T+1, H), row 0 holding the
+initial state.  The backward pass writes one row per step of dA, the
+gradient of the gate pre-activations (T, 4H); every weight gradient is then
+one matrix product or column sum over the whole sequence instead of T outer
+products (the recurrence restructuring of Appleyard et al., arXiv
+1604.01946).
 
 All arithmetic is float64: the gradient acceptance checks compare against
 central finite differences and need the headroom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError
 
 GATE_ORDER = ("i", "f", "c", "o")
 
 
-def sigmoid(a: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (no overflow for large |a|)."""
-    return expit(a)
+def sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5*tanh(a/2) + 0.5.
 
-
-def gate_rows(stacked: np.ndarray, gate: str) -> np.ndarray:
-    """View of one gate's rows inside a (4H, ...) stacked array."""
-    h = stacked.shape[0] // 4
-    r = GATE_ORDER.index(gate)
-    return stacked[r * h : (r + 1) * h]
-
-
-@dataclass
-class LstmParams:
-    """Weights of one peephole LSTM layer with input width I and H units.
-
-    ``W_x`` is (4H, I), ``W_h`` is (4H, H) and ``b`` is (4H,), each stacked
-    in gate order (i, f, c, o).  Per-gate views are exposed as properties
-    (``W_xi`` ... ``b_o``) and share memory with the stacked arrays.
+    Cannot overflow, and is exactly 0, 0.5 and 1 at a = -1000, 0 and 1000.
+    ``out`` may be ``a`` itself for an in-place update.
     """
-
-    W_x: np.ndarray
-    W_h: np.ndarray
-    b: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_x.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_h.shape[1]
-
-    # named per-gate views
-    @property
-    def W_xi(self) -> np.ndarray:
-        return gate_rows(self.W_x, "i")
-
-    @property
-    def W_xf(self) -> np.ndarray:
-        return gate_rows(self.W_x, "f")
-
-    @property
-    def W_xc(self) -> np.ndarray:
-        return gate_rows(self.W_x, "c")
-
-    @property
-    def W_xo(self) -> np.ndarray:
-        return gate_rows(self.W_x, "o")
-
-    @property
-    def W_hi(self) -> np.ndarray:
-        return gate_rows(self.W_h, "i")
-
-    @property
-    def W_hf(self) -> np.ndarray:
-        return gate_rows(self.W_h, "f")
-
-    @property
-    def W_hc(self) -> np.ndarray:
-        return gate_rows(self.W_h, "c")
-
-    @property
-    def W_ho(self) -> np.ndarray:
-        return gate_rows(self.W_h, "o")
-
-    @property
-    def b_i(self) -> np.ndarray:
-        return gate_rows(self.b, "i")
-
-    @property
-    def b_f(self) -> np.ndarray:
-        return gate_rows(self.b, "f")
-
-    @property
-    def b_c(self) -> np.ndarray:
-        return gate_rows(self.b, "c")
-
-    @property
-    def b_o(self) -> np.ndarray:
-        return gate_rows(self.b, "o")
-
-    def validate(self) -> None:
-        h, i = self.hidden_dim, self.input_dim
-        if self.W_x.shape != (4 * h, i) or self.W_h.shape != (4 * h, h):
-            raise DimensionError(
-                f"inconsistent LSTM weight shapes: W_x {self.W_x.shape}, W_h {self.W_h.shape}"
-            )
-        if self.b.shape != (4 * h,):
-            raise DimensionError(f"bias shape {self.b.shape}, expected ({4 * h},)")
-        for name in ("w_ci", "w_cf", "w_co"):
-            vec = getattr(self, name)
-            if vec.shape != (h,):
-                raise DimensionError(f"peephole {name} shape {vec.shape}, expected ({h},)")
-        for arr in (self.W_x, self.W_h, self.b, self.w_ci, self.w_cf, self.w_co):
-            if not np.isfinite(arr).all():
-                raise DimensionError("LSTM parameters contain non-finite values")
+    r = np.multiply(a, 0.5, out=out)
+    np.tanh(r, out=r)
+    r *= 0.5
+    r += 0.5
+    return r
 
 
-@dataclass
-class LstmState:
-    """Hidden and cell state vectors, both length H."""
+class Tape:
+    """Activations of one sequence of ``steps`` steps through H units."""
 
-    h: np.ndarray
-    c: np.ndarray
+    __slots__ = ("gates", "h", "c")
 
-
-@dataclass
-class TapeEntry:
-    """Per-step activations cached by cell_forward, sufficient for backward."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
+    def __init__(self, steps: int, hidden: int):
+        self.gates = np.empty((steps, 4 * hidden))
+        self.h = np.zeros((steps + 1, hidden))
+        self.c = np.zeros((steps + 1, hidden))
 
 
-@dataclass
-class LstmGrads:
-    """Gradient accumulators mirroring LstmParams' stacked layout."""
+def step(
+    tape: Tape,
+    t: int,
+    W_h: np.ndarray,
+    w_ci: np.ndarray,
+    w_cf: np.ndarray,
+    w_co: np.ndarray,
+) -> None:
+    """Advance step t in place.
 
-    W_x: np.ndarray
-    W_h: np.ndarray
-    b: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: LstmParams) -> "LstmGrads":
-        return cls(
-            W_x=np.zeros_like(params.W_x),
-            W_h=np.zeros_like(params.W_h),
-            b=np.zeros_like(params.b),
-            w_ci=np.zeros_like(params.w_ci),
-            w_cf=np.zeros_like(params.w_cf),
-            w_co=np.zeros_like(params.w_co),
-        )
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.W_x, self.W_h, self.b, self.w_ci, self.w_cf, self.w_co]
-
-
-def zero_state(hidden_dim: int) -> LstmState:
-    return LstmState(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
-
-
-def uniform_lstm_params(
-    rng: np.random.Generator, input_dim: int, hidden_dim: int, scale: float
-) -> LstmParams:
-    """Draw all weights uniform in [-scale, scale], biases zero.
-
-    Draw order is fixed (W_x, W_h, w_ci, w_cf, w_co) so a given generator
-    state always yields the same parameters.
-    """
-    h = hidden_dim
-    return LstmParams(
-        W_x=rng.uniform(-scale, scale, size=(4 * h, input_dim)),
-        W_h=rng.uniform(-scale, scale, size=(4 * h, h)),
-        b=np.zeros(4 * h),
-        w_ci=rng.uniform(-scale, scale, size=h),
-        w_cf=rng.uniform(-scale, scale, size=h),
-        w_co=rng.uniform(-scale, scale, size=h),
-    )
-
-
-def cell_forward(
-    params: LstmParams, x_t: np.ndarray, prev: LstmState
-) -> tuple[LstmState, TapeEntry]:
-    """One LSTM step.
+    On entry ``tape.gates[t]`` holds the input projection plus bias,
+    W_x x_t + b; on return it holds the activated gates (i, f, g, o), and
+    ``tape.h[t+1]``/``tape.c[t+1]`` the new state:
 
     i = sig(W_xi x + W_hi h' + w_ci*c' + b_i)
     f = sig(W_xf x + W_hf h' + w_cf*c' + b_f)
@@ -207,73 +71,126 @@ def cell_forward(
     o = sig(W_xo x + W_ho h' + w_co*c + b_o)
     h = o*tanh(c)
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h = params.hidden_dim
-    if x_t.shape != (params.input_dim,):
-        raise DimensionError(
-            f"input shape {x_t.shape}, expected ({params.input_dim},)"
-        )
-    if prev.h.shape != (h,) or prev.c.shape != (h,):
-        raise DimensionError(
-            f"state shapes {prev.h.shape}/{prev.c.shape}, expected ({h},)"
-        )
-    pre = params.W_x @ x_t + params.W_h @ prev.h + params.b
-    i = sigmoid(pre[0:h] + params.w_ci * prev.c)
-    f = sigmoid(pre[h : 2 * h] + params.w_cf * prev.c)
-    g = np.tanh(pre[2 * h : 3 * h])
-    c = f * prev.c + i * g
-    o = sigmoid(pre[3 * h : 4 * h] + params.w_co * c)
-    tanh_c = np.tanh(c)
-    h_new = o * tanh_c
-    entry = TapeEntry(
-        x=x_t, h_prev=prev.h, c_prev=prev.c, i=i, f=f, g=g, o=o, c=c, tanh_c=tanh_c
-    )
-    return LstmState(h=h_new, c=c), entry
+    h = W_h.shape[1]
+    a = tape.gates[t]
+    a += W_h @ tape.h[t]
+    c_prev, c = tape.c[t], tape.c[t + 1]
+    i, f, g, o = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
+    i += w_ci * c_prev
+    f += w_cf * c_prev
+    sigmoid(a[: 2 * h], out=a[: 2 * h])
+    np.tanh(g, out=g)
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    o += w_co * c
+    sigmoid(o, out=o)
+    h_new = tape.h[t + 1]
+    np.tanh(c, out=h_new)
+    h_new *= o
 
 
-def cell_backward(
-    params: LstmParams,
-    entry: TapeEntry,
-    grad_h: np.ndarray,
-    grad_c: np.ndarray,
-    grads: LstmGrads,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Exact reverse of one cell_forward step.
+def forward(
+    x: np.ndarray,
+    W_x: np.ndarray,
+    b: np.ndarray,
+    W_h: np.ndarray,
+    w_ci: np.ndarray,
+    w_cf: np.ndarray,
+    w_co: np.ndarray,
+) -> Tape:
+    """Run over the rows of x from a zero state.
 
-    ``grad_h``/``grad_c`` are the loss gradients flowing into this step's
-    outputs.  Parameter gradients are accumulated (added) into ``grads``;
-    the gradients with respect to the step input and the previous state are
-    returned.
+    The input projection of every step is computed up front as one product.
     """
-    h = params.hidden_dim
-    grad_h = np.asarray(grad_h, dtype=np.float64)
-    grad_c = np.asarray(grad_c, dtype=np.float64)
-    if grad_h.shape != (h,) or grad_c.shape != (h,):
+    h = W_h.shape[1]
+    if W_h.shape != (4 * h, h) or W_x.shape[0] != 4 * h:
         raise DimensionError(
-            f"upstream gradient shapes {grad_h.shape}/{grad_c.shape}, expected ({h},)"
+            f"inconsistent LSTM weight shapes: W_x {W_x.shape}, W_h {W_h.shape}"
         )
-    da_o = grad_h * entry.tanh_c * entry.o * (1.0 - entry.o)
+    if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
+        raise DimensionError(f"input shape {x.shape}, expected (T, {W_x.shape[1]})")
+    tape = Tape(x.shape[0], h)
+    np.matmul(x, W_x.T, out=tape.gates)
+    tape.gates += b
+    for t in range(x.shape[0]):
+        step(tape, t, W_h, w_ci, w_cf, w_co)
+    return tape
+
+
+def backward_step(
+    tape: Tape,
+    t: int,
+    dh: np.ndarray,
+    dc: np.ndarray,
+    W_h: np.ndarray,
+    w_ci: np.ndarray,
+    w_cf: np.ndarray,
+    w_co: np.ndarray,
+    dA: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact reverse of step t.
+
+    ``dh``/``dc`` are the loss gradients reaching ``tape.h[t+1]`` and
+    ``tape.c[t+1]``.  Writes the gate pre-activation gradient into
+    ``dA[t]`` and returns the gradients reaching ``tape.h[t]`` through the
+    recurrent weights and ``tape.c[t]``.  The input gradient is
+    ``W_x.T @ dA[t]``.
+    """
+    h = W_h.shape[1]
+    a = tape.gates[t]
+    i, f, g, o = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
+    c_prev = tape.c[t]
+    tanh_c = np.tanh(tape.c[t + 1])
+    da = dA[t]
+    da_i, da_f, da_g, da_o = da[:h], da[h : 2 * h], da[2 * h : 3 * h], da[3 * h :]
+    da_o[:] = dh * tanh_c * o * (1.0 - o)
     # the output-gate peephole reads the updated cell state, so its
     # pre-activation gradient feeds back into dc as well
-    dc = grad_c + grad_h * entry.o * (1.0 - entry.tanh_c**2) + da_o * params.w_co
-    da_i = dc * entry.g * entry.i * (1.0 - entry.i)
-    da_f = dc * entry.c_prev * entry.f * (1.0 - entry.f)
-    da_c = dc * entry.i * (1.0 - entry.g**2)
+    dc = dc + dh * o * (1.0 - tanh_c**2) + da_o * w_co
+    da_i[:] = dc * g * i * (1.0 - i)
+    da_f[:] = dc * c_prev * f * (1.0 - f)
+    da_g[:] = dc * i * (1.0 - g**2)
+    return W_h.T @ da, dc * f + da_i * w_ci + da_f * w_cf
 
-    da = np.empty(4 * h)
-    da[0:h] = da_i
-    da[h : 2 * h] = da_f
-    da[2 * h : 3 * h] = da_c
-    da[3 * h : 4 * h] = da_o
 
-    grads.W_x += np.outer(da, entry.x)
-    grads.W_h += np.outer(da, entry.h_prev)
-    grads.b += da
-    grads.w_ci += da_i * entry.c_prev
-    grads.w_cf += da_f * entry.c_prev
-    grads.w_co += da_o * entry.c
+def backward(
+    tape: Tape,
+    dH: np.ndarray,
+    W_h: np.ndarray,
+    w_ci: np.ndarray,
+    w_cf: np.ndarray,
+    w_co: np.ndarray,
+) -> np.ndarray:
+    """dA (T, 4H) of a whole sequence, given the loss gradient dH (T, H)
+    reaching each step's output h[1..T]."""
+    steps, h = tape.h.shape[0] - 1, tape.h.shape[1]
+    if dH.shape != (steps, h):
+        raise DimensionError(f"upstream gradient shape {dH.shape}, expected ({steps}, {h})")
+    dA = np.empty_like(tape.gates)
+    dh_rec = np.zeros(h)
+    dc = np.zeros(h)
+    for t in range(steps - 1, -1, -1):
+        dh_rec, dc = backward_step(tape, t, dH[t] + dh_rec, dc, W_h, w_ci, w_cf, w_co, dA)
+    return dA
 
-    grad_x = params.W_x.T @ da
-    grad_h_prev = params.W_h.T @ da
-    grad_c_prev = dc * entry.f + da_i * params.w_ci + da_f * params.w_cf
-    return grad_x, (grad_h_prev, grad_c_prev)
+
+def weight_grads(
+    tape: Tape,
+    dA: np.ndarray,
+    g_W_h: np.ndarray,
+    g_w_ci: np.ndarray,
+    g_w_cf: np.ndarray,
+    g_w_co: np.ndarray,
+    g_b: np.ndarray,
+) -> None:
+    """Write the recurrent, peephole and bias gradients of one sequence.
+
+    The input-weight gradient depends on what was fed in; for inputs X
+    (T, I) it is ``dA.T @ X``.
+    """
+    h = tape.h.shape[1]
+    np.matmul(dA.T, tape.h[:-1], out=g_W_h)
+    np.einsum("ti,ti->i", dA[:, :h], tape.c[:-1], out=g_w_ci)
+    np.einsum("ti,ti->i", dA[:, h : 2 * h], tape.c[:-1], out=g_w_cf)
+    np.einsum("ti,ti->i", dA[:, 3 * h :], tape.c[1:], out=g_w_co)
+    np.sum(dA, axis=0, out=g_b)

@@ -1,0 +1,203 @@
+"""Per-step reference LSTM and autoencoder BPTT, kept as a test oracle.
+
+This is the cell-at-a-time formulation the sequence kernel in
+``seqembed.lstm`` replaced: ``cell_forward``/``cell_backward`` pass state
+and tape objects step by step, and weight gradients accumulate one outer
+product per step.  Tests compare the kernel and ``loss_and_gradients``
+against it.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from seqembed.errors import DimensionError
+
+
+def sigmoid(a):
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@dataclass
+class LstmParams:
+    """One layer's weights: W_x (4H, I), W_h (4H, H), b (4H,), peepholes (H,)."""
+
+    W_x: np.ndarray
+    W_h: np.ndarray
+    b: np.ndarray
+    w_ci: np.ndarray
+    w_cf: np.ndarray
+    w_co: np.ndarray
+
+    @property
+    def input_dim(self) -> int:
+        return self.W_x.shape[1]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.W_h.shape[1]
+
+    def arrays(self) -> list[np.ndarray]:
+        return [self.W_x, self.W_h, self.b, self.w_ci, self.w_cf, self.w_co]
+
+    @classmethod
+    def zeros_like(cls, params: "LstmParams") -> "LstmParams":
+        return cls(*(np.zeros_like(arr) for arr in params.arrays()))
+
+
+@dataclass
+class LstmState:
+    h: np.ndarray
+    c: np.ndarray
+
+
+@dataclass
+class TapeEntry:
+    x: np.ndarray
+    h_prev: np.ndarray
+    c_prev: np.ndarray
+    i: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    o: np.ndarray
+    c: np.ndarray
+    tanh_c: np.ndarray
+
+
+def zero_state(hidden_dim: int) -> LstmState:
+    return LstmState(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
+
+
+def cell_forward(params: LstmParams, x_t, prev: LstmState):
+    x_t = np.asarray(x_t, dtype=np.float64)
+    h = params.hidden_dim
+    if x_t.shape != (params.input_dim,):
+        raise DimensionError(f"input shape {x_t.shape}, expected ({params.input_dim},)")
+    if prev.h.shape != (h,) or prev.c.shape != (h,):
+        raise DimensionError(f"state shapes {prev.h.shape}/{prev.c.shape}, expected ({h},)")
+    pre = params.W_x @ x_t + params.W_h @ prev.h + params.b
+    i = sigmoid(pre[0:h] + params.w_ci * prev.c)
+    f = sigmoid(pre[h : 2 * h] + params.w_cf * prev.c)
+    g = np.tanh(pre[2 * h : 3 * h])
+    c = f * prev.c + i * g
+    o = sigmoid(pre[3 * h : 4 * h] + params.w_co * c)
+    tanh_c = np.tanh(c)
+    entry = TapeEntry(
+        x=x_t, h_prev=prev.h, c_prev=prev.c, i=i, f=f, g=g, o=o, c=c, tanh_c=tanh_c
+    )
+    return LstmState(h=o * tanh_c, c=c), entry
+
+
+def cell_backward(params: LstmParams, entry: TapeEntry, grad_h, grad_c, grads: LstmParams):
+    """Reverse of one step: accumulates into ``grads``, returns (dx, (dh', dc'))."""
+    h = params.hidden_dim
+    grad_h = np.asarray(grad_h, dtype=np.float64)
+    grad_c = np.asarray(grad_c, dtype=np.float64)
+    if grad_h.shape != (h,) or grad_c.shape != (h,):
+        raise DimensionError(
+            f"upstream gradient shapes {grad_h.shape}/{grad_c.shape}, expected ({h},)"
+        )
+    da_o = grad_h * entry.tanh_c * entry.o * (1.0 - entry.o)
+    dc = grad_c + grad_h * entry.o * (1.0 - entry.tanh_c**2) + da_o * params.w_co
+    da_i = dc * entry.g * entry.i * (1.0 - entry.i)
+    da_f = dc * entry.c_prev * entry.f * (1.0 - entry.f)
+    da_c = dc * entry.i * (1.0 - entry.g**2)
+    da = np.concatenate([da_i, da_f, da_c, da_o])
+
+    grads.W_x += np.outer(da, entry.x)
+    grads.W_h += np.outer(da, entry.h_prev)
+    grads.b += da
+    grads.w_ci += da_i * entry.c_prev
+    grads.w_cf += da_f * entry.c_prev
+    grads.w_co += da_o * entry.c
+
+    grad_x = params.W_x.T @ da
+    grad_h_prev = params.W_h.T @ da
+    grad_c_prev = dc * entry.f + da_i * params.w_ci + da_f * params.w_cf
+    return grad_x, (grad_h_prev, grad_c_prev)
+
+
+def _layer(views, net, W_x):
+    return LstmParams(
+        W_x=W_x,
+        W_h=views[f"{net}.W_h"],
+        b=views[f"{net}.b_"],
+        w_ci=views[f"{net}.w_ci"],
+        w_cf=views[f"{net}.w_cf"],
+        w_co=views[f"{net}.w_co"],
+    )
+
+
+def encoder_layer(views) -> LstmParams:
+    return _layer(views, "encoder", views["encoder.W_x"])
+
+
+def decoder_layer(views, first: bool) -> LstmParams:
+    return _layer(views, "decoder", views["decoder.W_z.W_x" if first else "decoder.W_y.W_x"])
+
+
+def loss_and_gradients(views, x, x_in=None):
+    """Autoencoder loss and per-block gradients by per-step BPTT.
+
+    ``views`` are the named parameter blocks of ``seqembed.autoencoder``;
+    the gradients come back as a dict under the same names.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    x_in = x if x_in is None else np.asarray(x_in, dtype=np.float64)
+    hidden = views["encoder.W_h"].shape[1]
+
+    state = zero_state(hidden)
+    enc_tape = []
+    for t in range(x_in.shape[0]):
+        state, entry = cell_forward(encoder_layer(views), x_in[t], state)
+        enc_tape.append(entry)
+    z = state.h
+
+    state = zero_state(hidden)
+    dec_tape, hs, ys = [], [], []
+    inp = z
+    for t in range(x.shape[0]):
+        state, entry = cell_forward(decoder_layer(views, t == 0), inp, state)
+        dec_tape.append(entry)
+        hs.append(state.h)
+        inp = views["output.W"] @ state.h + views["output.b"]
+        ys.append(inp)
+    ys = np.array(ys)
+    loss = float(((x - ys) ** 2).sum())
+
+    enc_g = LstmParams.zeros_like(encoder_layer(views))
+    dec_g = LstmParams.zeros_like(decoder_layer(views, False))
+    g_in_z = np.zeros_like(views["decoder.W_z.W_x"])
+    g_W_out = np.zeros_like(views["output.W"])
+    g_b_out = np.zeros_like(views["output.b"])
+    dh_rec = np.zeros(hidden)
+    dc_rec = np.zeros(hidden)
+    d_input = None
+    for t in range(x.shape[0] - 1, -1, -1):
+        dy = 2.0 * (ys[t] - x[t])
+        if d_input is not None:
+            dy = dy + d_input
+        g_W_out += np.outer(dy, hs[t])
+        g_b_out += dy
+        dh = views["output.W"].T @ dy + dh_rec
+        first = t == 0
+        step_grads = LstmParams(
+            g_in_z if first else dec_g.W_x, dec_g.W_h, dec_g.b, dec_g.w_ci, dec_g.w_cf, dec_g.w_co
+        )
+        d_input, (dh_rec, dc_rec) = cell_backward(
+            decoder_layer(views, first), dec_tape[t], dh, dc_rec, step_grads
+        )
+
+    dh, dc = d_input, np.zeros(hidden)
+    for t in range(x_in.shape[0] - 1, -1, -1):
+        _, (dh, dc) = cell_backward(encoder_layer(views), enc_tape[t], dh, dc, enc_g)
+
+    grads = {"decoder.W_z.W_x": g_in_z, "decoder.W_y.W_x": dec_g.W_x,
+             "output.W": g_W_out, "output.b": g_b_out}
+    for net, g in (("encoder", enc_g), ("decoder", dec_g)):
+        grads.update({f"{net}.W_h": g.W_h, f"{net}.b_": g.b, f"{net}.w_ci": g.w_ci,
+                      f"{net}.w_cf": g.w_cf, f"{net}.w_co": g.w_co})
+    grads["encoder.W_x"] = enc_g.W_x
+    return loss, ys, grads

@@ -17,9 +17,9 @@ from seqembed.autoencoder import (
     encode,
     init_params,
     loss_and_gradients,
-    parameter_arrays,
     save_checkpoint,
     train,
+    unpack,
 )
 from seqembed.baselines import dtw_distance, dtw_path, naive_encode
 from seqembed.cli import main
@@ -104,12 +104,13 @@ def test_criterion_1_gradient_exactness():
         steps = int(rng.integers(1, 5))
         params = init_params(input_dim, hidden, seed=1000 + trial)
         x = rng.standard_normal((steps, input_dim))
-        _, grads = loss_and_gradients(params, x)
+        _, grad = loss_and_gradients(params, x)
         loss = lambda: loss_and_gradients(params, x)[0]
-        for arr, analytic in zip(parameter_arrays(params), grads.arrays()):
+        grads = unpack(grad, input_dim, hidden)
+        for name, arr in params.views().items():
             numeric = finite_difference(loss, arr, eps=1e-4)
-            assert_grads_close(analytic, numeric, rel=1e-4, floor=1e-6,
-                               label=f"config {trial} (D={input_dim}, d={hidden}, T={steps})")
+            assert_grads_close(grads[name], numeric, rel=1e-4, floor=1e-6,
+                               label=f"config {trial} (D={input_dim}, d={hidden}, T={steps}) {name}")
     elapsed = time.time() - start
     report(1, "gradient exactness", True, f"20 configs in {elapsed:.1f}s")
     assert elapsed <= 60.0

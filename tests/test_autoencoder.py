@@ -1,38 +1,49 @@
 """Autoencoder tests: init, encode/decode oracles, loss, corruption,
 end-to-end gradients, training behavior, checkpoint round-trips."""
 import copy
+import hashlib
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lstm_oracle as oracle
 from conftest import assert_grads_close, finite_difference, make_records
 from seqembed.autoencoder import (
     TrainConfig,
+    checkpoint_blocks,
     corrupt_zero_mask,
     decode,
     encode,
     init_params,
     load_checkpoint,
     loss_and_gradients,
-    parameter_arrays,
     reconstruction_loss,
     save_checkpoint,
     train,
+    unpack,
 )
 from seqembed.errors import CheckpointError, DimensionError, DivergenceError
-from seqembed.lstm import cell_forward, zero_state
+from seqembed.lstm import Tape, step
 
 
 def zeroed(params):
-    for arr in parameter_arrays(params):
-        arr[:] = 0.0
+    params.flat[:] = 0.0
     return params
 
 
 def params_equal(a, b):
-    return all(np.array_equal(x, y) for x, y in zip(parameter_arrays(a), parameter_arrays(b)))
+    return np.array_equal(a.flat, b.flat)
+
+
+def grad_blocks(params, grad):
+    """(name, parameter view, gradient view) for every layout block."""
+    views = params.views()
+    gviews = unpack(grad, params.input_dim, params.hidden_dim)
+    return [(name, views[name], gviews[name]) for name in views]
 
 
 class TestInit:
@@ -44,17 +55,19 @@ class TestInit:
         assert not params_equal(a, b)
 
     def test_biases_zero_weights_bounded(self):
-        p = init_params(4, 6, seed=0)
-        npt.assert_array_equal(p.encoder.b, 0.0)
-        npt.assert_array_equal(p.decoder.b, 0.0)
-        npt.assert_array_equal(p.b_out, 0.0)
-        for arr in (p.encoder.W_x, p.encoder.W_h, p.decoder.in_z, p.decoder.in_y, p.W_out):
-            assert np.abs(arr).max() <= 0.08
+        v = init_params(4, 6, seed=0).views()
+        npt.assert_array_equal(v["encoder.b_"], 0.0)
+        npt.assert_array_equal(v["decoder.b_"], 0.0)
+        npt.assert_array_equal(v["output.b"], 0.0)
+        weights = ("encoder.W_x", "encoder.W_h", "decoder.W_z.W_x", "decoder.W_y.W_x", "output.W")
+        for name in weights:
+            assert 0.0 < np.abs(v[name]).max() <= 0.08
 
     def test_parameter_count_closed_form(self):
         d, h = 13, 100
         p = init_params(d, h, seed=1)
-        total = sum(arr.size for arr in parameter_arrays(p))
+        total = sum(arr.size for arr in p.views().values())
+        assert total == p.flat.size
         assert total == 12 * h * h + 9 * h * d + 14 * h + d == 133113
 
 
@@ -72,8 +85,8 @@ class TestEncode:
     def test_single_step_equals_cell_forward(self):
         p = init_params(3, 4, seed=5)
         x = np.random.default_rng(2).standard_normal((1, 3))
-        state, _ = cell_forward(p.encoder, x[0], zero_state(4))
-        npt.assert_array_equal(encode(p, x), state.h)
+        state, _ = oracle.cell_forward(oracle.encoder_layer(p.views()), x[0], oracle.zero_state(4))
+        npt.assert_allclose(encode(p, x), state.h, rtol=0, atol=1e-15)
 
     def test_embedding_width_independent_of_length(self):
         p = init_params(3, 4, seed=8)
@@ -91,7 +104,7 @@ class TestEncode:
 class TestDecode:
     def test_zero_weights_emit_output_bias(self):
         p = zeroed(init_params(3, 4, seed=0))
-        p.b_out[:] = [1.0, -2.0, 0.5]
+        p.views()["output.b"][:] = [1.0, -2.0, 0.5]
         y = decode(p, np.zeros(4), length=5)
         npt.assert_array_equal(y, np.tile([1.0, -2.0, 0.5], (5, 1)))
 
@@ -100,21 +113,39 @@ class TestDecode:
         z = np.random.default_rng(4).standard_normal(4)
         y = decode(p, z, length=1)
         assert y.shape == (1, 3)
-        state, _ = cell_forward(p.decoder.step_params(True), z, zero_state(4))
-        npt.assert_array_equal(y[0], p.W_out @ state.h + p.b_out)
+        v = p.views()
+        state, _ = oracle.cell_forward(oracle.decoder_layer(v, True), z, oracle.zero_state(4))
+        npt.assert_allclose(y[0], v["output.W"] @ state.h + v["output.b"], rtol=0, atol=1e-15)
 
     def test_matches_hand_unrolled_three_steps(self):
         p = init_params(3, 4, seed=10)
         z = np.random.default_rng(5).standard_normal(4)
         y = decode(p, z, length=3)
+        v = p.views()
+        W_out, b_out = v["output.W"], v["output.b"]
 
-        state, _ = cell_forward(p.decoder.step_params(True), z, zero_state(4))
-        y1 = p.W_out @ state.h + p.b_out
-        state, _ = cell_forward(p.decoder.step_params(False), y1, state)
-        y2 = p.W_out @ state.h + p.b_out
-        state, _ = cell_forward(p.decoder.step_params(False), y2, state)
-        y3 = p.W_out @ state.h + p.b_out
+        # the kernel, one step at a time
+        tape = Tape(3, 4)
+        cell = (v["decoder.W_h"], v["decoder.w_ci"], v["decoder.w_cf"], v["decoder.w_co"])
+        tape.gates[0] = v["decoder.W_z.W_x"] @ z + v["decoder.b_"]
+        step(tape, 0, *cell)
+        y1 = W_out @ tape.h[1] + b_out
+        tape.gates[1] = v["decoder.W_y.W_x"] @ y1 + v["decoder.b_"]
+        step(tape, 1, *cell)
+        y2 = W_out @ tape.h[2] + b_out
+        tape.gates[2] = v["decoder.W_y.W_x"] @ y2 + v["decoder.b_"]
+        step(tape, 2, *cell)
+        y3 = W_out @ tape.h[3] + b_out
         npt.assert_array_equal(y, np.stack([y1, y2, y3]))
+
+        # the per-step oracle
+        state, _ = oracle.cell_forward(oracle.decoder_layer(v, True), z, oracle.zero_state(4))
+        o1 = W_out @ state.h + b_out
+        state, _ = oracle.cell_forward(oracle.decoder_layer(v, False), o1, state)
+        o2 = W_out @ state.h + b_out
+        state, _ = oracle.cell_forward(oracle.decoder_layer(v, False), o2, state)
+        o3 = W_out @ state.h + b_out
+        npt.assert_allclose(y, np.stack([o1, o2, o3]), rtol=0, atol=1e-15)
 
     def test_bad_length(self):
         p = init_params(3, 4, seed=9)
@@ -182,10 +213,10 @@ class TestEndToEndGradient:
         t = int(rng.integers(1, 5))
         params = init_params(3, 4, seed=seed + 50)
         x = rng.standard_normal((t, 3))
-        _, grads = loss_and_gradients(params, x)
+        _, grad = loss_and_gradients(params, x)
         loss = lambda: loss_and_gradients(params, x)[0]
-        for arr, analytic in zip(parameter_arrays(params), grads.arrays()):
-            assert_grads_close(analytic, finite_difference(loss, arr), label=f"seed {seed}")
+        for name, arr, analytic in grad_blocks(params, grad):
+            assert_grads_close(analytic, finite_difference(loss, arr), label=f"seed {seed} {name}")
 
     def test_gradient_with_corrupted_input(self):
         # denoising path: encoder sees x_in, loss targets x
@@ -193,10 +224,33 @@ class TestEndToEndGradient:
         params = init_params(2, 3, seed=77)
         x = rng.standard_normal((3, 2))
         x_in = corrupt_zero_mask(x, 0.4, rng)
-        _, grads = loss_and_gradients(params, x, x_in)
+        _, grad = loss_and_gradients(params, x, x_in)
         loss = lambda: loss_and_gradients(params, x, x_in)[0]
-        for arr, analytic in zip(parameter_arrays(params), grads.arrays()):
-            assert_grads_close(analytic, finite_difference(loss, arr), label="denoised")
+        for name, arr, analytic in grad_blocks(params, grad):
+            assert_grads_close(analytic, finite_difference(loss, arr), label=f"denoised {name}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        input_dim=st.integers(1, 5),
+        hidden=st.integers(1, 6),
+        steps=st.integers(1, 6),
+        in_steps=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_step_oracle(self, input_dim, hidden, steps, in_steps, seed):
+        # the encoder input is corrupted and of its own length, so x_in != x
+        rng = np.random.default_rng(seed)
+        params = init_params(input_dim, hidden, seed=seed)
+        params.flat += rng.uniform(-0.5, 0.5, size=params.flat.shape)
+        x = rng.standard_normal((steps, input_dim))
+        x_in = rng.standard_normal((in_steps, input_dim))
+        x_in[rng.random(x_in.shape) < 0.3] = 0.0
+        loss, grad = loss_and_gradients(params, x, x_in)
+        want_loss, _, want = oracle.loss_and_gradients(params.views(), x, x_in)
+        assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        for name, _arr, got in grad_blocks(params, grad):
+            scale = max(1.0, float(np.abs(want[name]).max()))
+            npt.assert_allclose(got, want[name], rtol=0, atol=1e-12 * scale, err_msg=name)
 
 
 def tiny_train_records(rng, n=3, t=4, d=3):
@@ -273,7 +327,45 @@ class TestTrain:
         assert drops / (len(losses) - 1) >= 0.9
 
 
+CHECKPOINT_KEYS = [
+    "encoder.W_xi", "encoder.W_xf", "encoder.W_xc", "encoder.W_xo",
+    "encoder.W_hi", "encoder.W_hf", "encoder.W_hc", "encoder.W_ho",
+    "encoder.w_ci", "encoder.w_cf", "encoder.w_co",
+    "encoder.b_i", "encoder.b_f", "encoder.b_c", "encoder.b_o",
+    "decoder.W_z.W_xi", "decoder.W_z.W_xf", "decoder.W_z.W_xc", "decoder.W_z.W_xo",
+    "decoder.W_y.W_xi", "decoder.W_y.W_xf", "decoder.W_y.W_xc", "decoder.W_y.W_xo",
+    "decoder.W_hi", "decoder.W_hf", "decoder.W_hc", "decoder.W_ho",
+    "decoder.w_ci", "decoder.w_cf", "decoder.w_co",
+    "decoder.b_i", "decoder.b_f", "decoder.b_c", "decoder.b_o",
+    "output.W", "output.b",
+]
+
+
 class TestCheckpoints:
+    def test_format_is_pinned(self, tmp_path):
+        # keys, key order and bytes of a fresh init are frozen; the digest was
+        # taken from the per-step implementation this layout replaced
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(3, 5, seed=42), path)
+        blob = path.read_bytes()
+        assert list(json.loads(blob)["params"]) == CHECKPOINT_KEYS
+        assert hashlib.sha256(blob).hexdigest() == (
+            "46b5785643184750f8489411f3f273749407c282cc25d9774982309a062d765f"
+        )
+
+    def test_gate_rows_are_views_into_flat(self):
+        params = zeroed(init_params(2, 3, seed=0))
+        blocks = dict(checkpoint_blocks(params))
+        assert [key for key, _ in checkpoint_blocks(params)] == CHECKPOINT_KEYS
+        for key, rows in blocks.items():
+            assert np.shares_memory(rows, params.flat), key
+        blocks["encoder.W_xi"][:] = 1.0
+        assert params.views()["encoder.W_x"][:3].sum() == 6.0
+        assert params.flat.sum() == 6.0
+        assert blocks["encoder.W_xi"].shape == (3, 2)
+        assert blocks["encoder.W_hf"].shape == (3, 3)
+        assert blocks["encoder.b_o"].shape == (3,)
+
     def test_round_trip_encodes_identically(self, tmp_path):
         params = init_params(3, 5, seed=42)
         params.epoch_count = 17

@@ -1,5 +1,10 @@
 """CLI surface tests: every subcommand, exit codes, determinism."""
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,10 +114,7 @@ class TestTrain:
         assert code == 0
         loaded = load_checkpoint(ckpt)
         fresh = init_params(5, 3, seed=11)
-        from seqembed.autoencoder import parameter_arrays
-
-        for a, b in zip(parameter_arrays(loaded), parameter_arrays(fresh)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.flat, fresh.flat)
 
     def test_divergence_exit_code(self, corpus_dir, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -228,6 +230,30 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--archive", str(arch), "--query-id", "ghost")
         assert code == 3 and "ghost" in err
 
+    def test_rows_with_commas_are_quoted(self, tmp_path, capsys):
+        words = ["new, york", "new, york", "boston"]
+        manifest = fixture_manifest(tmp_path, [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]], words)
+        arch = tmp_path / "arch.csv"
+        assert main([
+            "encode", "--manifest", str(manifest), "--encoder", "ne", "--m", "1",
+            "--out", str(arch),
+        ]) == 0
+        for argv in (
+            ["--archive", str(arch)],
+            ["--method", "dtw", "--manifest", str(manifest)],
+        ):
+            code, stdout, _ = run(capsys, "search", *argv, "--query-id", "q0", "--top", "2")
+            assert code == 0
+            rows = list(csv.reader(stdout.splitlines()))
+            assert rows[0] == ["rank", "id", "word", "score"]
+            want = [["1", "q1", "new, york"], ["2", "q2", "boston"]]
+            assert [row[:3] for row in rows[1:]] == want
+            assert all(len(row) == 4 for row in rows)
+        lines = stdout.splitlines()
+        assert lines[1] == f'1,q1,"new, york",{rows[1][3]}'
+        # a row that needs no quoting is written exactly as before
+        assert lines[2] == f"2,q2,boston,{rows[2][3]}"
+
     def test_dtw_search_finds_identical_segment(self, corpus_dir, capsys):
         ds = parse_manifest(corpus_dir / "manifest.jsonl")
         target = ds.subset("test")[2]
@@ -337,6 +363,15 @@ class TestAnalyze:
         row = lines[1].split(",")
         assert row[0] == f"{word}:{word}"
         assert all(float(v) == 0.0 for v in row[1:])
+
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(__import__("seqembed").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-c", "import seqembed.cli, sys; assert 'scipy' not in sys.modules"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
 
     def test_unknown_pair_word(self, corpus_dir, trained, tmp_path, capsys):
         arch = tmp_path / "arch.csv"

@@ -1,33 +1,72 @@
-"""Cell-level LSTM tests: hand oracles, scalar references, finite differences."""
+"""LSTM kernel tests: hand oracles, scalar references, finite differences,
+and equivalence with the per-step oracle."""
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lstm_oracle as oracle
 from conftest import assert_grads_close, finite_difference
 from seqembed.errors import DimensionError
-from seqembed.lstm import (
-    LstmGrads,
-    LstmParams,
-    LstmState,
-    cell_backward,
-    cell_forward,
-    sigmoid,
-    uniform_lstm_params,
-    zero_state,
-)
+from seqembed.lstm import Tape, backward, backward_step, forward, sigmoid, step, weight_grads
+
+# kernel argument order: forward takes W_x, b, then the cell (W_h, w_ci, w_cf, w_co)
+NAMES = ("W_x", "b", "W_h", "w_ci", "w_cf", "w_co")
 
 
 def zero_params(input_dim, hidden_dim):
     h = hidden_dim
-    return LstmParams(
-        W_x=np.zeros((4 * h, input_dim)),
-        W_h=np.zeros((4 * h, h)),
-        b=np.zeros(4 * h),
-        w_ci=np.zeros(h),
-        w_cf=np.zeros(h),
-        w_co=np.zeros(h),
+    return {
+        "W_x": np.zeros((4 * h, input_dim)),
+        "b": np.zeros(4 * h),
+        "W_h": np.zeros((4 * h, h)),
+        "w_ci": np.zeros(h),
+        "w_cf": np.zeros(h),
+        "w_co": np.zeros(h),
+    }
+
+
+def uniform_params(rng, input_dim, hidden_dim, scale):
+    p = zero_params(input_dim, hidden_dim)
+    for name in ("W_x", "W_h", "w_ci", "w_cf", "w_co"):
+        p[name] = rng.uniform(-scale, scale, size=p[name].shape)
+    return p
+
+
+def scalar_params(p):
+    return {
+        "W_x": np.array([[p["wxi"]], [p["wxf"]], [p["wxc"]], [p["wxo"]]]),
+        "b": np.array([p["bi"], p["bf"], p["bc"], p["bo"]]),
+        "W_h": np.array([[p["whi"]], [p["whf"]], [p["whc"]], [p["who"]]]),
+        "w_ci": np.array([p["wci"]]),
+        "w_cf": np.array([p["wcf"]]),
+        "w_co": np.array([p["wco"]]),
+    }
+
+
+def run(params, xs):
+    return forward(np.asarray(xs, dtype=np.float64), *(params[n] for n in NAMES))
+
+
+def cell(params):
+    return params["W_h"], params["w_ci"], params["w_cf"], params["w_co"]
+
+
+def single_step(params, x, h_prev, c_prev):
+    """One kernel step from an arbitrary state."""
+    tape = Tape(1, params["W_h"].shape[1])
+    tape.h[0], tape.c[0] = h_prev, c_prev
+    tape.gates[0] = params["W_x"] @ x + params["b"]
+    step(tape, 0, *cell(params))
+    return tape
+
+
+def oracle_layer(params):
+    return oracle.LstmParams(
+        params["W_x"], params["W_h"], params["b"], params["w_ci"], params["w_cf"], params["w_co"]
     )
 
 
@@ -60,21 +99,18 @@ def test_sigmoid_stable_at_extremes():
 
 
 def test_zero_params_zero_state_gives_zero_outputs():
-    params = zero_params(3, 4)
-    state, _ = cell_forward(params, np.array([5.0, -2.0, 1.0]), zero_state(4))
-    npt.assert_array_equal(state.h, np.zeros(4))
-    npt.assert_array_equal(state.c, np.zeros(4))
+    tape = run(zero_params(3, 4), [[5.0, -2.0, 1.0]])
+    npt.assert_array_equal(tape.h[1], np.zeros(4))
+    npt.assert_array_equal(tape.c[1], np.zeros(4))
 
 
 def test_zero_params_unit_cell_state():
     # all gates sit at 0.5, candidate at 0: c becomes 0.5, h = 0.5*tanh(0.5)
-    params = zero_params(2, 3)
-    prev = LstmState(h=np.zeros(3), c=np.ones(3))
-    state, entry = cell_forward(params, np.array([1.0, 2.0]), prev)
-    npt.assert_allclose(state.c, 0.5, rtol=0, atol=1e-15)
-    npt.assert_allclose(entry.o, 0.5, rtol=0, atol=1e-15)
-    npt.assert_allclose(state.h, 0.5 * np.tanh(0.5), rtol=0, atol=1e-15)
-    assert abs(state.h[0] - 0.231059) < 1e-6
+    tape = single_step(zero_params(2, 3), np.array([1.0, 2.0]), np.zeros(3), np.ones(3))
+    npt.assert_allclose(tape.c[1], 0.5, rtol=0, atol=1e-15)
+    npt.assert_allclose(tape.gates[0, 9:], 0.5, rtol=0, atol=1e-15)  # output gate
+    npt.assert_allclose(tape.h[1], 0.5 * np.tanh(0.5), rtol=0, atol=1e-15)
+    assert abs(tape.h[1, 0] - 0.231059) < 1e-6
 
 
 def test_matches_scalar_reference():
@@ -83,21 +119,13 @@ def test_matches_scalar_reference():
     names = ["wxi", "wxf", "wxc", "wxo", "whi", "whf", "whc", "who", "wci", "wcf", "wco"]
     p = dict(zip(names, vals))
     p.update(bi=0.1, bf=-0.2, bc=0.3, bo=0.05)
-    params = LstmParams(
-        W_x=np.array([[p["wxi"]], [p["wxf"]], [p["wxc"]], [p["wxo"]]]),
-        W_h=np.array([[p["whi"]], [p["whf"]], [p["whc"]], [p["who"]]]),
-        b=np.array([p["bi"], p["bf"], p["bc"], p["bo"]]),
-        w_ci=np.array([p["wci"]]),
-        w_cf=np.array([p["wcf"]]),
-        w_co=np.array([p["wco"]]),
-    )
+    xs = [0.3, -1.2, 0.8, 2.0]
+    tape = run(scalar_params(p), [[x] for x in xs])
     h, c = 0.0, 0.0
-    state = zero_state(1)
-    for x in [0.3, -1.2, 0.8, 2.0]:
-        state, _ = cell_forward(params, np.array([x]), state)
+    for t, x in enumerate(xs):
         h, c = scalar_peephole_step(p, x, h, c)
-        npt.assert_allclose(state.h[0], h, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(state.c[0], c, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(tape.h[t + 1, 0], h, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(tape.c[t + 1, 0], c, rtol=1e-12, atol=1e-12)
 
 
 def test_zero_peepholes_match_plain_lstm_reference():
@@ -105,114 +133,108 @@ def test_zero_peepholes_match_plain_lstm_reference():
     names = ["wxi", "wxf", "wxc", "wxo", "whi", "whf", "whc", "who"]
     p = dict(zip(names, rng.uniform(-0.9, 0.9, size=8)))
     p.update(wci=0.0, wcf=0.0, wco=0.0, bi=-0.4, bf=0.2, bc=0.0, bo=0.6)
-    params = LstmParams(
-        W_x=np.array([[p["wxi"]], [p["wxf"]], [p["wxc"]], [p["wxo"]]]),
-        W_h=np.array([[p["whi"]], [p["whf"]], [p["whc"]], [p["who"]]]),
-        b=np.array([p["bi"], p["bf"], p["bc"], p["bo"]]),
-        w_ci=np.zeros(1),
-        w_cf=np.zeros(1),
-        w_co=np.zeros(1),
-    )
+    xs = [1.0, -0.5, 0.25]
+    tape = run(scalar_params(p), [[x] for x in xs])
     h, c = 0.0, 0.0
-    state = zero_state(1)
-    for x in [1.0, -0.5, 0.25]:
-        state, _ = cell_forward(params, np.array([x]), state)
+    for t, x in enumerate(xs):
         h, c = scalar_plain_step(p, x, h, c)
-        npt.assert_allclose(state.h[0], h, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(state.c[0], c, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(tape.h[t + 1, 0], h, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(tape.c[t + 1, 0], c, rtol=1e-12, atol=1e-12)
 
 
 def test_forward_is_pure():
     rng = np.random.default_rng(0)
-    params = uniform_lstm_params(rng, 3, 2, 0.5)
+    params = uniform_params(rng, 3, 2, 0.5)
     x = rng.standard_normal(3)
-    prev = LstmState(h=rng.standard_normal(2), c=rng.standard_normal(2))
-    s1, _ = cell_forward(params, x, prev)
-    s2, _ = cell_forward(params, x, prev)
+    h_prev, c_prev = rng.standard_normal(2), rng.standard_normal(2)
+    s1 = single_step(params, x, h_prev, c_prev)
+    s2 = single_step(params, x, h_prev, c_prev)
     npt.assert_array_equal(s1.h, s2.h)
     npt.assert_array_equal(s1.c, s2.c)
-
-
-def test_per_gate_views_share_memory():
-    params = zero_params(2, 3)
-    params.W_xi[:] = 1.0
-    assert params.W_x[:3].sum() == 6.0
-    assert params.W_xi.shape == (3, 2)
-    assert params.W_hf.shape == (3, 3)
-    assert params.b_o.shape == (3,)
+    xs = rng.standard_normal((4, 3))
+    before = {n: arr.copy() for n, arr in params.items()}, xs.copy()
+    t1, t2 = run(params, xs), run(params, xs)
+    npt.assert_array_equal(t1.h, t2.h)
+    npt.assert_array_equal(t1.c, t2.c)
+    for n, arr in params.items():
+        npt.assert_array_equal(arr, before[0][n])
+    npt.assert_array_equal(xs, before[1])
 
 
 def test_shape_mismatch_raises():
     params = zero_params(3, 4)
     with pytest.raises(DimensionError):
-        cell_forward(params, np.zeros(2), zero_state(4))
+        run(params, np.zeros((1, 2)))
+    bad = dict(params, W_h=np.zeros((16, 5)))  # recurrent weights of a 5-unit state
     with pytest.raises(DimensionError):
-        cell_forward(params, np.zeros(3), zero_state(5))
-    _, entry = cell_forward(params, np.zeros(3), zero_state(4))
+        run(bad, np.zeros((1, 3)))
+    tape = run(params, np.zeros((1, 3)))
     with pytest.raises(DimensionError):
-        cell_backward(params, entry, np.zeros(3), np.zeros(4), LstmGrads.zeros_like(params))
+        backward(tape, np.zeros((1, 3)), *cell(params))
 
 
 def test_zero_upstream_gradients_give_zero_gradients():
     rng = np.random.default_rng(1)
-    params = uniform_lstm_params(rng, 2, 3, 0.5)
-    state, entry = cell_forward(params, rng.standard_normal(2), zero_state(3))
-    grads = LstmGrads.zeros_like(params)
-    gx, (gh, gc) = cell_backward(params, entry, np.zeros(3), np.zeros(3), grads)
-    npt.assert_array_equal(gx, np.zeros(2))
+    params = uniform_params(rng, 2, 3, 0.5)
+    xs = rng.standard_normal((1, 2))
+    tape = run(params, xs)
+    dA = np.empty_like(tape.gates)
+    gh, gc = backward_step(tape, 0, np.zeros(3), np.zeros(3), *cell(params), dA)
+    npt.assert_array_equal(dA @ params["W_x"], np.zeros((1, 2)))
     npt.assert_array_equal(gh, np.zeros(3))
     npt.assert_array_equal(gc, np.zeros(3))
-    for arr in grads.arrays():
+    grads = sequence_grads(params, xs, np.zeros((1, 3)))
+    for arr in grads.values():
         npt.assert_array_equal(arr, np.zeros_like(arr))
 
 
-def _sequence_loss(params, xs, weights):
+def sequence_loss(params, xs, weights):
     """Scalar loss sum_t w_t . h_t for FD checking."""
-    state = zero_state(params.hidden_dim)
-    total = 0.0
-    for t in range(len(xs)):
-        state, _ = cell_forward(params, xs[t], state)
-        total += float(weights[t] @ state.h)
-    return total
+    return float((weights * run(params, xs).h[1:]).sum())
 
 
-def _sequence_grads(params, xs, weights):
-    state = zero_state(params.hidden_dim)
+def sequence_grads(params, xs, weights):
+    """Kernel gradients of sequence_loss for every weight and the inputs."""
+    tape = run(params, xs)
+    dA = backward(tape, weights, *cell(params))
+    grads = {n: np.empty_like(arr) for n, arr in params.items()}
+    weight_grads(tape, dA, *cell(grads), grads["b"])
+    grads["W_x"] = dA.T @ xs
+    grads["x"] = dA @ params["W_x"]
+    return grads
+
+
+def oracle_sequence_grads(params, xs, weights):
+    layer = oracle_layer(params)
+    state = oracle.zero_state(layer.hidden_dim)
     tape = []
-    for t in range(len(xs)):
-        state, entry = cell_forward(params, xs[t], state)
+    for x in xs:
+        state, entry = oracle.cell_forward(layer, x, state)
         tape.append(entry)
-    grads = LstmGrads.zeros_like(params)
-    h = params.hidden_dim
-    dh = np.zeros(h)
-    dc = np.zeros(h)
+    grads = oracle.LstmParams.zeros_like(layer)
+    dh = np.zeros(layer.hidden_dim)
+    dc = np.zeros(layer.hidden_dim)
     dxs = []
     for t in range(len(xs) - 1, -1, -1):
-        dx, (dh, dc) = cell_backward(params, tape[t], dh + weights[t], dc, grads)
+        dx, (dh, dc) = oracle.cell_backward(layer, tape[t], dh + weights[t], dc, grads)
         dxs.append(dx)
-    dxs.reverse()
-    return grads, np.array(dxs)
+    out = {n: getattr(grads, n) for n in NAMES}
+    out["x"] = np.array(dxs[::-1])
+    return out
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(99)
-    params = uniform_lstm_params(rng, 3, 4, 0.6)
+    params = uniform_params(rng, 3, 4, 0.6)
     xs = rng.standard_normal((3, 3))
     weights = rng.standard_normal((3, 4))
 
-    grads, dxs = _sequence_grads(params, xs, weights)
-    loss = lambda: _sequence_loss(params, xs, weights)
-    for name, arr, analytic in [
-        ("W_x", params.W_x, grads.W_x),
-        ("W_h", params.W_h, grads.W_h),
-        ("b", params.b, grads.b),
-        ("w_ci", params.w_ci, grads.w_ci),
-        ("w_cf", params.w_cf, grads.w_cf),
-        ("w_co", params.w_co, grads.w_co),
-    ]:
-        assert_grads_close(analytic, finite_difference(loss, arr), label=name)
+    grads = sequence_grads(params, xs, weights)
+    loss = lambda: sequence_loss(params, xs, weights)
+    for name in NAMES:
+        assert_grads_close(grads[name], finite_difference(loss, params[name]), label=name)
     # gradient with respect to the inputs, same tolerances
-    assert_grads_close(dxs, finite_difference(loss, xs), label="x")
+    assert_grads_close(grads["x"], finite_difference(loss, xs), label="x")
 
 
 def test_gradient_property_over_random_shapes():
@@ -221,14 +243,41 @@ def test_gradient_property_over_random_shapes():
         input_dim = int(rng.integers(1, 7))
         hidden = int(rng.integers(1, 7))
         steps = int(rng.integers(1, 5))
-        params = uniform_lstm_params(rng, input_dim, hidden, 0.7)
+        params = uniform_params(rng, input_dim, hidden, 0.7)
         xs = rng.standard_normal((steps, input_dim))
         weights = rng.standard_normal((steps, hidden))
-        grads, dxs = _sequence_grads(params, xs, weights)
-        loss = lambda: _sequence_loss(params, xs, weights)
-        for arr, analytic in zip(
-            (params.W_x, params.W_h, params.b, params.w_ci, params.w_cf, params.w_co),
-            grads.arrays(),
-        ):
-            assert_grads_close(analytic, finite_difference(loss, arr), label=f"trial {trial}")
-        assert_grads_close(dxs, finite_difference(loss, xs), label=f"trial {trial} x")
+        grads = sequence_grads(params, xs, weights)
+        loss = lambda: sequence_loss(params, xs, weights)
+        for name in NAMES:
+            assert_grads_close(
+                grads[name], finite_difference(loss, params[name]), label=f"trial {trial} {name}"
+            )
+        assert_grads_close(grads["x"], finite_difference(loss, xs), label=f"trial {trial} x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_dim=st.integers(1, 6),
+    hidden=st.integers(1, 6),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_per_step_oracle(input_dim, hidden, steps, seed):
+    rng = np.random.default_rng(seed)
+    params = uniform_params(rng, input_dim, hidden, 0.9)
+    params["b"] = rng.uniform(-0.9, 0.9, size=4 * hidden)
+    xs = rng.standard_normal((steps, input_dim))
+    weights = rng.standard_normal((steps, hidden))
+
+    tape = run(params, xs)
+    state = oracle.zero_state(hidden)
+    for t in range(steps):
+        state, _ = oracle.cell_forward(oracle_layer(params), xs[t], state)
+        npt.assert_allclose(tape.h[t + 1], state.h, rtol=0, atol=1e-14)
+        npt.assert_allclose(tape.c[t + 1], state.c, rtol=0, atol=1e-14)
+
+    got = sequence_grads(params, xs, weights)
+    want = oracle_sequence_grads(params, xs, weights)
+    for name, ref in want.items():
+        scale = max(1.0, float(np.abs(ref).max()))
+        npt.assert_allclose(got[name], ref, rtol=0, atol=1e-12 * scale, err_msg=name)

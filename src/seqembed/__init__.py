@@ -29,7 +29,8 @@ from .evaluation import (
 from .retrieval import (
     EmbeddingArchive,
     build_archive,
-    cosine_similarity,
+    cosine_matrix,
+    dtw_matrix,
     load_archive,
     rank,
     rank_dtw,
@@ -45,9 +46,10 @@ __all__ = [
     "average_precision",
     "build_archive",
     "corrupt_zero_mask",
-    "cosine_similarity",
+    "cosine_matrix",
     "decode",
     "dtw_distance",
+    "dtw_matrix",
     "dtw_path",
     "encode",
     "generate_synthetic",

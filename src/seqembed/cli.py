@@ -36,7 +36,15 @@ from .evaluation import (
     write_map_report,
     write_similarity_table,
 )
-from .retrieval import build_archive, load_archive, rank, rank_dtw, save_archive
+from .retrieval import (
+    build_archive,
+    cosine_matrix,
+    dtw_matrix,
+    load_archive,
+    rank,
+    rank_dtw,
+    save_archive,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,8 +139,7 @@ def cmd_encode(args, parser) -> int:
 
 
 def cmd_search(args, parser) -> int:
-    if args.top is not None:
-        _positive(parser, "top", args.top)
+    _positive(parser, "top", args.top)
     if args.query_id is None and args.query_features is None:
         parser.error("provide --query-id or --query-features")
 
@@ -147,18 +154,14 @@ def cmd_search(args, parser) -> int:
             if args.query_id not in by_id:
                 raise DataError(f"unknown query id '{args.query_id}'")
             query = by_id[args.query_id].features
-            exclude = args.query_id
         else:
             query = load_feature_file(args.query_features)
-            exclude = None
-        ranked = rank_dtw(query, records, exclude_id=exclude, top_k=args.top)
+        ranked = rank_dtw(query, records, exclude_id=args.query_id, top_k=args.top)
     else:
         if args.archive:
-            archive = load_archive(args.archive)
             if args.query_id is None:
                 parser.error("searching a prebuilt archive requires --query-id")
-            query_vec = archive.vector(args.query_id)
-            exclude = args.query_id
+            archive = load_archive(args.archive)
         else:
             if not (args.checkpoint and args.manifest):
                 parser.error("search requires --archive, or --checkpoint with --manifest")
@@ -166,17 +169,12 @@ def cmd_search(args, parser) -> int:
             records = _split_records(dataset, args.split)
             params = load_checkpoint(args.checkpoint)
             archive = build_archive(lambda feats: encode(params, feats), records)
-            if args.query_id is not None:
-                by_id = {rec.id: rec for rec in records}
-                if args.query_id not in by_id:
-                    raise DataError(f"unknown query id '{args.query_id}'")
-                query_vec = encode(params, by_id[args.query_id].features)
-                exclude = args.query_id
-            else:
-                query_vec = encode(params, load_feature_file(args.query_features))
-                exclude = None
+        if args.query_id is not None:
+            query_vec = archive.vector(args.query_id)
+        else:
+            query_vec = encode(params, load_feature_file(args.query_features))
         words = {seg_id: word for seg_id, word, _vec in archive.entries}
-        ranked = rank(query_vec, archive, exclude_id=exclude, top_k=args.top)
+        ranked = rank(query_vec, archive, exclude_id=args.query_id, top_k=args.top)
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["rank", "id", "word", "score"])
@@ -205,6 +203,8 @@ def _parse_methods(tokens, parser):
                 label, _, ckpt = token.partition("=")
                 if not label or not ckpt:
                     parser.error(f"bad method '{token}'; use label=checkpoint.json")
+                if label in (".", "..") or any(sep in label for sep in "/\\"):
+                    parser.error(f"method label '{label}' may not contain / or \\ or be . or ..")
                 entry = ("model", label, ckpt)
             else:
                 parser.error(
@@ -217,6 +217,17 @@ def _parse_methods(tokens, parser):
     return methods
 
 
+def _score_matrix(kind, extra, records):
+    if kind == "dtw":
+        return dtw_matrix(records)
+    if kind == "ne":
+        vec_fn = lambda feats: naive_encode(feats, extra)
+    else:
+        params = load_checkpoint(extra)
+        vec_fn = lambda feats: encode(params, feats)
+    return cosine_matrix(build_archive(vec_fn, records))
+
+
 def cmd_evaluate(args, parser) -> int:
     methods = _parse_methods(args.method, parser)
     dataset = parse_manifest(args.manifest)
@@ -226,17 +237,7 @@ def cmd_evaluate(args, parser) -> int:
 
     results = []
     for kind, label, extra in methods:
-        if kind == "dtw":
-            ranker = lambda rec: rank_dtw(rec.features, records, exclude_id=rec.id)
-        else:
-            if kind == "ne":
-                vec_fn = lambda feats, m=extra: naive_encode(feats, m)
-            else:
-                params = load_checkpoint(extra)
-                vec_fn = lambda feats, p=params: encode(p, feats)
-            archive = build_archive(vec_fn, records)
-            ranker = lambda rec, a=archive: rank(a.vector(rec.id), a, exclude_id=rec.id)
-        report = mean_average_precision(ranker, records)
+        report = mean_average_precision(_score_matrix(kind, extra, records), records)
         write_map_report(report.rows, report_dir / f"per_query_{label}.csv")
         if report.mean_ap is None:
             print(f"{label}: no scorable queries ({report.num_excluded} excluded)")
@@ -271,13 +272,15 @@ def cmd_analyze_edit_distance(args, parser) -> int:
 
 
 def _parse_pairs(spec, parser):
+    try:
+        chunks = next(csv.reader([spec], skipinitialspace=True))
+    except csv.Error as exc:
+        parser.error(f"bad --pairs: {exc}")
     pairs = []
-    for chunk in spec.split(","):
+    for chunk in chunks:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" not in chunk:
-            parser.error(f"bad pair '{chunk}'; use word1:word2")
         w1, _, w2 = chunk.partition(":")
         if not w1 or not w2:
             parser.error(f"bad pair '{chunk}'; use word1:word2")
@@ -389,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = asub.add_parser("diff-vectors", help="word-mean difference vectors + 2-D projection")
     pa.add_argument("--archive", required=True)
-    pa.add_argument("--pairs", required=True, help='e.g. "new:few,night:fight"')
+    pa.add_argument("--pairs", required=True, help='e.g. "new:few,night:fight" (CSV quoting)')
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_analyze_diff_vectors)
 

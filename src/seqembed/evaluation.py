@@ -7,15 +7,16 @@ per-word means, similarity grouping).
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, SegmentRecord
 from .errors import DataError, DimensionError
-from .retrieval import EmbeddingArchive, RankedResult
+from .retrieval import EmbeddingArchive, RankedResult, cosine_matrix, order_by_score
 
 
 def phoneme_edit_distance(p: Sequence[str], q: Sequence[str]) -> int:
@@ -51,28 +52,15 @@ def similarity_table(
     if max_bucket < 1:
         raise ValueError(f"max_bucket must be >= 1, got {max_bucket}")
     records = dataset.records if isinstance(dataset, Dataset) else list(dataset)
-    phonemes: dict[str, tuple[str, ...]] = {}
-    for rec in records:
-        if rec.phonemes is not None:
-            phonemes[rec.id] = tuple(rec.phonemes)
-    ids = []
+    by_id = {rec.id: rec for rec in records}
     seqs = []
-    vecs = []
-    for seg_id, _word, vec in archive.entries:
-        if seg_id not in phonemes:
-            rec_ids = {rec.id for rec in records}
-            if seg_id not in rec_ids:
-                raise DataError(f"record '{seg_id}' missing from the dataset")
+    for seg_id in archive.ids:
+        if seg_id not in by_id:
+            raise DataError(f"record '{seg_id}' missing from the dataset")
+        if by_id[seg_id].phonemes is None:
             raise DataError(f"record '{seg_id}' has no phoneme sequence")
-        ids.append(seg_id)
-        seqs.append(phonemes[seg_id])
-        vecs.append(vec)
-
-    mat = np.stack(vecs)
-    norms = np.linalg.norm(mat, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = mat / safe[:, None]  # zero-norm rows stay zero => cosine 0
-    sims = unit @ unit.T
+        seqs.append(tuple(by_id[seg_id].phonemes))
+    sims = cosine_matrix(archive)
 
     dist_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
 
@@ -82,7 +70,7 @@ def similarity_table(
             dist_cache[key] = phoneme_edit_distance(key[0], key[1])
         return dist_cache[key]
 
-    n = len(ids)
+    n = len(seqs)
     sums = [0.0] * (max_bucket + 1)
     counts = [0] * (max_bucket + 1)
     for i in range(n):
@@ -132,30 +120,31 @@ class MapReport:
 
 
 def mean_average_precision(
-    ranker: Callable[[SegmentRecord], RankedResult],
+    scores: np.ndarray,
     records: Sequence[SegmentRecord],
 ) -> MapReport:
-    """Every record queries once (self excluded by the ranker); relevance is
-    a case-folded word match.  Queries with no relevant counterpart are
-    excluded from the mean and counted."""
+    """Each record queries with its row of ``scores`` (index i is records[i]),
+    itself excluded; relevance is a case-folded word match.  Queries with no
+    relevant counterpart are excluded from the mean and counted."""
     records = list(records)
     if not records:
         raise DataError("MAP requires a non-empty record set")
+    if np.shape(scores) != (len(records), len(records)):
+        raise DimensionError(f"scores of shape {np.shape(scores)} for {len(records)} records")
+    ids = [rec.id for rec in records]
+    ids_by_word: dict[str, set[str]] = defaultdict(set)
+    for rec in records:
+        ids_by_word[rec.word.casefold()].add(rec.id)
     rows: list[QueryResult] = []
     aps: list[float] = []
     excluded = 0
-    for rec in records:
-        folded = rec.word.casefold()
-        relevant = {
-            other.id
-            for other in records
-            if other.id != rec.id and other.word.casefold() == folded
-        }
+    for rec, row in zip(records, scores):
+        relevant = ids_by_word[rec.word.casefold()] - {rec.id}
         if not relevant:
             excluded += 1
             rows.append(QueryResult(rec.id, rec.word, 0, None))
             continue
-        ap = average_precision(ranker(rec), relevant)
+        ap = average_precision(order_by_score(ids, row, exclude_id=rec.id), relevant)
         rows.append(QueryResult(rec.id, rec.word, len(relevant), ap))
         aps.append(ap)
     mean = sum(aps) / len(aps) if aps else None

@@ -1,10 +1,10 @@
-"""Query-by-example retrieval: archive building, cosine scoring, ranking.
+"""Query-by-example retrieval: archive building, score matrices, ranking.
 
 Archives hold one fixed-width vector per segment, built off-line by any
-segment-to-vector encoder (trained model or naive baseline).  Queries are
-scored against every entry by cosine similarity and returned in descending
-score order with an ascending-id tie break; an optional id is excluded so
-a query drawn from the archive never retrieves itself.
+segment-to-vector encoder (trained model or naive baseline).  Cosine or
+negated-DTW scores are ordered by ``order_by_score``: descending score,
+ascending-id tie break, and an optional id excluded so a query drawn from
+the archive never retrieves itself.
 """
 from __future__ import annotations
 
@@ -22,39 +22,30 @@ from .errors import DataError, DimensionError
 RankedResult = list[tuple[str, float]]
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|); defined as 0 when either norm is zero."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
-
-
 @dataclass
 class EmbeddingArchive:
-    """Off-line encoded segments: (id, word, vector) entries of one width."""
+    """Off-line encoded segments: (id, word, vector) entries of one width,
+    with their ``ids`` and ``unit``-length rows (a zero row stays zero)."""
 
     entries: list[tuple[str, str, np.ndarray]]
     dim: int
 
     def __post_init__(self):
-        seen: set[str] = set()
+        self._by_id: dict[str, np.ndarray] = {}
         for seg_id, _word, vec in self.entries:
-            if seg_id in seen:
+            if seg_id in self._by_id:
                 raise DataError(f"duplicate archive id '{seg_id}'")
-            seen.add(seg_id)
             if vec.shape != (self.dim,):
                 raise DimensionError(
                     f"archive entry '{seg_id}' has shape {vec.shape}, expected ({self.dim},)"
                 )
             if not np.isfinite(vec).all():
                 raise DataError(f"archive entry '{seg_id}' contains non-finite values")
-        self._by_id = {seg_id: (word, vec) for seg_id, word, vec in self.entries}
+            self._by_id[seg_id] = vec
+        self.ids = list(self._by_id)
+        mat = np.array([vec for _id, _word, vec in self.entries]).reshape(len(self), self.dim)
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+        self.unit = mat / np.where(norms == 0.0, 1.0, norms)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -62,12 +53,7 @@ class EmbeddingArchive:
     def vector(self, seg_id: str) -> np.ndarray:
         if seg_id not in self._by_id:
             raise DataError(f"unknown archive id '{seg_id}'")
-        return self._by_id[seg_id][1]
-
-    def word(self, seg_id: str) -> str:
-        if seg_id not in self._by_id:
-            raise DataError(f"unknown archive id '{seg_id}'")
-        return self._by_id[seg_id][0]
+        return self._by_id[seg_id]
 
 
 def build_archive(
@@ -95,27 +81,41 @@ def build_archive(
     return EmbeddingArchive(entries=entries, dim=dim)
 
 
+def order_by_score(
+    ids: Sequence[str],
+    scores: np.ndarray,
+    exclude_id: str | None = None,
+    top_k: int | None = None,
+) -> RankedResult:
+    """``(ids[i], scores[i])`` pairs by (-score, id), without ``exclude_id``;
+    a -0.0 score is reported as 0.0."""
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    values = (np.asarray(scores) + 0.0).tolist()
+    order = sorted(
+        (i for i, seg_id in enumerate(ids) if seg_id != exclude_id),
+        key=lambda i: (-values[i], ids[i]),
+    )
+    return [(ids[i], values[i]) for i in order[:top_k]]
+
+
 def rank(
     query_vector: np.ndarray,
     archive: EmbeddingArchive,
     exclude_id: str | None = None,
     top_k: int | None = None,
 ) -> RankedResult:
-    """Cosine-score all non-excluded entries, sort by (-score, id)."""
+    """Rank the archive entries by cosine similarity to the query vector."""
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (archive.dim,):
         raise DimensionError(f"query width {q.shape} does not match archive dim {archive.dim}")
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    scored = [
-        (seg_id, cosine_similarity(q, vec))
-        for seg_id, _word, vec in archive.entries
-        if seg_id != exclude_id
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    if top_k is not None:
-        scored = scored[:top_k]
-    return scored
+    norm = np.linalg.norm(q)
+    return order_by_score(archive.ids, archive.unit @ (q / norm if norm else q), exclude_id, top_k)
+
+
+def cosine_matrix(archive: EmbeddingArchive) -> np.ndarray:
+    """N x N cosine similarities between all archive entries, in entry order."""
+    return archive.unit @ archive.unit.T
 
 
 def rank_dtw(
@@ -123,21 +123,25 @@ def rank_dtw(
     dataset: Dataset | Sequence[SegmentRecord],
     exclude_id: str | None = None,
     top_k: int | None = None,
-    normalize: bool = False,
 ) -> RankedResult:
     """Rank segments by negated DTW distance to the query sequence."""
     records = dataset.records if isinstance(dataset, Dataset) else list(dataset)
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    scored = [
-        (rec.id, -dtw_distance(query, rec.features, normalize=normalize))
-        for rec in records
-        if rec.id != exclude_id
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    if top_k is not None:
-        scored = scored[:top_k]
-    return scored
+    records = [rec for rec in records if rec.id != exclude_id]
+    scores = np.array([-dtw_distance(query, rec.features) for rec in records])
+    return order_by_score([rec.id for rec in records], scores, top_k=top_k)
+
+
+def dtw_matrix(dataset: Dataset | Sequence[SegmentRecord]) -> np.ndarray:
+    """N x N negated DTW distances, one alignment per unordered pair:
+    unnormalized DTW is exactly symmetric (the frame costs transpose, and
+    the step minimum ignores direction)."""
+    records = dataset.records if isinstance(dataset, Dataset) else list(dataset)
+    n = len(records)
+    scores = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            scores[i, j] = scores[j, i] = -dtw_distance(records[i].features, records[j].features)
+    return scores
 
 
 def save_archive(archive: EmbeddingArchive, path: str | Path) -> None:

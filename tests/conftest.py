@@ -1,9 +1,12 @@
-"""Shared test helpers: finite-difference checking and fixture builders."""
+"""Shared test helpers: finite-difference checking, record fixtures and
+hypothesis strategies for the scoring tests."""
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from seqembed.data import SegmentRecord
+from seqembed.retrieval import EmbeddingArchive
 
 
 def finite_difference(loss_fn, arr: np.ndarray, eps: float = 1e-4) -> np.ndarray:
@@ -56,3 +59,42 @@ def make_records(feature_arrays, words=None, splits=None, phonemes=None):
         )
         for i in range(n)
     ]
+
+
+# Small integer-grid vectors, so that duplicates, zero vectors and ties occur;
+# ids include a trailing NUL, which a numpy string array would drop.
+GRID = st.integers(-2, 2).map(float)
+ID_POOL = ["a", "a\x00", "ab", "b", "B", "b a", "10", "9", "z"]
+WORD_POOL = ["new", "New", "NEW", "few", "night", "Night", "solo"]
+
+
+@st.composite
+def grid_records(draw, max_frames=1):
+    """SegmentRecords with grid features of one width and sampled ids/words."""
+    d = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.sampled_from(ID_POOL), min_size=1, max_size=8, unique=True))
+    records = []
+    for seg_id in ids:
+        frames = draw(st.integers(1, max_frames))
+        rows = draw(st.lists(st.lists(GRID, min_size=d, max_size=d),
+                             min_size=frames, max_size=frames))
+        records.append(SegmentRecord(id=seg_id, word=draw(st.sampled_from(WORD_POOL)),
+                                     phonemes=None, split="test",
+                                     features=np.array(rows, dtype=float)))
+    return records
+
+
+def grid_archive(records):
+    """One archive entry per record: its first frame."""
+    entries = [(rec.id, rec.word, rec.features[0]) for rec in records]
+    return EmbeddingArchive(entries=entries, dim=records[0].features.shape[1])
+
+
+def tie_blocks(ranked, tol=1e-12):
+    """Consecutive runs of ids whose adjacent scores differ by at most ``tol``."""
+    blocks = []
+    for k, (seg_id, score) in enumerate(ranked):
+        if k == 0 or ranked[k - 1][1] - score > tol:
+            blocks.append(set())
+        blocks[-1].add(seg_id)
+    return blocks

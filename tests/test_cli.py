@@ -254,6 +254,18 @@ class TestSearch:
         # a row that needs no quoting is written exactly as before
         assert lines[2] == f"2,q2,boston,{rows[2][3]}"
 
+    def test_usage_checked_before_reading_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        for argv in (
+            ["--archive", missing, "--query-features", missing],
+            ["--method", "dtw", "--query-id", "q0"],
+            ["--checkpoint", missing, "--query-id", "q0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["search", *argv])
+            assert exc.value.code == 2, argv
+        capsys.readouterr()
+
     def test_dtw_search_finds_identical_segment(self, corpus_dir, capsys):
         ds = parse_manifest(corpus_dir / "manifest.jsonl")
         target = ds.subset("test")[2]
@@ -325,6 +337,19 @@ class TestEvaluate:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("label", ["a/b", "a\\b", "..", ".", "../x"])
+    def test_label_that_names_a_path_rejected(self, corpus_dir, tmp_path, capsys, label):
+        reports = tmp_path / "reports"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evaluate", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                "--method", f"{label}=model.json", "--report-dir", str(reports),
+            ])
+        assert exc.value.code == 2
+        assert "label" in capsys.readouterr().err
+        assert not reports.exists()
+
+
 class TestAnalyze:
     def test_edit_distance_table(self, corpus_dir, trained, tmp_path, capsys):
         arch = tmp_path / "arch.csv"
@@ -384,3 +409,21 @@ class TestAnalyze:
             "--pairs", "ghost:w000",
         )
         assert code == 3 and "ghost" in err
+
+    def test_diff_vectors_pair_with_comma_in_word(self, tmp_path, capsys):
+        words = ["new, york", "new, york", "boston"]
+        manifest = fixture_manifest(tmp_path, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], words)
+        arch = tmp_path / "arch.csv"
+        assert main([
+            "encode", "--manifest", str(manifest), "--encoder", "ne", "--m", "1",
+            "--out", str(arch),
+        ]) == 0
+        code, stdout, _ = run(
+            capsys, "analyze", "diff-vectors", "--archive", str(arch),
+            "--pairs", '"new, york:boston", boston:boston',
+        )
+        assert code == 0
+        rows = list(csv.reader(stdout.splitlines()))
+        assert [row[0] for row in rows] == ["new, york:boston", "boston:boston"]
+        assert [float(v) for v in rows[0][1:3]] == [0.75, -0.75]
+        assert stdout.splitlines()[0].startswith('"new, york:boston",')

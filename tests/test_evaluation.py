@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_records
-from seqembed.errors import DataError
+import retrieval_oracle as oracle
+from conftest import grid_archive, grid_records, make_records, tie_blocks
+from seqembed.errors import DataError, DimensionError
 from seqembed.evaluation import (
     MapReport,
     average_precision,
@@ -20,7 +21,7 @@ from seqembed.evaluation import (
     word_difference_vectors,
     word_mean_embeddings,
 )
-from seqembed.retrieval import EmbeddingArchive
+from seqembed.retrieval import EmbeddingArchive, build_archive, cosine_matrix, dtw_matrix
 
 
 def levenshtein_oracle(p, q):
@@ -169,19 +170,17 @@ class TestAveragePrecision:
         assert average_precision(ranked, {"b"}) == average_precision(ranked, {"b"})
 
 
-def fixed_ranker(order):
-    ranked = [(seg_id, float(len(order) - i)) for i, seg_id in enumerate(order)]
-
-    def ranker(rec):
-        return [(seg_id, score) for seg_id, score in ranked if seg_id != rec.id]
-
-    return ranker
+def fixed_scores(order, records):
+    """Score matrix in which every query ranks the ids in ``order``."""
+    score_of = {seg_id: float(len(order) - i) for i, seg_id in enumerate(order)}
+    row = [score_of[rec.id] for rec in records]
+    return np.array([row] * len(records))
 
 
 class TestMeanAveragePrecision:
     def test_all_words_unique_gives_undefined(self):
         records = make_records([np.ones((1, 2))] * 3, words=["x", "y", "z"])
-        report = mean_average_precision(fixed_ranker(["r0", "r1", "r2"]), records)
+        report = mean_average_precision(fixed_scores(["r0", "r1", "r2"], records), records)
         assert report.mean_ap is None
         assert report.num_excluded == 3
         assert all(row.ap is None for row in report.rows)
@@ -192,31 +191,73 @@ class TestMeanAveragePrecision:
              np.array([[0.0, 1.0]]), np.array([[0.1, 0.9]])],
             words=["u", "u", "v", "v"],
         )
-        from seqembed.retrieval import build_archive, rank
-
         archive = build_archive(lambda x: x[0], records)
-        ranker = lambda rec: rank(archive.vector(rec.id), archive, exclude_id=rec.id)
-        report = mean_average_precision(ranker, records)
+        report = mean_average_precision(cosine_matrix(archive), records)
         assert report.mean_ap == 1.0
         assert report.num_excluded == 0
 
     def test_case_folded_relevance(self):
         records = make_records([np.ones((1, 2))] * 2, words=["Hello", "HELLO"])
-        report = mean_average_precision(fixed_ranker(["r0", "r1"]), records)
+        report = mean_average_precision(fixed_scores(["r0", "r1"], records), records)
         assert report.mean_ap == 1.0
 
     def test_relevant_at_bottom_scores_below_reverse(self):
         records = make_records([np.ones((1, 2))] * 4, words=["w", "w", "q", "q"])
-        bottom = mean_average_precision(fixed_ranker(["r2", "r3", "r0", "r1"]), records)
-        top = mean_average_precision(fixed_ranker(["r0", "r1", "r2", "r3"]), records)
+        bottom = mean_average_precision(fixed_scores(["r2", "r3", "r0", "r1"], records), records)
+        top = mean_average_precision(fixed_scores(["r0", "r1", "r2", "r3"], records), records)
         assert bottom.mean_ap < top.mean_ap
 
     def test_identical_inputs_identical_map(self):
         records = make_records([np.ones((1, 2))] * 4, words=["w", "w", "q", "q"])
-        ranker = fixed_ranker(["r0", "r2", "r1", "r3"])
-        a = mean_average_precision(ranker, records)
-        b = mean_average_precision(ranker, records)
+        scores = fixed_scores(["r0", "r2", "r1", "r3"], records)
+        a = mean_average_precision(scores, records)
+        b = mean_average_precision(scores, records)
         assert a.mean_ap == b.mean_ap
+
+    def test_score_shape_must_match_records(self):
+        records = make_records([np.ones((1, 2))] * 3, words=["w", "w", "q"])
+        with pytest.raises(DimensionError):
+            mean_average_precision(np.zeros((3, 2)), records)
+
+
+def mixed_tie_queries(records, archive):
+    """Ids of queries whose oracle ranking has a near-tie (1e-12) block holding
+    both relevant and irrelevant ids: rounding alone may order such a block."""
+    mixed = set()
+    for rec in records:
+        folded = rec.word.casefold()
+        relevant = {o.id for o in records if o.id != rec.id and o.word.casefold() == folded}
+        ranked = oracle.rank(archive.vector(rec.id), archive, exclude_id=rec.id)
+        if any(block & relevant and block - relevant for block in tie_blocks(ranked)):
+            mixed.add(rec.id)
+    return mixed
+
+
+class TestMapOracleEquivalence:
+    @given(grid_records())
+    @settings(max_examples=200, deadline=None)
+    def test_cosine_map_matches_ranker_oracle(self, records):
+        archive = grid_archive(records)
+        got = mean_average_precision(cosine_matrix(archive), records)
+        want = oracle.mean_average_precision(oracle.cosine_ranker(archive), records)
+        assert got.num_excluded == want.num_excluded
+        mixed = mixed_tie_queries(records, archive)
+        for a, b in zip(got.rows, want.rows):
+            assert (a.query_id, a.word, a.num_relevant) == (b.query_id, b.word, b.num_relevant)
+            if a.query_id not in mixed:
+                assert (a.ap is None) == (b.ap is None)
+                assert a.ap is None or abs(a.ap - b.ap) <= 1e-12
+        if not mixed:
+            assert (got.mean_ap is None) == (want.mean_ap is None)
+            assert got.mean_ap is None or abs(got.mean_ap - want.mean_ap) <= 1e-12
+
+    @given(grid_records(max_frames=3))
+    @settings(max_examples=100, deadline=None)
+    def test_dtw_map_matches_ranker_oracle(self, records):
+        got = mean_average_precision(dtw_matrix(records), records)
+        want = oracle.mean_average_precision(oracle.dtw_ranker(records), records)
+        assert got.rows == want.rows
+        assert got.mean_ap == want.mean_ap
 
 
 def archive_of(vec_by_word):

@@ -1,41 +1,87 @@
-"""Retrieval tests: cosine, archives, ranking, DTW ranking, CSV round-trip."""
+"""Retrieval tests: cosine scores, archives, ranking, DTW ranking and score
+matrices, CSV round-trip, and equivalence with the per-entry oracle."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_records
+import retrieval_oracle as oracle
+from conftest import GRID, grid_archive, grid_records, make_records, tie_blocks
+from seqembed import retrieval
 from seqembed.baselines import dtw_distance
 from seqembed.errors import DataError, DimensionError
 from seqembed.retrieval import (
     EmbeddingArchive,
     build_archive,
-    cosine_similarity,
+    cosine_matrix,
+    dtw_matrix,
     load_archive,
+    order_by_score,
     rank,
     rank_dtw,
     save_archive,
 )
 
 
+def archive_of(*vectors):
+    """Archive with ids e0, e1, ... holding ``vectors``."""
+    entries = [(f"e{i}", "w", np.asarray(v, dtype=float)) for i, v in enumerate(vectors)]
+    return EmbeddingArchive(entries=entries, dim=len(entries[0][2]))
+
+
 class TestCosine:
     def test_identical_nonzero(self):
         u = np.array([1.0, 2.0, -3.0])
-        assert cosine_similarity(u, u) == pytest.approx(1.0, abs=1e-15)
+        archive = archive_of(u, u)
+        npt.assert_allclose([s for _, s in rank(u, archive)], 1.0, rtol=0, atol=1e-15)
+        npt.assert_allclose(cosine_matrix(archive), 1.0, rtol=0, atol=1e-15)
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+        assert rank(np.array([1.0, 0.0]), archive_of([0.0, 2.0])) == [("e0", 0.0)]
+        sims = cosine_matrix(archive_of([1.0, 0.0], [0.0, 2.0]))
+        assert sims[0, 1] == 0.0 and sims[1, 0] == 0.0
 
     def test_opposite(self):
         u = np.array([0.5, -1.5])
-        assert cosine_similarity(u, -u) == pytest.approx(-1.0, abs=1e-15)
+        assert rank(u, archive_of(-u))[0][1] == pytest.approx(-1.0, abs=1e-15)
+        assert cosine_matrix(archive_of(u, -u))[0, 1] == pytest.approx(-1.0, abs=1e-15)
 
     def test_zero_norm_defined_as_zero(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
-        assert cosine_similarity(np.zeros(3), np.zeros(3)) == 0.0
+        archive = archive_of(np.ones(3), -np.ones(3), np.zeros(3))
+        for query in (np.zeros(3), np.ones(3), -np.ones(3)):
+            scores = dict(rank(query, archive))
+            assert repr(scores["e2"]) == "0.0"
+        assert [repr(s) for _, s in rank(np.zeros(3), archive)] == ["0.0"] * 3
+        sims = cosine_matrix(archive)
+        assert (sims[2] == 0.0).all() and (sims[:, 2] == 0.0).all()
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            cosine_similarity(np.ones(3), np.ones(4))
+            rank(np.ones(3), archive_of(np.ones(4)))
+
+
+class TestOrderByScore:
+    def test_descending_score_then_ascending_id(self):
+        ranked = order_by_score(["c", "a", "b", "d"], np.array([0.5, 0.5, 0.9, -1.0]))
+        assert ranked == [("b", 0.9), ("a", 0.5), ("c", 0.5), ("d", -1.0)]
+
+    def test_ids_with_trailing_nul_keep_python_order(self):
+        ranked = order_by_score(["a\x00", "a", "a\x00\x00"], np.zeros(3))
+        assert [seg_id for seg_id, _ in ranked] == ["a", "a\x00", "a\x00\x00"]
+
+    def test_exclusion_and_top_k(self):
+        ids = ["a", "b", "c"]
+        scores = np.array([3.0, 2.0, 1.0])
+        assert order_by_score(ids, scores, exclude_id="a", top_k=1) == [("b", 2.0)]
+        assert order_by_score(ids, scores, top_k=10) == [("a", 3.0), ("b", 2.0), ("c", 1.0)]
+
+    def test_top_k_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            order_by_score(["a"], np.ones(1), top_k=0)
+
+    def test_negative_zero_reported_as_zero(self):
+        assert repr(order_by_score(["a"], np.array([-0.0]))[0][1]) == "0.0"
 
 
 def toy_archive():
@@ -168,6 +214,69 @@ class TestRankDtw:
             key=lambda item: (-item[1], item[0]),
         )
         assert rank_dtw(query, records) == expected
+
+
+class TestDtwMatrix:
+    def test_every_ordered_pair_is_negated_dtw_distance(self):
+        rng = np.random.default_rng(7)
+        records = make_records(
+            [rng.standard_normal((int(rng.integers(1, 7)), 3)) for _ in range(9)]
+        )
+        scores = dtw_matrix(records)
+        for i, a in enumerate(records):
+            for j, b in enumerate(records):
+                assert scores[i, j] == -dtw_distance(a.features, b.features), (i, j)
+
+    def test_one_alignment_per_unordered_pair(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((len(a), len(b)))
+            return dtw_distance(a, b)
+
+        monkeypatch.setattr(retrieval, "dtw_distance", counting)
+        records = make_records([np.ones((2, 2))] * 5)
+        dtw_matrix(records)
+        assert len(calls) == 5 * 4 // 2
+
+
+def assert_same_ranking(got, want, tol=1e-12):
+    """Same ids in the same order wherever adjacent scores differ by more than tol."""
+    assert len(got) == len(want)
+    assert tie_blocks(got, tol) == tie_blocks(want, tol)
+    want_scores = dict(want)
+    assert all(abs(score - want_scores[seg_id]) <= tol for seg_id, score in got)
+
+
+class TestOracleEquivalence:
+    @given(grid_records(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_matches_per_entry_oracle(self, records, data):
+        archive = grid_archive(records)
+        query = np.array(data.draw(st.lists(GRID, min_size=archive.dim, max_size=archive.dim)))
+        exclude = data.draw(st.sampled_from([None] + archive.ids))
+        got = rank(query, archive, exclude_id=exclude)
+        assert_same_ranking(got, oracle.rank(query, archive, exclude_id=exclude))
+        top_k = data.draw(st.integers(1, len(archive)))
+        assert rank(query, archive, exclude_id=exclude, top_k=top_k) == got[:top_k]
+
+    @given(grid_records(max_frames=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_dtw_matches_oracle_exactly(self, records, data):
+        query = records[data.draw(st.integers(0, len(records) - 1))]
+        exclude = data.draw(st.sampled_from([None, query.id]))
+        top_k = data.draw(st.one_of(st.none(), st.integers(1, len(records))))
+        assert (rank_dtw(query.features, records, exclude_id=exclude, top_k=top_k)
+                == oracle.rank_dtw(query.features, records, exclude_id=exclude, top_k=top_k))
+
+    @given(grid_records(max_frames=3))
+    @settings(max_examples=100, deadline=None)
+    def test_dtw_matrix_rows_rank_like_oracle(self, records):
+        scores = dtw_matrix(records)
+        ids = [rec.id for rec in records]
+        for i, rec in enumerate(records):
+            assert (order_by_score(ids, scores[i], exclude_id=rec.id)
+                    == oracle.rank_dtw(rec.features, records, exclude_id=rec.id))
 
 
 class TestArchiveCsv:

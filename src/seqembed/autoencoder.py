@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import SegmentRecord, validate_frames
+from .data import SegmentRecord, replace_on_close, validate_frames, write_csv
 from .errors import CheckpointError, DataError, DimensionError, DivergenceError
 from .lstm import GATE_ORDER, Tape, backward, backward_step, forward, step, weight_grads
 
@@ -75,7 +75,8 @@ def unpack(flat: np.ndarray, input_dim: int, hidden_dim: int) -> dict[str, np.nd
 @dataclass
 class ModelParams:
     """All trainable weights of the autoencoder, as one float64 vector laid
-    out by LAYOUT, plus provenance fields."""
+    out by LAYOUT, plus provenance fields.  ``flat`` is only ever updated in
+    place: the named views are built once, and rebinding it would detach them."""
 
     input_dim: int
     hidden_dim: int
@@ -83,8 +84,15 @@ class ModelParams:
     rng_seed: int
     epoch_count: int = 0
 
+    def __post_init__(self):
+        self._views = unpack(self.flat, self.input_dim, self.hidden_dim)
+
     def views(self) -> dict[str, np.ndarray]:
-        return unpack(self.flat, self.input_dim, self.hidden_dim)
+        return self._views
+
+    def __reduce__(self):  # a copy or an unpickled model views its own flat
+        return type(self), (self.input_dim, self.hidden_dim, self.flat, self.rng_seed,
+                            self.epoch_count)
 
 
 def init_params(input_dim: int, hidden_dim: int, seed: int) -> ModelParams:
@@ -281,10 +289,7 @@ def train(
 
 
 def write_loss_log(losses: Sequence[float], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_loss\n")
-        for epoch, loss in enumerate(losses, start=1):
-            fh.write(f"{epoch},{repr(float(loss))}\n")
+    write_csv(path, [("epoch", "mean_loss"), *enumerate(map(float, losses), start=1)])
 
 
 def checkpoint_blocks(params: ModelParams) -> list[tuple[str, np.ndarray]]:
@@ -314,7 +319,7 @@ def save_checkpoint(
     if train_meta is not None:
         payload["train"] = train_meta
     payload["params"] = {key: arr.tolist() for key, arr in checkpoint_blocks(params)}
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_close(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
 

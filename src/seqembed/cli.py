@@ -24,12 +24,21 @@ from .autoencoder import (
     train,
 )
 from .baselines import naive_encode
-from .data import Dataset, generate_synthetic, load_feature_file, parse_manifest, write_manifest
+from .data import (
+    Dataset,
+    generate_synthetic,
+    load_feature_file,
+    parse_manifest,
+    write_manifest,
+    write_rows,
+)
 from .errors import DataError, DivergenceError
 from .evaluation import (
+    diff_vector_rows,
     mean_average_precision,
     project_2d,
     similarity_table,
+    similarity_table_rows,
     word_difference_vectors,
     write_comparison,
     write_diff_vectors,
@@ -176,10 +185,8 @@ def cmd_search(args, parser) -> int:
         words = {seg_id: word for seg_id, word, _vec in archive.entries}
         ranked = rank(query_vec, archive, exclude_id=args.query_id, top_k=args.top)
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["rank", "id", "word", "score"])
-    for position, (seg_id, score) in enumerate(ranked, start=1):
-        writer.writerow([position, seg_id, words[seg_id], repr(float(score))])
+    rows = [(pos, seg_id, words[seg_id], score) for pos, (seg_id, score) in enumerate(ranked, 1)]
+    write_rows(sys.stdout, [("rank", "id", "word", "score"), *rows])
     return EXIT_OK
 
 
@@ -264,10 +271,7 @@ def cmd_analyze_edit_distance(args, parser) -> int:
         write_similarity_table(rows, args.out)
         print(f"wrote similarity table to {args.out}")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["edit_distance", "pair_count", "mean_cosine"])
-        for row in rows:
-            writer.writerow([row.label, row.pair_count, repr(float(row.mean_cosine))])
+        write_rows(sys.stdout, similarity_table_rows(rows))
     return EXIT_OK
 
 
@@ -302,10 +306,7 @@ def cmd_analyze_diff_vectors(args, parser) -> int:
         write_diff_vectors(pairs, diffs, projections, args.out)
         print(f"wrote difference vectors to {args.out}")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for (w1, w2), diff, proj in zip(pairs, diffs, projections):
-            writer.writerow([f"{w1}:{w2}", *(repr(float(v)) for v in diff),
-                             repr(float(proj[0])), repr(float(proj[1]))])
+        write_rows(sys.stdout, diff_vector_rows(pairs, diffs, projections))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Dataset ingestion, validation, and synthetic corpus generation.
+"""Dataset ingestion, validation, synthetic corpus generation, and output files.
 
 A dataset on disk is a JSON-lines manifest plus one feature file per
 segment.  Feature files are CSV (one frame per row, auditable) or an
@@ -8,8 +8,11 @@ suffix.
 """
 from __future__ import annotations
 
+import csv
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,11 +93,39 @@ class Dataset:
             raise DataError("dataset contains no records")
         return cls(records=records, dim=records[0].dim)
 
+    def __iter__(self):
+        return iter(self.records)
+
     def subset(self, split: str) -> list[SegmentRecord]:
         return [rec for rec in self.records if rec.split == split]
 
-    def by_id(self) -> dict[str, SegmentRecord]:
-        return {rec.id: rec for rec in self.records}
+
+@contextmanager
+def replace_on_close(path: str | Path):
+    """A text file whose bytes replace ``path`` on a clean exit; on an
+    exception it is removed and ``path`` keeps its old bytes."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_rows(fh, rows) -> None:
+    """The one output format: CSV with ``"\\n"`` line ends, floats (numpy ones
+    too) as ``repr(float(v))``, None as an empty field, anything else as is."""
+    writer = csv.writer(fh, lineterminator="\n")
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+
+
+def write_csv(path: str | Path, rows) -> None:
+    """``write_rows`` into a file that atomically replaces ``path``."""
+    with replace_on_close(path) as fh:
+        write_rows(fh, rows)
 
 
 def _read_csv_features(path: Path) -> np.ndarray:
@@ -213,23 +244,20 @@ def write_manifest(
     feat_dir = manifest_path.parent / features_dirname
     feat_dir.mkdir(parents=True, exist_ok=True)
     suffix = ".csv" if fmt == "csv" else BINARY_SUFFIX
-    lines = []
-    for rec in dataset.records:
-        rel = f"{features_dirname}/{rec.id}{suffix}"
-        target = manifest_path.parent / rel
-        if fmt == "csv":
-            write_feature_csv(target, rec.features)
-        else:
-            write_feature_bin(target, rec.features)
-        obj: dict = {"id": rec.id, "word": rec.word}
-        if rec.phonemes is not None:
-            obj["phonemes"] = rec.phonemes
-        obj["split"] = rec.split
-        obj["features"] = rel
-        lines.append(json.dumps(obj))
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    with replace_on_close(manifest_path) as fh:
+        for rec in dataset:
+            rel = f"{features_dirname}/{rec.id}{suffix}"
+            target = manifest_path.parent / rel
+            if fmt == "csv":
+                write_feature_csv(target, rec.features)
+            else:
+                write_feature_bin(target, rec.features)
+            obj: dict = {"id": rec.id, "word": rec.word}
+            if rec.phonemes is not None:
+                obj["phonemes"] = rec.phonemes
+            obj["split"] = rec.split
+            obj["features"] = rel
+            fh.write(json.dumps(obj) + "\n")
     return manifest_path
 
 

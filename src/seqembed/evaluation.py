@@ -6,7 +6,6 @@ per-word means, similarity grouping).
 """
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, SegmentRecord
+from .data import Dataset, SegmentRecord, write_csv
 from .errors import DataError, DimensionError
 from .retrieval import EmbeddingArchive, RankedResult, cosine_matrix, order_by_score
 
@@ -51,8 +50,7 @@ def similarity_table(
     """
     if max_bucket < 1:
         raise ValueError(f"max_bucket must be >= 1, got {max_bucket}")
-    records = dataset.records if isinstance(dataset, Dataset) else list(dataset)
-    by_id = {rec.id: rec for rec in records}
+    by_id = {rec.id: rec for rec in dataset}
     seqs = []
     for seg_id in archive.ids:
         if seg_id not in by_id:
@@ -245,29 +243,30 @@ def project_2d(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return xc @ np.column_stack(comps)
 
 
+def similarity_table_rows(rows: Sequence[SimilarityBucket]) -> list[list]:
+    """The similarity table with its header, ready for ``write_rows``."""
+    header = ["edit_distance", "pair_count", "mean_cosine"]
+    return [header] + [[row.label, row.pair_count, row.mean_cosine] for row in rows]
+
+
 def write_similarity_table(rows: Sequence[SimilarityBucket], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["edit_distance", "pair_count", "mean_cosine"])
-        for row in rows:
-            writer.writerow([row.label, row.pair_count, repr(float(row.mean_cosine))])
+    write_csv(path, similarity_table_rows(rows))
 
 
 def write_map_report(rows: Sequence[QueryResult], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["query_id", "word", "num_relevant", "ap"])
-        for row in rows:
-            ap = "" if row.ap is None else repr(float(row.ap))
-            writer.writerow([row.query_id, row.word, row.num_relevant, ap])
+    header = ["query_id", "word", "num_relevant", "ap"]
+    write_csv(path, [header] + [[r.query_id, r.word, r.num_relevant, r.ap] for r in rows])
 
 
 def write_comparison(results: Sequence[tuple[str, float | None]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "map"])
-        for method, value in results:
-            writer.writerow([method, "" if value is None else repr(float(value))])
+    write_csv(path, [("method", "map"), *results])
+
+
+def diff_vector_rows(
+    pairs: Sequence[tuple[str, str]], diffs: Sequence[np.ndarray], projections: np.ndarray
+) -> list[list]:
+    """One headerless row per pair: ``w1:w2``, the difference vector, its 2-D projection."""
+    return [[f"{w1}:{w2}", *diff, *proj] for (w1, w2), diff, proj in zip(pairs, diffs, projections)]
 
 
 def write_diff_vectors(
@@ -276,13 +275,5 @@ def write_diff_vectors(
     projections: np.ndarray,
     path: str | Path,
 ) -> None:
-    dim = diffs[0].shape[0]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pair"] + [f"dx{i}" for i in range(dim)] + ["proj_x", "proj_y"])
-        for (w1, w2), diff, proj in zip(pairs, diffs, projections):
-            writer.writerow(
-                [f"{w1}:{w2}"]
-                + [repr(float(v)) for v in diff]
-                + [repr(float(proj[0])), repr(float(proj[1]))]
-            )
+    header = ["pair"] + [f"dx{i}" for i in range(diffs[0].shape[0])] + ["proj_x", "proj_y"]
+    write_csv(path, [header] + diff_vector_rows(pairs, diffs, projections))

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import dtw_distance
-from .data import Dataset, SegmentRecord
+from .data import Dataset, SegmentRecord, write_csv
 from .errors import DataError, DimensionError
 
 RankedResult = list[tuple[str, float]]
@@ -61,12 +61,8 @@ def build_archive(
     dataset: Dataset | Sequence[SegmentRecord],
 ) -> EmbeddingArchive:
     """Encode every record with ``encoder``; entry order follows record order."""
-    records = dataset.records if isinstance(dataset, Dataset) else list(dataset)
-    if not records:
-        raise DataError("cannot build an archive from zero records")
     entries: list[tuple[str, str, np.ndarray]] = []
-    dim = None
-    for rec in records:
+    for rec in dataset:
         try:
             vec = np.asarray(encoder(rec.features), dtype=np.float64)
         except Exception as exc:
@@ -75,10 +71,10 @@ def build_archive(
             raise DimensionError(
                 f"encoder returned shape {vec.shape} for record '{rec.id}', expected a vector"
             )
-        if dim is None:
-            dim = vec.shape[0]
         entries.append((rec.id, rec.word, vec))
-    return EmbeddingArchive(entries=entries, dim=dim)
+    if not entries:
+        raise DataError("cannot build an archive from zero records")
+    return EmbeddingArchive(entries=entries, dim=entries[0][2].shape[0])
 
 
 def order_by_score(
@@ -125,8 +121,7 @@ def rank_dtw(
     top_k: int | None = None,
 ) -> RankedResult:
     """Rank segments by negated DTW distance to the query sequence."""
-    records = dataset.records if isinstance(dataset, Dataset) else list(dataset)
-    records = [rec for rec in records if rec.id != exclude_id]
+    records = [rec for rec in dataset if rec.id != exclude_id]
     scores = np.array([-dtw_distance(query, rec.features) for rec in records])
     return order_by_score([rec.id for rec in records], scores, top_k=top_k)
 
@@ -135,7 +130,7 @@ def dtw_matrix(dataset: Dataset | Sequence[SegmentRecord]) -> np.ndarray:
     """N x N negated DTW distances, one alignment per unordered pair:
     unnormalized DTW is exactly symmetric (the frame costs transpose, and
     the step minimum ignores direction)."""
-    records = dataset.records if isinstance(dataset, Dataset) else list(dataset)
+    records = list(dataset)
     n = len(records)
     scores = np.zeros((n, n))
     for i in range(n):
@@ -146,11 +141,8 @@ def dtw_matrix(dataset: Dataset | Sequence[SegmentRecord]) -> np.ndarray:
 
 def save_archive(archive: EmbeddingArchive, path: str | Path) -> None:
     """CSV with header id,word,z0,...,z{d-1}; floats keep round-trip precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "word"] + [f"z{i}" for i in range(archive.dim)])
-        for seg_id, word, vec in archive.entries:
-            writer.writerow([seg_id, word] + [repr(float(v)) for v in vec])
+    header = ["id", "word"] + [f"z{i}" for i in range(archive.dim)]
+    write_csv(path, [header] + [[seg_id, word, *vec] for seg_id, word, vec in archive.entries])
 
 
 def load_archive(path: str | Path) -> EmbeddingArchive:

@@ -3,6 +3,7 @@ end-to-end gradients, training behavior, checkpoint round-trips."""
 import copy
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import numpy.testing as npt
@@ -365,6 +366,26 @@ class TestCheckpoints:
         assert blocks["encoder.W_xi"].shape == (3, 2)
         assert blocks["encoder.W_hf"].shape == (3, 3)
         assert blocks["encoder.b_o"].shape == (3,)
+
+    def test_views_are_built_once_over_flat(self):
+        params = init_params(2, 3, seed=0)
+        views = params.views()
+        assert params.views() is views
+        params.flat -= 1.0
+        params.flat[-1] = 7.0
+        assert views["output.b"][-1] == 7.0
+        npt.assert_array_equal(np.concatenate([v.ravel() for v in views.values()]), params.flat)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda p: pickle.loads(pickle.dumps(p))])
+    def test_copies_view_their_own_flat(self, clone):
+        params = init_params(2, 3, seed=0)
+        twin = clone(params)
+        twin.flat -= 1.0
+        assert twin.epoch_count == params.epoch_count and twin.rng_seed == params.rng_seed
+        npt.assert_array_equal(twin.views()["output.b"], twin.flat[-2:])
+        npt.assert_array_equal(np.concatenate([v.ravel() for v in twin.views().values()]),
+                               twin.flat)
 
     def test_round_trip_encodes_identically(self, tmp_path):
         params = init_params(3, 5, seed=42)

@@ -1,12 +1,26 @@
 """Baseline tests: naive segment-average encoder and DTW with oracles."""
+import itertools
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dtw_oracle
+from conftest import GRID
 from seqembed.baselines import dtw_distance, dtw_path, naive_encode
 from seqembed.errors import DimensionError
+
+
+@st.composite
+def grid_pair(draw):
+    """Two integer-grid sequences of one width, so that equal costs (ties) occur."""
+    d = draw(st.integers(1, 2))
+    frames = st.lists(GRID, min_size=d, max_size=d)
+    a, b = (draw(st.lists(frames, min_size=1, max_size=6)) for _ in range(2))
+    return np.array(a), np.array(b)
 
 
 def frame_costs(a, b):
@@ -134,6 +148,30 @@ class TestDtw:
         _, path = dtw_path(a, b)
         assert normed == raw / len(path)
         assert dtw_distance(a, a, normalize=True) == 0.0
+
+    @given(grid_pair())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_table_oracle(self, pair):
+        a, b = pair
+        want = dtw_oracle.dtw_path(a, b)
+        assert dtw_path(a, b) == want
+        assert dtw_distance(a, b) == want[0]
+
+    def test_matches_two_table_oracle_on_every_short_grid_pair(self):
+        # exhaustive, because a tie between up and left below a costlier
+        # diagonal is rare in random draws (about 1% of pairs)
+        seqs = [np.array(v, dtype=float)[:, None]
+                for t in range(1, 4) for v in itertools.product((0, 1, 2), repeat=t)]
+        for a in seqs:
+            for b in seqs:
+                assert dtw_path(a, b) == dtw_oracle.dtw_path(a, b), (a.ravel(), b.ravel())
+
+    def test_overflowing_costs_keep_a_grid_path(self):
+        a = np.array([[1e200], [-1e200], [1e200]])
+        b = np.array([[-1e200], [1e200]])
+        with np.errstate(over="ignore"):
+            for x, y in ((a, b), (b, a), (a, a[:1])):
+                assert dtw_path(x, y) == dtw_oracle.dtw_path(x, y)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

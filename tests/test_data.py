@@ -11,6 +11,8 @@ from seqembed.data import (
     generate_synthetic,
     load_feature_file,
     parse_manifest,
+    replace_on_close,
+    write_csv,
     write_feature_bin,
     write_feature_csv,
     write_manifest,
@@ -135,6 +137,37 @@ class TestRoundTrip:
         (tmp_path / "x.bin").write_bytes(blob[:-4])
         with pytest.raises(DataError, match="bytes"):
             load_feature_file(tmp_path / "x.bin")
+
+
+class TestOutputFiles:
+    def test_write_rows_format(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [("a", "b,c", None), (1, 0.1, np.float64(1 / 3)), (np.float32(0.1), -0.0, "")]
+        write_csv(path, rows)
+        assert path.read_bytes() == (
+            b'a,"b,c",\n1,0.1,0.3333333333333333\n0.10000000149011612,-0.0,\n'
+        )
+
+    def test_failed_write_creates_nothing(self, tmp_path):
+        with pytest.raises(KeyError):
+            with replace_on_close(tmp_path / "new.json") as fh:
+                fh.write("{")
+                raise KeyError("boom")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_manifest_write_keeps_old_manifest(self, tmp_path):
+        good = Dataset.from_records([SegmentRecord("a", "w", None, "train", np.ones((2, 3)))])
+        manifest = write_manifest(good, tmp_path / "m.jsonl")
+        before = manifest.read_bytes()
+        bad = Dataset.from_records([SegmentRecord("b/c", "w", None, "train", np.ones((2, 3)))])
+        with pytest.raises(FileNotFoundError):
+            write_manifest(bad, manifest)  # features/b/ does not exist
+        assert manifest.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "m.jsonl"]
+
+    def test_dataset_iterates_its_records(self):
+        records = [SegmentRecord(f"s{i}", "w", None, "test", np.ones((1, 2))) for i in range(3)]
+        assert list(Dataset.from_records(records)) == records
 
 
 class TestGenerateSynthetic:

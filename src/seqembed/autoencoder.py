@@ -59,17 +59,22 @@ def _block_shapes(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int,
     return [(name, tuple(sizes[s] for s in shape), gated) for name, shape, gated in LAYOUT]
 
 
-def unpack(flat: np.ndarray, input_dim: int, hidden_dim: int) -> dict[str, np.ndarray]:
-    """Named views into a flat parameter or gradient vector, in LAYOUT order."""
+def _tile(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """Views of consecutive slices of ``flat``, one per (name, shape), in order."""
     views = {}
     offset = 0
-    for name, shape, _gated in _block_shapes(input_dim, hidden_dim):
+    for name, shape in shapes:
         size = math.prod(shape)
         views[name] = flat[offset : offset + size].reshape(shape)
         offset += size
     if offset != flat.shape[0]:
         raise DimensionError(f"parameter vector has {flat.shape[0]} entries, expected {offset}")
     return views
+
+
+def unpack(flat: np.ndarray, input_dim: int, hidden_dim: int) -> dict[str, np.ndarray]:
+    """Named views into a flat parameter or gradient vector, in LAYOUT order."""
+    return _tile(flat, [(name, shape) for name, shape, _ in _block_shapes(input_dim, hidden_dim)])
 
 
 @dataclass
@@ -230,7 +235,6 @@ class TrainConfig:
     epochs: int = 500
     denoise_p: float = 0.0
     clip_norm: float | None = 5.0
-    loss_log_path: str | Path | None = None
 
 
 def train(
@@ -252,13 +256,14 @@ def train(
             raise DimensionError(
                 f"record '{rec.id}' has width {rec.dim}, model expects {params.input_dim}"
             )
-    if config.lr < 0:
+    # each check is a comparison that NaN fails
+    if not config.lr >= 0:
         raise ValueError(f"lr must be >= 0, got {config.lr}")
-    if config.epochs < 0:
+    if not config.epochs >= 0:
         raise ValueError(f"epochs must be >= 0, got {config.epochs}")
     if not 0.0 <= config.denoise_p <= 1.0:
         raise ValueError(f"denoise_p must be in [0, 1], got {config.denoise_p}")
-    if config.clip_norm is not None and config.clip_norm <= 0:
+    if config.clip_norm is not None and not config.clip_norm > 0:
         raise ValueError(f"clip_norm must be positive or None, got {config.clip_norm}")
 
     rng = np.random.default_rng(config.seed)
@@ -283,8 +288,6 @@ def train(
             params.flat -= config.lr * grad
         params.epoch_count += 1
         losses.append(total / len(records))
-    if config.loss_log_path is not None:
-        write_loss_log(losses, config.loss_log_path)
     return params, losses
 
 
@@ -292,17 +295,23 @@ def write_loss_log(losses: Sequence[float], path: str | Path) -> None:
     write_csv(path, [("epoch", "mean_loss"), *enumerate(map(float, losses), start=1)])
 
 
-def checkpoint_blocks(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """(key, view) pairs in checkpoint order; gated blocks split into gate rows."""
-    blocks = []
-    views = params.views()
-    for name, _shape, gated in LAYOUT:
+def _checkpoint_keys(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(key, shape) of every checkpoint entry, in checkpoint order.  A gated
+    block is split into its GATE_ORDER rows, keyed ``{name}{gate}``; since
+    those rows are contiguous, the entries tile the flat vector in order."""
+    keys = []
+    for name, shape, gated in _block_shapes(input_dim, hidden_dim):
         if gated:
-            rows = np.split(views[name], len(GATE_ORDER))
-            blocks += [(f"{name}{gate}", r) for gate, r in zip(GATE_ORDER, rows)]
+            rows = (shape[0] // len(GATE_ORDER), *shape[1:])
+            keys += [(f"{name}{gate}", rows) for gate in GATE_ORDER]
         else:
-            blocks.append((name, views[name]))
-    return blocks
+            keys.append((name, shape))
+    return keys
+
+
+def checkpoint_blocks(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """(key, view into ``params.flat``) pairs in checkpoint order."""
+    return list(_tile(params.flat, _checkpoint_keys(params.input_dim, params.hidden_dim)).items())
 
 
 def save_checkpoint(
@@ -322,26 +331,6 @@ def save_checkpoint(
     with replace_on_close(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
-
-
-def _checkpoint_array(blob: dict, name: str) -> np.ndarray:
-    if name not in blob:
-        raise CheckpointError(f"checkpoint is missing parameter '{name}'")
-    try:
-        arr = np.asarray(blob[name], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"parameter '{name}' is not numeric") from exc
-    return arr
-
-
-def _checkpoint_block(blob: dict, name: str, gated: bool) -> np.ndarray:
-    if not gated:
-        return _checkpoint_array(blob, name)
-    arrs = [_checkpoint_array(blob, f"{name}{g}") for g in GATE_ORDER]
-    try:
-        return np.concatenate(arrs)
-    except ValueError as exc:
-        raise CheckpointError(f"gate blocks '{name}*' have inconsistent shapes") from exc
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -366,17 +355,23 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         seed = int(payload["seed"])
         epochs = int(payload["epochs"])
         blob = payload["params"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: missing or invalid header field") from exc
     if not isinstance(blob, dict):
         raise CheckpointError(f"{path}: 'params' must be an object")
 
+    # every array is sized by the file's own lists, never by the header
     blocks = []
-    for name, shape, gated in _block_shapes(input_dim, hidden_dim):
-        arr = _checkpoint_block(blob, name, gated)
+    for key, shape in _checkpoint_keys(input_dim, hidden_dim):
+        if key not in blob:
+            raise CheckpointError(f"{path}: checkpoint is missing parameter '{key}'")
+        try:
+            arr = np.asarray(blob[key], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: parameter '{key}' is not numeric") from exc
         if arr.shape != shape:
             raise CheckpointError(
-                f"{path}: inconsistent shapes: '{name}' is {arr.shape}, expected {shape}"
+                f"{path}: inconsistent shapes: '{key}' is {arr.shape}, expected {shape}"
             )
         blocks.append(arr.ravel())
     flat = np.concatenate(blocks)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import re
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from .autoencoder import (
     load_checkpoint,
     save_checkpoint,
     train,
+    write_loss_log,
 )
 from .baselines import naive_encode
 from .data import (
@@ -67,6 +69,28 @@ DEFAULT_DSA_DENOISE = 0.3
 DEFAULT_CLIP = 5.0
 
 
+def _bounded(kind, test, bound):
+    """An argparse ``type=`` that parses ``kind`` and rejects a value that
+    fails ``test``, so argparse exits 2 before any command runs.  Every test
+    is a comparison that NaN fails."""
+
+    def convert(text):
+        value = kind(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # so a non-number still reads "invalid int value"
+    return convert
+
+
+POSITIVE_INT = _bounded(int, lambda v: v > 0, "a positive integer")
+NON_NEGATIVE_INT = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+POSITIVE_FLOAT = _bounded(float, lambda v: 0 < v < math.inf, "positive and finite")
+NON_NEGATIVE_FLOAT = _bounded(float, lambda v: 0 <= v < math.inf, "non-negative and finite")
+PROBABILITY = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
 def _split_records(dataset: Dataset, split: str):
     if split == "all":
         return dataset.records
@@ -76,47 +100,21 @@ def _split_records(dataset: Dataset, split: str):
     return records
 
 
-def _positive(parser, name, value, strict=True):
-    if value is None:
-        return
-    if (strict and value <= 0) or (not strict and value < 0):
-        bound = "positive" if strict else "non-negative"
-        parser.error(f"--{name} must be {bound}, got {value}")
-
-
 def cmd_train(args, parser) -> int:
-    _positive(parser, "hidden", args.hidden)
-    _positive(parser, "lr", args.lr, strict=False)
-    _positive(parser, "epochs", args.epochs, strict=False)
-    _positive(parser, "clip", args.clip)
-    if args.denoise is not None and not 0.0 <= args.denoise <= 1.0:
-        parser.error(f"--denoise must be in [0, 1], got {args.denoise}")
     denoise = args.denoise
     if denoise is None:
         denoise = DEFAULT_DSA_DENOISE if args.mode == "dsa" else 0.0
+    clip = None if args.no_clip else args.clip
+    settings = {"denoise_p": denoise, "lr": args.lr, "clip_norm": clip}  # checkpoint records it too
 
     dataset = parse_manifest(args.manifest)
     records = _split_records(dataset, "train")
     params = init_params(dataset.dim, args.hidden, args.seed)
-    loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
-    config = TrainConfig(
-        seed=args.seed,
-        lr=args.lr,
-        epochs=args.epochs,
-        denoise_p=denoise,
-        clip_norm=None if args.no_clip else args.clip,
-        loss_log_path=loss_log,
-    )
+    config = TrainConfig(seed=args.seed, epochs=args.epochs, **settings)
     params, losses = train(params, records, config)
-    save_checkpoint(
-        params,
-        args.out,
-        train_meta={
-            "denoise_p": denoise,
-            "lr": args.lr,
-            "clip_norm": None if args.no_clip else args.clip,
-        },
-    )
+    loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
+    write_loss_log(losses, loss_log)
+    save_checkpoint(params, args.out, train_meta=settings)
     final = losses[-1] if losses else float("nan")
     print(f"trained {args.epochs} epochs on {len(records)} records; final mean loss {final}")
     print(f"checkpoint: {args.out}")
@@ -124,23 +122,23 @@ def cmd_train(args, parser) -> int:
     return EXIT_OK
 
 
-def _make_vector_encoder(args, parser):
-    if args.encoder == "ne":
-        if args.m is None:
-            parser.error("--encoder ne requires --m")
-        _positive(parser, "m", args.m)
-        m = args.m
+def _segment_encoder(checkpoint=None, m=None):
+    """The feature -> vector function of the naive encoder with ``m``
+    segments, or else of the model loaded from ``checkpoint``."""
+    if m is not None:
         return lambda features: naive_encode(features, m)
-    if not args.checkpoint:
-        parser.error("model encoding requires --checkpoint")
-    params = load_checkpoint(args.checkpoint)
+    params = load_checkpoint(checkpoint)
     return lambda features: encode(params, features)
 
 
 def cmd_encode(args, parser) -> int:
-    dataset = parse_manifest(args.manifest)
-    records = _split_records(dataset, args.split)
-    segment_encoder = _make_vector_encoder(args, parser)
+    naive = args.encoder == "ne"
+    if naive and args.m is None:
+        parser.error("--encoder ne requires --m")
+    if not naive and not args.checkpoint:
+        parser.error("model encoding requires --checkpoint")
+    segment_encoder = _segment_encoder(args.checkpoint, args.m if naive else None)
+    records = _split_records(parse_manifest(args.manifest), args.split)
     archive = build_archive(segment_encoder, records)
     save_archive(archive, args.out)
     print(f"wrote {len(archive)} embeddings of width {archive.dim} to {args.out}")
@@ -148,7 +146,6 @@ def cmd_encode(args, parser) -> int:
 
 
 def cmd_search(args, parser) -> int:
-    _positive(parser, "top", args.top)
     if args.query_id is None and args.query_features is None:
         parser.error("provide --query-id or --query-features")
 
@@ -174,14 +171,13 @@ def cmd_search(args, parser) -> int:
         else:
             if not (args.checkpoint and args.manifest):
                 parser.error("search requires --archive, or --checkpoint with --manifest")
-            dataset = parse_manifest(args.manifest)
-            records = _split_records(dataset, args.split)
-            params = load_checkpoint(args.checkpoint)
-            archive = build_archive(lambda feats: encode(params, feats), records)
+            segment_encoder = _segment_encoder(args.checkpoint)
+            records = _split_records(parse_manifest(args.manifest), args.split)
+            archive = build_archive(segment_encoder, records)
         if args.query_id is not None:
             query_vec = archive.vector(args.query_id)
         else:
-            query_vec = encode(params, load_feature_file(args.query_features))
+            query_vec = segment_encoder(load_feature_file(args.query_features))
         words = {seg_id: word for seg_id, word, _vec in archive.entries}
         ranked = rank(query_vec, archive, exclude_id=args.query_id, top_k=args.top)
 
@@ -194,57 +190,48 @@ _NE_METHOD = re.compile(r"ne(\d+)$")
 
 
 def _parse_methods(tokens, parser):
+    """(label, segment encoder, or None for DTW) per --method token; every
+    token is checked before any checkpoint is loaded."""
     methods = []
     seen = set()
     for token in tokens:
+        ne = _NE_METHOD.fullmatch(token)
         if token == "dtw":
-            entry = ("dtw", token, None)
+            label, source = token, None
+        elif ne:
+            m = int(ne.group(1))
+            if m < 1:
+                parser.error(f"naive encoder needs m >= 1, got '{token}'")
+            label, source = token, {"m": m}
+        elif "=" in token:
+            label, _, ckpt = token.partition("=")
+            if not label or not ckpt:
+                parser.error(f"bad method '{token}'; use label=checkpoint.json")
+            if label in (".", "..") or any(sep in label for sep in "/\\"):
+                parser.error(f"method label '{label}' may not contain / or \\ or be . or ..")
+            source = {"checkpoint": ckpt}
         else:
-            ne = _NE_METHOD.fullmatch(token)
-            if ne:
-                m = int(ne.group(1))
-                if m < 1:
-                    parser.error(f"naive encoder needs m >= 1, got '{token}'")
-                entry = ("ne", token, m)
-            elif "=" in token:
-                label, _, ckpt = token.partition("=")
-                if not label or not ckpt:
-                    parser.error(f"bad method '{token}'; use label=checkpoint.json")
-                if label in (".", "..") or any(sep in label for sep in "/\\"):
-                    parser.error(f"method label '{label}' may not contain / or \\ or be . or ..")
-                entry = ("model", label, ckpt)
-            else:
-                parser.error(
-                    f"unknown method '{token}'; expected dtw, ne<m>, or label=checkpoint"
-                )
-        if entry[1] in seen:
-            parser.error(f"duplicate method label '{entry[1]}'")
-        seen.add(entry[1])
-        methods.append(entry)
-    return methods
-
-
-def _score_matrix(kind, extra, records):
-    if kind == "dtw":
-        return dtw_matrix(records)
-    if kind == "ne":
-        vec_fn = lambda feats: naive_encode(feats, extra)
-    else:
-        params = load_checkpoint(extra)
-        vec_fn = lambda feats: encode(params, feats)
-    return cosine_matrix(build_archive(vec_fn, records))
+            parser.error(f"unknown method '{token}'; expected dtw, ne<m>, or label=checkpoint")
+        if label in seen:
+            parser.error(f"duplicate method label '{label}'")
+        seen.add(label)
+        methods.append((label, source))
+    return [(label, _segment_encoder(**source) if source else None) for label, source in methods]
 
 
 def cmd_evaluate(args, parser) -> int:
     methods = _parse_methods(args.method, parser)
-    dataset = parse_manifest(args.manifest)
-    records = _split_records(dataset, args.split)
+    records = _split_records(parse_manifest(args.manifest), args.split)
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for kind, label, extra in methods:
-        report = mean_average_precision(_score_matrix(kind, extra, records), records)
+    for label, segment_encoder in methods:
+        report = mean_average_precision(
+            dtw_matrix(records) if segment_encoder is None
+            else cosine_matrix(build_archive(segment_encoder, records)),
+            records,
+        )
         write_map_report(report.rows, report_dir / f"per_query_{label}.csv")
         if report.mean_ap is None:
             print(f"{label}: no scorable queries ({report.num_excluded} excluded)")
@@ -263,7 +250,6 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_analyze_edit_distance(args, parser) -> int:
-    _positive(parser, "max-bucket", args.max_bucket)
     archive = load_archive(args.archive)
     dataset = parse_manifest(args.manifest)
     rows = similarity_table(archive, dataset, max_bucket=args.max_bucket)
@@ -311,9 +297,6 @@ def cmd_analyze_diff_vectors(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
-    for name in ("alphabet", "words", "tokens", "dim", "phonemes-min", "frames-min"):
-        _positive(parser, name, getattr(args, name.replace("-", "_")))
-    _positive(parser, "noise", args.noise, strict=False)
     dataset = generate_synthetic(
         alphabet_size=args.alphabet,
         num_words=args.words,
@@ -340,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an autoencoder on the train split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=NON_NEGATIVE_INT, required=True)
     p.add_argument("--mode", choices=["sa", "dsa"], default="sa")
-    p.add_argument("--denoise", type=float, default=None,
+    p.add_argument("--denoise", type=PROBABILITY, default=None,
                    help="override the corruption probability for the chosen mode")
-    p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN)
-    p.add_argument("--lr", type=float, default=DEFAULT_LR)
-    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
-    p.add_argument("--clip", type=float, default=DEFAULT_CLIP)
+    p.add_argument("--hidden", type=POSITIVE_INT, default=DEFAULT_HIDDEN)
+    p.add_argument("--lr", type=NON_NEGATIVE_FLOAT, default=DEFAULT_LR)
+    p.add_argument("--epochs", type=NON_NEGATIVE_INT, default=DEFAULT_EPOCHS)
+    p.add_argument("--clip", type=POSITIVE_FLOAT, default=DEFAULT_CLIP)
     p.add_argument("--no-clip", action="store_true", help="disable gradient clipping")
     p.add_argument("--loss-log", default=None)
     p.set_defaults(func=cmd_train)
@@ -358,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["train", "test", "all"], default="test")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--encoder", choices=["model", "ne"], default="model")
-    p.add_argument("--m", type=int, default=None, help="segment count for --encoder ne")
+    p.add_argument("--m", type=POSITIVE_INT, default=None, help="segment count for --encoder ne")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("search", help="rank archive segments against a query")
@@ -369,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["cosine", "dtw"], default="cosine")
     p.add_argument("--query-id", default=None)
     p.add_argument("--query-features", default=None)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=POSITIVE_INT, default=10)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("evaluate", help="mean average precision per method")
@@ -387,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = asub.add_parser("edit-distance", help="mean cosine by phoneme edit distance")
     pa.add_argument("--archive", required=True)
     pa.add_argument("--manifest", required=True)
-    pa.add_argument("--max-bucket", type=int, default=5)
+    pa.add_argument("--max-bucket", type=POSITIVE_INT, default=5)
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_analyze_edit_distance)
 
@@ -399,16 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alphabet", type=int, default=10)
-    p.add_argument("--words", type=int, default=40)
-    p.add_argument("--tokens", type=int, default=15)
-    p.add_argument("--phonemes-min", type=int, default=3)
-    p.add_argument("--phonemes-max", type=int, default=6)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--frames-min", type=int, default=2)
-    p.add_argument("--frames-max", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--seed", type=NON_NEGATIVE_INT, required=True)
+    p.add_argument("--alphabet", type=POSITIVE_INT, default=10)
+    p.add_argument("--words", type=POSITIVE_INT, default=40)
+    p.add_argument("--tokens", type=POSITIVE_INT, default=15)
+    p.add_argument("--phonemes-min", type=POSITIVE_INT, default=3)
+    p.add_argument("--phonemes-max", type=POSITIVE_INT, default=6)
+    p.add_argument("--dim", type=POSITIVE_INT, default=8)
+    p.add_argument("--frames-min", type=POSITIVE_INT, default=2)
+    p.add_argument("--frames-max", type=POSITIVE_INT, default=4)
+    p.add_argument("--noise", type=NON_NEGATIVE_FLOAT, default=0.1)
     p.add_argument("--format", choices=["csv", "bin"], default="csv")
     p.set_defaults(func=cmd_synth)
 

@@ -22,6 +22,7 @@ from .errors import DataError, DimensionError, GenerationError
 
 SPLITS = ("train", "test")
 BINARY_SUFFIX = ".bin"
+FEATURES_DIRNAME = "features"  # feature files sit in this directory beside the manifest
 
 # Chance that a new synthetic word is a single-edit variant of an earlier
 # one rather than a fresh uniform draw.  Desk-scale corpora need pairs at
@@ -234,19 +235,17 @@ def write_manifest(
     dataset: Dataset,
     manifest_path: str | Path,
     fmt: str = "csv",
-    features_dirname: str = "features",
 ) -> Path:
     """Write the manifest and one feature file per record next to it."""
     if fmt not in ("csv", "bin"):
         raise ValueError(f"unknown feature format '{fmt}'")
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    feat_dir = manifest_path.parent / features_dirname
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    (manifest_path.parent / FEATURES_DIRNAME).mkdir(parents=True, exist_ok=True)
     suffix = ".csv" if fmt == "csv" else BINARY_SUFFIX
     with replace_on_close(manifest_path) as fh:
         for rec in dataset:
-            rel = f"{features_dirname}/{rec.id}{suffix}"
+            rel = f"{FEATURES_DIRNAME}/{rec.id}{suffix}"
             target = manifest_path.parent / rel
             if fmt == "csv":
                 write_feature_csv(target, rec.features)
@@ -330,7 +329,7 @@ def generate_synthetic(
     fmin, fmax = frames_per_phoneme_range
     if not (1 <= kmin <= kmax) or not (1 <= fmin <= fmax):
         raise GenerationError("ranges must be non-empty with min >= 1")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:  # NaN fails it too
         raise GenerationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     available = sum(alphabet_size**k for k in range(kmin, kmax + 1))
     if num_words > available:

@@ -21,6 +21,26 @@ from .errors import DataError, DimensionError
 
 RankedResult = list[tuple[str, float]]
 
+# Below this norm the squares np.linalg.norm sums are subnormal and lose bits
+# (Blue's small-value threshold); above about 1e154 they overflow.
+_MIN_PLAIN_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
+def _unit_length(x: np.ndarray) -> np.ndarray:
+    """``x`` (a vector, or a matrix of row vectors) scaled to unit length; a
+    zero vector stays zero.  Only a vector whose plain norm overflows or is
+    too small to trust is first divided by its largest |entry|, so every
+    other vector keeps the exact bits of ``x / np.linalg.norm(x)``."""
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        norm = np.linalg.norm(x, axis=-1 if x.ndim > 1 else None, keepdims=True)
+    if _MIN_PLAIN_NORM <= norm.min(initial=np.inf) and norm.max(initial=0.0) < np.inf:
+        return x / norm
+    peak = np.abs(x).max(axis=-1, keepdims=True, initial=0.0)
+    rescale = (peak > 0) & ((norm < _MIN_PLAIN_NORM) | (norm == np.inf))
+    if rescale.any():  # recurses once: a rescaled vector peaks at exactly 1
+        return _unit_length(x / np.where(rescale, peak, 1.0))
+    return x / np.where(norm == 0.0, 1.0, norm)
+
 
 @dataclass
 class EmbeddingArchive:
@@ -44,8 +64,7 @@ class EmbeddingArchive:
             self._by_id[seg_id] = vec
         self.ids = list(self._by_id)
         mat = np.array([vec for _id, _word, vec in self.entries]).reshape(len(self), self.dim)
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        self.unit = mat / np.where(norms == 0.0, 1.0, norms)
+        self.unit = _unit_length(mat)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -105,8 +124,7 @@ def rank(
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (archive.dim,):
         raise DimensionError(f"query width {q.shape} does not match archive dim {archive.dim}")
-    norm = np.linalg.norm(q)
-    return order_by_score(archive.ids, archive.unit @ (q / norm if norm else q), exclude_id, top_k)
+    return order_by_score(archive.ids, archive.unit @ _unit_length(q), exclude_id, top_k)
 
 
 def cosine_matrix(archive: EmbeddingArchive) -> np.ndarray:

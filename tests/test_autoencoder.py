@@ -306,6 +306,12 @@ class TestTrain:
             with pytest.raises(DivergenceError, match=r"epoch \d+, record 'r\d'"):
                 train(params, records, TrainConfig(seed=1, lr=1e12, epochs=50, clip_norm=None))
 
+    @pytest.mark.parametrize("field", ["lr", "clip_norm", "denoise_p"])
+    def test_nan_setting_rejected(self, field):
+        records = tiny_train_records(np.random.default_rng(5), n=1)
+        with pytest.raises(ValueError, match=field):
+            train(init_params(3, 4, seed=0), records, TrainConfig(seed=1, **{field: float("nan")}))
+
     def test_empty_split_rejected(self):
         params = init_params(3, 4, seed=0)
         from seqembed.errors import DataError
@@ -436,6 +442,18 @@ class TestCheckpoints:
         del payload["params"]["decoder.W_z.W_xi"]
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="decoder.W_z.W_xi"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("hidden_dim", [10**9, float("inf")])
+    def test_huge_header_rejected_before_allocating(self, tmp_path, hidden_dim):
+        # the arrays are checked against the header's shapes before anything
+        # sized from the header exists, so a 1e9-unit claim fails at once
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(2, 3, seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["hidden_dim"] = hidden_dim
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_records_provenance(self, tmp_path):

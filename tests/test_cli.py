@@ -1,4 +1,5 @@
 """CLI surface tests: every subcommand, exit codes, determinism."""
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from seqembed.autoencoder import init_params, load_checkpoint
-from seqembed.cli import main
+from seqembed.cli import build_parser, main
 from seqembed.data import Dataset, SegmentRecord, parse_manifest, write_manifest
 
 
@@ -91,7 +92,7 @@ class TestTrain:
         )
         assert code == 0
         payload = json.loads(ckpt.read_text())
-        assert payload["train"]["denoise_p"] == 0.0
+        assert payload["train"] == {"denoise_p": 0.0, "lr": 0.05, "clip_norm": 5.0}
         assert payload["epochs"] == 2
         assert (tmp_path / "sa.json.loss.csv").read_text().startswith("epoch,mean_loss\n")
 
@@ -138,6 +139,32 @@ class TestTrain:
             main(["train", "--manifest", "m.jsonl"])  # --out and --seed missing
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_no_clip_recorded_as_null(self, corpus_dir, tmp_path, capsys):
+        ckpt = tmp_path / "nc.json"
+        code, _, _ = run(
+            capsys, "train", "--manifest", str(corpus_dir / "manifest.jsonl"),
+            "--out", str(ckpt), "--seed", "7", "--hidden", "3", "--epochs", "1",
+            "--lr", "0.05", "--no-clip", "--denoise", "0.2", "--loss-log", str(tmp_path / "l.csv"),
+        )
+        assert code == 0
+        assert json.loads(ckpt.read_text())["train"] == {
+            "denoise_p": 0.2, "lr": 0.05, "clip_norm": None,
+        }
+        assert (tmp_path / "l.csv").read_text().startswith("epoch,mean_loss\n1,")
+        assert not (tmp_path / "nc.json.loss.csv").exists()
+
+    def test_negative_seed_is_usage_error(self, corpus_dir, tmp_path, capsys):
+        for argv in (
+            ["train", "--manifest", str(corpus_dir / "manifest.jsonl"),
+             "--out", str(tmp_path / "x.json"), "--epochs", "0", "--seed", "-1"],
+            ["synth", "--out-dir", str(tmp_path / "synth"), "--seed", "-1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "synth").exists()
 
 
 @pytest.fixture
@@ -187,6 +214,14 @@ class TestEncode:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--encoder", "ne"], ["--encoder", "model"]])
+    def test_usage_checked_before_reading_manifest(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "--manifest", str(tmp_path / "missing.jsonl"),
+                  "--out", str(tmp_path / "x.csv"), *argv])
+        assert exc.value.code == 2
+        assert "requires" in capsys.readouterr().err
 
     def test_checkpoint_data_mismatch(self, trained, tmp_path, capsys):
         synth = tmp_path / "other"
@@ -336,6 +371,17 @@ class TestEvaluate:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_unloadable_checkpoint_stops_before_scoring(self, corpus_dir, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        code, stdout, err = run(
+            capsys, "evaluate", "--manifest", str(corpus_dir / "manifest.jsonl"),
+            "--method", "dtw", "--method", f"sa={tmp_path / 'missing.json'}",
+            "--report-dir", str(reports), "--out", str(tmp_path / "compare.csv"),
+        )
+        assert code == 3 and "missing.json" in err
+        assert stdout == ""
+        assert not list(tmp_path.rglob("per_query_*.csv"))
+        assert not (tmp_path / "compare.csv").exists()
 
     @pytest.mark.parametrize("label", ["a/b", "a\\b", "..", ".", "../x"])
     def test_label_that_names_a_path_rejected(self, corpus_dir, tmp_path, capsys, label):
@@ -427,3 +473,71 @@ class TestAnalyze:
         assert [row[0] for row in rows] == ["new, york:boston", "boston:boston"]
         assert [float(v) for v in rows[0][1:3]] == [0.75, -0.75]
         assert stdout.splitlines()[0].startswith('"new, york:boston",')
+
+
+# Every range-checked option: (command, option, out-of-range values).  Each is
+# also given "nan"; the command's input files do not exist, so exit 2 shows
+# that the value is rejected before anything is read.
+BOUNDED_OPTIONS = [
+    ("train", "--seed", ["-1"]),
+    ("train", "--hidden", ["0", "-3"]),
+    ("train", "--lr", ["-0.1", "inf"]),
+    ("train", "--epochs", ["-1"]),
+    ("train", "--clip", ["0", "-1", "inf"]),
+    ("train", "--denoise", ["-0.1", "1.5"]),
+    ("encode", "--m", ["0"]),
+    ("search", "--top", ["0"]),
+    ("edit-distance", "--max-bucket", ["0"]),
+    ("synth", "--seed", ["-1"]),
+    ("synth", "--alphabet", ["0"]),
+    ("synth", "--words", ["0"]),
+    ("synth", "--tokens", ["0"]),
+    ("synth", "--phonemes-min", ["0"]),
+    ("synth", "--phonemes-max", ["0"]),
+    ("synth", "--dim", ["0"]),
+    ("synth", "--frames-min", ["0"]),
+    ("synth", "--frames-max", ["0"]),
+    ("synth", "--noise", ["-0.1", "inf"]),
+]
+
+
+def base_argv(command, tmp_path):
+    missing = str(tmp_path / "missing" / "manifest.jsonl")
+    out = str(tmp_path / "out" / "x")
+    return {
+        "train": ["train", "--manifest", missing, "--out", out, "--seed", "0"],
+        "encode": ["encode", "--manifest", missing, "--out", out, "--encoder", "ne", "--m", "2"],
+        "search": ["search", "--method", "dtw", "--manifest", missing, "--query-id", "q0"],
+        "edit-distance": ["analyze", "edit-distance", "--archive", missing, "--manifest", missing],
+        "synth": ["synth", "--out-dir", out, "--seed", "0"],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [(c, o, v) for c, o, values in BOUNDED_OPTIONS for v in [*values, "nan"]],
+)
+def test_out_of_range_option_is_usage_error(tmp_path, capsys, command, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*base_argv(command, tmp_path), f"{option}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_numeric_option_is_range_checked():
+    def parsers(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from parsers(sub)
+
+    numeric = {}
+    for parser in parsers(build_parser()):
+        for action in parser._actions:
+            assert action.type not in (int, float), f"{parser.prog} {action.option_strings}"
+            if action.type is not None:
+                numeric[(parser.prog.split()[-1], action.option_strings[-1])] = action.type
+    # and every one of them is exercised above
+    assert sorted(numeric) == sorted((c, o) for c, o, _ in BOUNDED_OPTIONS)

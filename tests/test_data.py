@@ -222,6 +222,8 @@ class TestGenerateSynthetic:
             generate_synthetic(3, 2, 1, (2, 1), 2, (1, 1), 0.0, seed=0)
         with pytest.raises(GenerationError):
             generate_synthetic(3, 2, 1, (1, 1), 2, (1, 1), -0.5, seed=0)
+        with pytest.raises(GenerationError, match="noise_sigma"):
+            generate_synthetic(3, 2, 1, (1, 1), 2, (1, 1), float("nan"), seed=0)
 
     def test_invariants_over_random_seeds(self):
         rng = np.random.default_rng(77)

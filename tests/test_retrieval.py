@@ -60,6 +60,26 @@ class TestCosine:
         with pytest.raises(DimensionError):
             rank(np.ones(3), archive_of(np.ones(4)))
 
+    def test_extreme_magnitudes_are_normalised(self):
+        # plain norms underflow to 0 for the first vector and overflow for the third
+        archive = archive_of([1e-300, 0.0, 0.0], [1.0, 0.0, 0.0], [1e200, 1e200, 0.0])
+        r = np.sqrt(0.5)
+        want = np.array([[1.0, 1.0, r], [1.0, 1.0, r], [r, r, 1.0]])
+        npt.assert_allclose(cosine_matrix(archive), want, rtol=0, atol=1e-15)
+        for query, row in (([1e-300, 0.0, 0.0], 0), ([1.0, 0.0, 0.0], 1), ([1e200, 1e200, 0.0], 2)):
+            scores = dict(rank(np.array(query), archive))
+            npt.assert_allclose([scores[f"e{i}"] for i in range(3)], want[row], rtol=0, atol=1e-15)
+
+    def test_ordinary_vectors_keep_plain_norm_bits(self):
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((40, 32)) * 10.0 ** rng.integers(-150, 150, size=(40, 1))
+        archive = archive_of(*mat)
+        npt.assert_array_equal(archive.unit, mat / np.linalg.norm(mat, axis=1, keepdims=True))
+        for q in mat[:5]:
+            scores = dict(rank(q, archive))
+            got = [scores[seg_id] for seg_id in archive.ids]
+            npt.assert_array_equal(got, archive.unit @ (q / np.linalg.norm(q)))
+
 
 class TestOrderByScore:
     def test_descending_score_then_ascending_id(self):

@@ -12,6 +12,7 @@ import csv
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,7 @@ NON_NEGATIVE_INT = _bounded(int, lambda v: v >= 0, "a non-negative integer")
 POSITIVE_FLOAT = _bounded(float, lambda v: 0 < v < math.inf, "positive and finite")
 NON_NEGATIVE_FLOAT = _bounded(float, lambda v: 0 <= v < math.inf, "non-negative and finite")
 PROBABILITY = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+ALPHABET_SIZE = _bounded(int, lambda v: v >= 2, "an integer >= 2")
 
 
 def _split_records(dataset: Dataset, split: str):
@@ -227,11 +229,15 @@ def cmd_evaluate(args, parser) -> int:
 
     results = []
     for label, segment_encoder in methods:
-        report = mean_average_precision(
-            dtw_matrix(records) if segment_encoder is None
-            else cosine_matrix(build_archive(segment_encoder, records)),
-            records,
-        )
+        start = time.perf_counter()
+        archive = None if segment_encoder is None else build_archive(segment_encoder, records)
+        encoded = time.perf_counter()
+        scores = dtw_matrix(records) if archive is None else cosine_matrix(archive)
+        scored = time.perf_counter()
+        report = mean_average_precision(scores, records)
+        del archive, scores  # so at most one method's score matrix is alive at a time
+        print(f"{label}: encode {encoded - start:.3f} s, score {scored - encoded:.3f} s,"
+              f" MAP {time.perf_counter() - scored:.3f} s", file=sys.stderr)
         write_map_report(report.rows, report_dir / f"per_query_{label}.csv")
         if report.mean_ap is None:
             print(f"{label}: no scorable queries ({report.num_excluded} excluded)")
@@ -297,6 +303,10 @@ def cmd_analyze_diff_vectors(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
+    for name, low, high in (("phonemes", args.phonemes_min, args.phonemes_max),
+                            ("frames", args.frames_min, args.frames_max)):
+        if low > high:
+            parser.error(f"--{name}-min {low} exceeds --{name}-max {high}")
     dataset = generate_synthetic(
         alphabet_size=args.alphabet,
         num_words=args.words,
@@ -333,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", type=POSITIVE_FLOAT, default=DEFAULT_CLIP)
     p.add_argument("--no-clip", action="store_true", help="disable gradient clipping")
     p.add_argument("--loss-log", default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, parser=p)
 
     p = sub.add_parser("encode", help="write an embedding archive CSV")
     p.add_argument("--manifest", required=True)
@@ -342,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--encoder", choices=["model", "ne"], default="model")
     p.add_argument("--m", type=POSITIVE_INT, default=None, help="segment count for --encoder ne")
-    p.set_defaults(func=cmd_encode)
+    p.set_defaults(func=cmd_encode, parser=p)
 
     p = sub.add_parser("search", help="rank archive segments against a query")
     p.add_argument("--archive", default=None)
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-id", default=None)
     p.add_argument("--query-features", default=None)
     p.add_argument("--top", type=POSITIVE_INT, default=10)
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, parser=p)
 
     p = sub.add_parser("evaluate", help="mean average precision per method")
     p.add_argument("--manifest", required=True)
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dtw, ne<m>, or label=checkpoint.json (repeatable)")
     p.add_argument("--report-dir", default=".")
     p.add_argument("--out", default=None, help="comparison CSV path")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, parser=p)
 
     p = sub.add_parser("analyze", help="similarity tables and difference vectors")
     asub = p.add_subparsers(dest="analysis", required=True)
@@ -372,18 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--manifest", required=True)
     pa.add_argument("--max-bucket", type=POSITIVE_INT, default=5)
     pa.add_argument("--out", default=None)
-    pa.set_defaults(func=cmd_analyze_edit_distance)
+    pa.set_defaults(func=cmd_analyze_edit_distance, parser=pa)
 
     pa = asub.add_parser("diff-vectors", help="word-mean difference vectors + 2-D projection")
     pa.add_argument("--archive", required=True)
     pa.add_argument("--pairs", required=True, help='e.g. "new:few,night:fight" (CSV quoting)')
     pa.add_argument("--out", default=None)
-    pa.set_defaults(func=cmd_analyze_diff_vectors)
+    pa.set_defaults(func=cmd_analyze_diff_vectors, parser=pa)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=NON_NEGATIVE_INT, required=True)
-    p.add_argument("--alphabet", type=POSITIVE_INT, default=10)
+    p.add_argument("--alphabet", type=ALPHABET_SIZE, default=10)
     p.add_argument("--words", type=POSITIVE_INT, default=40)
     p.add_argument("--tokens", type=POSITIVE_INT, default=15)
     p.add_argument("--phonemes-min", type=POSITIVE_INT, default=3)
@@ -393,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames-max", type=POSITIVE_INT, default=4)
     p.add_argument("--noise", type=NON_NEGATIVE_FLOAT, default=0.1)
     p.add_argument("--format", choices=["csv", "bin"], default="csv")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, parser=p)
 
     return parser
 
@@ -402,7 +412,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)  # usage errors name the subcommand
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import dtw_distance
+from .baselines import dtw_distances
 from .data import Dataset, SegmentRecord, write_csv
 from .errors import DataError, DimensionError
 
@@ -140,20 +140,16 @@ def rank_dtw(
 ) -> RankedResult:
     """Rank segments by negated DTW distance to the query sequence."""
     records = [rec for rec in dataset if rec.id != exclude_id]
-    scores = np.array([-dtw_distance(query, rec.features) for rec in records])
+    scores = -dtw_distances([query], [rec.features for rec in records])[0]
     return order_by_score([rec.id for rec in records], scores, top_k=top_k)
 
 
 def dtw_matrix(dataset: Dataset | Sequence[SegmentRecord]) -> np.ndarray:
-    """N x N negated DTW distances, one alignment per unordered pair:
-    unnormalized DTW is exactly symmetric (the frame costs transpose, and
-    the step minimum ignores direction)."""
-    records = list(dataset)
-    n = len(records)
-    scores = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            scores[i, j] = scores[j, i] = -dtw_distance(records[i].features, records[j].features)
+    """N x N negated DTW distances, one alignment per unordered pair
+    (``dtw_distances`` mirrors it: unnormalized DTW is exactly symmetric)."""
+    scores = dtw_distances([rec.features for rec in dataset])
+    np.negative(scores, out=scores)
+    np.fill_diagonal(scores, 0.0)  # a record's score against itself is +0.0
     return scores
 
 

@@ -98,3 +98,23 @@ def tie_blocks(ranked, tol=1e-12):
             blocks.append(set())
         blocks[-1].add(seg_id)
     return blocks
+
+
+@st.composite
+def dtw_records(draw):
+    """SegmentRecords for exact DTW tests: ragged lengths from 1 and repeated
+    lengths (so a length pair spans several blocks once the byte budget is
+    shrunk), frames of width up to 12 (numpy sums 9 or more squares
+    pairwise, not left to right) drawn as {0, 1, 2} grid values (ties),
+    normal floats, or +-1e200 (costs that overflow to inf)."""
+    d = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    kind = draw(st.sampled_from(["grid", "normal", "overflow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = {
+        "grid": lambda shape: rng.integers(0, 3, shape).astype(float),
+        "normal": rng.standard_normal,
+        "overflow": lambda shape: rng.choice([-1e200, 0.0, 1e200], shape),
+    }[kind]
+    return make_records([frames((t, d)) for t in lengths])

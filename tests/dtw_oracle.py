@@ -1,11 +1,16 @@
-"""Reference DTW: separate accumulated-cost and predecessor tables.
+"""Reference DTW: two per-pair dynamic programs in plain Python loops.
 
-This is the dynamic program that the single bordered table in
-``seqembed.baselines`` replaced, kept as the oracle the equivalence tests
-compare against.  The first row and column are filled by their own loops,
-and the backtrack follows stored predecessor codes.
+``dtw_tables``/``dtw_path`` keep separate accumulated-cost and predecessor
+tables: the first row and column are filled by their own loops, and the
+backtrack follows stored predecessor codes.  ``bordered_table``/
+``bordered_path`` run on one (T_a+1) x (T_b+1) table with an inf border and
+backtrack by comparing neighbours.  Each was once ``seqembed.baselines``'
+DP; the batched anti-diagonal kernel that replaced them is compared
+against both, exactly.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,3 +76,47 @@ def dtw_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list[tuple[int, int]]
         path.append((i, j))
     path.reverse()
     return acc[-1][-1], path
+
+
+def bordered_table(a: np.ndarray, b: np.ndarray) -> list[list[float]]:
+    """Accumulated costs: ``acc[i][j]`` aligns a[:i] with b[:j], and the
+    border row and column are inf but acc[0][0] = 0."""
+    a = validate_frames(a, "first sequence")
+    b = validate_frames(b, "second sequence")
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(
+            f"feature widths differ: {a.shape[1]} vs {b.shape[1]}"
+        )
+    diff = a[:, None, :] - b[None, :, :]
+    acc = [[0.0] + [math.inf] * b.shape[0]]
+    for crow in np.sqrt((diff * diff).sum(axis=2)).tolist():
+        above, row, left = acc[-1], [math.inf], math.inf
+        for c, diag, up in zip(crow, above, above[1:]):
+            best = diag
+            if up < best:
+                best = up
+            if left < best:
+                best = left
+            left = c + best
+            row.append(left)
+        acc.append(row)
+    return acc
+
+
+def bordered_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
+    """DTW distance and path backtracked from ``bordered_table``: each step
+    back takes the cheapest in-grid predecessor, ties preferring the
+    diagonal, then up, then left."""
+    acc = bordered_table(a, b)
+    i, j = len(acc) - 1, len(acc[0]) - 1
+    path = [(i - 1, j - 1)]
+    while i > 1 or j > 1:
+        diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+        if i > 1 and j > 1 and diag <= up and diag <= left:
+            i, j = i - 1, j - 1
+        elif i > 1 and (j == 1 or up <= left):
+            i -= 1
+        else:
+            j -= 1
+        path.append((i - 1, j - 1))
+    return acc[-1][-1], path[::-1]

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from seqembed.baselines import dtw_distance
+from dtw_oracle import bordered_table
 from seqembed.data import SegmentRecord
 from seqembed.errors import DataError, DimensionError
 from seqembed.evaluation import MapReport, QueryResult, average_precision
@@ -63,9 +63,10 @@ def rank_dtw(
     exclude_id: str | None = None,
     top_k: int | None = None,
 ) -> RankedResult:
-    """Rank segments by negated DTW distance, one query-first alignment each."""
+    """Rank segments by negated DTW distance, one query-first per-pair alignment each."""
     scored = [
-        (rec.id, -dtw_distance(query, rec.features)) for rec in records if rec.id != exclude_id
+        (rec.id, -bordered_table(query, rec.features)[-1][-1])
+        for rec in records if rec.id != exclude_id
     ]
     return _sorted_top(scored, top_k)
 

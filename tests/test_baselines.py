@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dtw_oracle
-from conftest import GRID
-from seqembed.baselines import dtw_distance, dtw_path, naive_encode
+from conftest import GRID, dtw_records
+from seqembed.baselines import dtw_distance, dtw_distances, dtw_path, naive_encode
 from seqembed.errors import DimensionError
 
 
@@ -154,8 +154,17 @@ class TestDtw:
     def test_matches_two_table_oracle(self, pair):
         a, b = pair
         want = dtw_oracle.dtw_path(a, b)
-        assert dtw_path(a, b) == want
+        assert dtw_path(a, b) == want == dtw_oracle.bordered_path(a, b)
         assert dtw_distance(a, b) == want[0]
+
+    @given(dtw_records(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_both_oracles_on_ragged_floats(self, records, data):
+        a, b = (data.draw(st.sampled_from(records)).features for _ in range(2))
+        with np.errstate(over="ignore"):
+            want = dtw_oracle.dtw_path(a, b)
+            assert dtw_path(a, b) == want == dtw_oracle.bordered_path(a, b)
+            assert dtw_distance(a, b) == want[0]
 
     def test_matches_two_table_oracle_on_every_short_grid_pair(self):
         # exhaustive, because a tie between up and left below a costlier
@@ -164,14 +173,18 @@ class TestDtw:
                 for t in range(1, 4) for v in itertools.product((0, 1, 2), repeat=t)]
         for a in seqs:
             for b in seqs:
-                assert dtw_path(a, b) == dtw_oracle.dtw_path(a, b), (a.ravel(), b.ravel())
+                want = dtw_oracle.dtw_path(a, b)
+                assert dtw_path(a, b) == want == dtw_oracle.bordered_path(a, b), (a.ravel(), b.ravel())
+        want = [[dtw_oracle.dtw_path(a, b)[0] for b in seqs] for a in seqs]
+        assert dtw_distances(seqs, seqs).tolist() == want
+        assert dtw_distances(seqs).tolist() == want
 
     def test_overflowing_costs_keep_a_grid_path(self):
         a = np.array([[1e200], [-1e200], [1e200]])
         b = np.array([[-1e200], [1e200]])
         with np.errstate(over="ignore"):
             for x, y in ((a, b), (b, a), (a, a[:1])):
-                assert dtw_path(x, y) == dtw_oracle.dtw_path(x, y)
+                assert dtw_path(x, y) == dtw_oracle.dtw_path(x, y) == dtw_oracle.bordered_path(x, y)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -3,6 +3,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqembed.autoencoder import init_params, load_checkpoint
+from seqembed.autoencoder import encode, init_params, load_checkpoint
+from seqembed.baselines import naive_encode
 from seqembed.cli import build_parser, main
 from seqembed.data import Dataset, SegmentRecord, parse_manifest, write_manifest
+from seqembed.evaluation import mean_average_precision, write_comparison, write_map_report
+from seqembed.retrieval import build_archive, cosine_matrix, dtw_matrix
 
 
 def run(capsys, *argv):
@@ -362,6 +366,41 @@ class TestEvaluate:
         for label in ("sa", "ne1", "ne2", "dtw"):
             assert (tmp_path / "reports" / f"per_query_{label}.csv").is_file()
 
+    def test_timings_on_stderr_leave_stdout_and_reports_alone(
+        self, corpus_dir, trained, tmp_path, capsys
+    ):
+        manifest = corpus_dir / "manifest.jsonl"
+        reports, out = tmp_path / "reports", tmp_path / "compare.csv"
+        code, stdout, err = run(
+            capsys, "evaluate", "--manifest", str(manifest), "--method", f"sa={trained}",
+            "--method", "ne2", "--method", "dtw", "--report-dir", str(reports), "--out", str(out),
+        )
+        assert code == 0
+        timing = r"(\w+): encode \d+\.\d{3} s, score \d+\.\d{3} s, MAP \d+\.\d{3} s"
+        assert [re.fullmatch(timing, line)[1] for line in err.splitlines()] == ["sa", "ne2", "dtw"]
+        # the library path writes the same reports and prints the same lines
+        records = parse_manifest(manifest).subset("test")
+        params = load_checkpoint(trained)
+        matrices = {
+            "sa": cosine_matrix(build_archive(lambda x: encode(params, x), records)),
+            "ne2": cosine_matrix(build_archive(lambda x: naive_encode(x, 2), records)),
+            "dtw": dtw_matrix(records),
+        }
+        want_dir, results, lines = tmp_path / "want", [], []
+        want_dir.mkdir()
+        for label, scores in matrices.items():
+            report = mean_average_precision(scores, records)
+            write_map_report(report.rows, want_dir / f"per_query_{label}.csv")
+            assert ((reports / f"per_query_{label}.csv").read_bytes()
+                    == (want_dir / f"per_query_{label}.csv").read_bytes())
+            results.append((label, report.mean_ap))
+            scorable = len(report.rows) - report.num_excluded
+            lines.append(f"{label}: MAP = {report.mean_ap!r} over {scorable} queries"
+                         f" ({report.num_excluded} excluded)")
+        write_comparison(results, want_dir / "compare.csv")
+        assert out.read_bytes() == (want_dir / "compare.csv").read_bytes()
+        assert stdout.splitlines() == [*lines, f"comparison: {out}"]
+
     def test_bad_method_token(self, corpus_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -489,7 +528,7 @@ BOUNDED_OPTIONS = [
     ("search", "--top", ["0"]),
     ("edit-distance", "--max-bucket", ["0"]),
     ("synth", "--seed", ["-1"]),
-    ("synth", "--alphabet", ["0"]),
+    ("synth", "--alphabet", ["0", "1"]),
     ("synth", "--words", ["0"]),
     ("synth", "--tokens", ["0"]),
     ("synth", "--phonemes-min", ["0"]),
@@ -541,3 +580,28 @@ def test_every_numeric_option_is_range_checked():
                 numeric[(parser.prog.split()[-1], action.option_strings[-1])] = action.type
     # and every one of them is exercised above
     assert sorted(numeric) == sorted((c, o) for c, o, _ in BOUNDED_OPTIONS)
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["search", "--top", "3"], "search"),
+    (["encode", "--manifest", "missing.jsonl", "--out", "x.csv", "--encoder", "ne"], "encode"),
+    (["analyze", "diff-vectors", "--archive", "missing.csv", "--pairs", ","],
+     "analyze diff-vectors"),
+])
+def test_usage_error_after_parsing_names_the_subcommand(capsys, argv, command):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: seqembed {command} ")
+    assert f"seqembed {command}: error:" in err
+
+
+@pytest.mark.parametrize("low, high", [("--phonemes-min", "--phonemes-max"),
+                                       ("--frames-min", "--frames-max")])
+def test_synth_empty_range_is_usage_error(tmp_path, capsys, low, high):
+    with pytest.raises(SystemExit) as exc:
+        main([*base_argv("synth", tmp_path), low, "5", high, "3"])
+    assert exc.value.code == 2
+    assert f"{low} 5 exceeds {high} 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

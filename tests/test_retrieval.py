@@ -1,14 +1,17 @@
 """Retrieval tests: cosine scores, archives, ranking, DTW ranking and score
 matrices, CSV round-trip, and equivalence with the per-entry oracle."""
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtw_oracle
 import retrieval_oracle as oracle
-from conftest import GRID, grid_archive, grid_records, make_records, tie_blocks
-from seqembed import retrieval
+from conftest import GRID, dtw_records, grid_archive, grid_records, make_records, tie_blocks
+from seqembed import baselines
 from seqembed.baselines import dtw_distance
 from seqembed.errors import DataError, DimensionError
 from seqembed.retrieval import (
@@ -249,15 +252,42 @@ class TestDtwMatrix:
 
     def test_one_alignment_per_unordered_pair(self, monkeypatch):
         calls = []
+        kernel = baselines._dtw_tables
 
         def counting(a, b):
-            calls.append((len(a), len(b)))
-            return dtw_distance(a, b)
+            calls.extend([(a.shape[1], b.shape[1])] * a.shape[0])  # one entry per pair in the block
+            return kernel(a, b)
 
-        monkeypatch.setattr(retrieval, "dtw_distance", counting)
+        monkeypatch.setattr(baselines, "_dtw_tables", counting)
         records = make_records([np.ones((2, 2))] * 5)
         dtw_matrix(records)
         assert len(calls) == 5 * 4 // 2
+
+    @given(dtw_records(), st.sampled_from([1, 300, 2000, baselines._BLOCK_BYTES]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_both_per_pair_oracles_exactly(self, records, budget):
+        # every ordered pair, so that aligning the shorter sequence first is checked too
+        want = np.zeros((len(records), len(records)))
+        with np.errstate(over="ignore"):
+            for i, a in enumerate(records):
+                for j, b in enumerate(records):
+                    if i != j:
+                        acc, _prev = dtw_oracle.dtw_tables(a.features, b.features)
+                        want[i, j] = -acc[-1][-1]
+                        assert dtw_oracle.bordered_table(a.features, b.features)[-1][-1] == acc[-1][-1]
+            with mock.patch.object(baselines, "_BLOCK_BYTES", budget):
+                got = dtw_matrix(records)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_mixed_widths_rejected(self):
+        records = make_records([np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 3))])
+        with pytest.raises(DimensionError):
+            dtw_matrix(records)
+        with pytest.raises(DimensionError):
+            rank_dtw(np.ones((2, 2)), records)
+        with pytest.raises(DimensionError):
+            rank_dtw(np.ones((2, 3)), records[:2])
 
 
 def assert_same_ranking(got, want, tol=1e-12):
@@ -288,6 +318,16 @@ class TestOracleEquivalence:
         top_k = data.draw(st.one_of(st.none(), st.integers(1, len(records))))
         assert (rank_dtw(query.features, records, exclude_id=exclude, top_k=top_k)
                 == oracle.rank_dtw(query.features, records, exclude_id=exclude, top_k=top_k))
+
+    @given(dtw_records(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_dtw_matches_oracle_on_ragged_records(self, records, data):
+        query = data.draw(st.sampled_from(records))
+        exclude = data.draw(st.sampled_from([None, query.id]))
+        budget = data.draw(st.sampled_from([1, 300, baselines._BLOCK_BYTES]))
+        with np.errstate(over="ignore"), mock.patch.object(baselines, "_BLOCK_BYTES", budget):
+            got = rank_dtw(query.features, records, exclude_id=exclude)
+            assert got == oracle.rank_dtw(query.features, records, exclude_id=exclude)
 
     @given(grid_records(max_frames=3))
     @settings(max_examples=100, deadline=None)

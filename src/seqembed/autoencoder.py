@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import SegmentRecord, replace_on_close, validate_frames, write_csv
 from .errors import CheckpointError, DataError, DimensionError, DivergenceError
-from .lstm import GATE_ORDER, Tape, backward, backward_step, forward, step, weight_grads
+from .lstm import GATE_ORDER, Tape, backward, forward, step, weight_grads
 
 INIT_SCALE = 0.08
 CHECKPOINT_VERSION = 1
@@ -196,22 +196,18 @@ def loss_and_gradients(
     views = params.views()
     enc = _encode(views, x_in)
     z = enc.h[-1]
-    length = x.shape[0]
-    dec, ys = _decode(views, z, length)
+    dec, ys = _decode(views, z, x.shape[0])
     loss = reconstruction_loss(x, ys)
 
     grad = np.zeros_like(params.flat)
     g = unpack(grad, params.input_dim, params.hidden_dim)
     W_y, W_out = views["decoder.W_y.W_x"], views["output.W"]
-    dec_cell = _cell(views, "decoder")
+    W_h, *peepholes = _cell(views, "decoder")
     dY = 2.0 * (ys - x)
-    dA = np.empty_like(dec.gates)
-    dh = np.zeros(params.hidden_dim)
-    dc = np.zeros(params.hidden_dim)
-    for t in range(length - 1, -1, -1):
-        if t < length - 1:
-            dY[t] += W_y.T @ dA[t + 1]  # the feedback edge y_t -> step t+1
-        dh, dc = backward_step(dec, t, W_out.T @ dY[t] + dh, dc, *dec_cell, dA)
+    # step t+1 reads h[t+1] through W_h and through y_t = W_out h[t+1] + b_out
+    # via W_y, so the feedback edge joins the recurrent matrix
+    dA = backward(dec, dY @ W_out, W_h + W_y @ W_out, *peepholes)
+    dY[:-1] += dA[1:] @ W_y  # the feedback edge y_t -> step t+1
     np.matmul(dY.T, dec.h[1:], out=g["output.W"])
     np.sum(dY, axis=0, out=g["output.b"])
     np.outer(dA[0], z, out=g["decoder.W_z.W_x"])
@@ -277,8 +273,12 @@ def train(
             x_in = corrupt_zero_mask(x, config.denoise_p, rng)
             loss, grad = loss_and_gradients(params, x, x_in)
             if not math.isfinite(loss):
+                last = (
+                    f"epoch {epoch - 1} was the last to finish, mean loss {losses[-1]!r}"
+                    if losses else "no epoch finished"
+                )
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, record '{rec.id}'"
+                    f"non-finite loss at epoch {epoch}, record '{rec.id}'; {last}"
                 )
             total += loss
             if config.clip_norm is not None:

@@ -117,10 +117,16 @@ def replace_on_close(path: str | Path):
 
 def write_rows(fh, rows) -> None:
     """The one output format: CSV with ``"\\n"`` line ends, floats (numpy ones
-    too) as ``repr(float(v))``, None as an empty field, anything else as is."""
+    too) as ``repr(float(v))``, None as an empty field, anything else as is.
+
+    A row with a ``"\\r"`` in a text field is written with every field quoted:
+    csv quotes only the characters of its own line terminator, and a reader
+    ends a record at a bare ``"\\r"``."""
     writer = csv.writer(fh, lineterminator="\n")
+    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+        out = quoted if any(isinstance(v, str) and "\r" in v for v in row) else writer
+        out.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
 def write_csv(path: str | Path, rows) -> None:
@@ -207,25 +213,39 @@ def parse_manifest(path: str | Path) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON") from exc
-            try:
-                rec_id = obj["id"]
-                word = obj["word"]
-                split = obj["split"]
-                feat_rel = obj["features"]
-            except KeyError as exc:
-                raise DataError(f"{path}: line {lineno}: missing field {exc}") from exc
-            phonemes = obj.get("phonemes")
+            where = f"{path}: line {lineno}"
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+            for key in ("id", "word", "split", "features"):
+                if key not in obj:
+                    raise DataError(f"{where}: missing field '{key}'")
+                if not isinstance(obj[key], str):
+                    raise DataError(
+                        f"{where}: field '{key}' must be a string, got {type(obj[key]).__name__}"
+                    )
+            rec_id, phonemes = obj["id"], obj.get("phonemes")
+            if phonemes is not None and not (
+                isinstance(phonemes, list) and all(isinstance(p, str) for p in phonemes)
+            ):
+                raise DataError(
+                    f"{where}: record '{rec_id}': 'phonemes' must be an array of strings"
+                )
+            feat_rel = Path(obj["features"])
+            if feat_rel.is_absolute() or ".." in feat_rel.parts:
+                raise DataError(
+                    f"{where}: record '{rec_id}': features path {obj['features']!r} must be "
+                    "relative to the manifest directory, with no '..' part"
+                )
             feat_path = base / feat_rel
             if not feat_path.is_file():
                 raise DataError(f"record '{rec_id}': feature file not found: {feat_path}")
-            features = load_feature_file(feat_path)
             records.append(
                 SegmentRecord(
                     id=rec_id,
-                    word=word,
-                    phonemes=list(phonemes) if phonemes is not None else None,
-                    split=split,
-                    features=features,
+                    word=obj["word"],
+                    phonemes=phonemes,
+                    split=obj["split"],
+                    features=load_feature_file(feat_path),
                 )
             )
     return Dataset.from_records(records)

@@ -8,11 +8,12 @@ previous cell state, the output gate reads the freshly updated one.
 
 One sequence of T steps lives in a preallocated ``Tape``: the activated
 gates (T, 4H) and the hidden and cell states (T+1, H), row 0 holding the
-initial state.  The backward pass writes one row per step of dA, the
-gradient of the gate pre-activations (T, 4H); every weight gradient is then
-one matrix product or column sum over the whole sequence instead of T outer
-products (the recurrence restructuring of Appleyard et al., arXiv
-1604.01946).
+initial state.  The backward pass computes every step's local derivatives
+over the whole tape at once, then runs the reverse recurrence, writing one
+row per step of dA, the gradient of the gate pre-activations (T, 4H); every
+weight gradient is then one matrix product or column sum over the whole
+sequence instead of T outer products (the recurrence restructuring of
+Appleyard et al., arXiv 1604.01946).
 
 All arithmetic is float64: the gradient acceptance checks compare against
 central finite differences and need the headroom.
@@ -117,42 +118,6 @@ def forward(
     return tape
 
 
-def backward_step(
-    tape: Tape,
-    t: int,
-    dh: np.ndarray,
-    dc: np.ndarray,
-    W_h: np.ndarray,
-    w_ci: np.ndarray,
-    w_cf: np.ndarray,
-    w_co: np.ndarray,
-    dA: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact reverse of step t.
-
-    ``dh``/``dc`` are the loss gradients reaching ``tape.h[t+1]`` and
-    ``tape.c[t+1]``.  Writes the gate pre-activation gradient into
-    ``dA[t]`` and returns the gradients reaching ``tape.h[t]`` through the
-    recurrent weights and ``tape.c[t]``.  The input gradient is
-    ``W_x.T @ dA[t]``.
-    """
-    h = W_h.shape[1]
-    a = tape.gates[t]
-    i, f, g, o = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
-    c_prev = tape.c[t]
-    tanh_c = np.tanh(tape.c[t + 1])
-    da = dA[t]
-    da_i, da_f, da_g, da_o = da[:h], da[h : 2 * h], da[2 * h : 3 * h], da[3 * h :]
-    da_o[:] = dh * tanh_c * o * (1.0 - o)
-    # the output-gate peephole reads the updated cell state, so its
-    # pre-activation gradient feeds back into dc as well
-    dc = dc + dh * o * (1.0 - tanh_c**2) + da_o * w_co
-    da_i[:] = dc * g * i * (1.0 - i)
-    da_f[:] = dc * c_prev * f * (1.0 - f)
-    da_g[:] = dc * i * (1.0 - g**2)
-    return W_h.T @ da, dc * f + da_i * w_ci + da_f * w_cf
-
-
 def backward(
     tape: Tape,
     dH: np.ndarray,
@@ -162,15 +127,34 @@ def backward(
     w_co: np.ndarray,
 ) -> np.ndarray:
     """dA (T, 4H) of a whole sequence, given the loss gradient dH (T, H)
-    reaching each step's output h[1..T]."""
+    reaching each step's output h[1..T].  ``W_h`` is the matrix through which
+    h[t] reaches the gates of step t; it need not be the forward one.  The
+    input gradient is ``dA @ W_x``."""
     steps, h = tape.h.shape[0] - 1, tape.h.shape[1]
     if dH.shape != (steps, h):
         raise DimensionError(f"upstream gradient shape {dH.shape}, expected ({steps}, {h})")
+    gates = tape.gates.reshape(steps, 4, h)
+    i, f, g, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+    c_prev = tape.c[:-1]
+    tanh_c = np.tanh(tape.c[1:])
+    # per step: dA_o = dh*local_o, dc = dh*local_c + dc' (the output-gate
+    # peephole reads the updated cell state, so dA_o feeds dc too),
+    # dA_{i,f,g} = dc*local_ifg, and dc*carry reaches step t-1
+    local_o = tanh_c * o * (1.0 - o)
+    local_c = o * (1.0 - tanh_c**2) + local_o * w_co
+    local_ifg = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=1)
+    carry = f + local_ifg[:, 0] * w_ci + local_ifg[:, 1] * w_cf
     dA = np.empty_like(tape.gates)
+    dA_gates = dA.reshape(steps, 4, h)
     dh_rec = np.zeros(h)
-    dc = np.zeros(h)
+    dc_rec = np.zeros(h)
     for t in range(steps - 1, -1, -1):
-        dh_rec, dc = backward_step(tape, t, dH[t] + dh_rec, dc, W_h, w_ci, w_cf, w_co, dA)
+        dh = dH[t] + dh_rec
+        np.multiply(dh, local_o[t], out=dA_gates[t, 3])
+        dc = dh * local_c[t] + dc_rec
+        np.multiply(dc, local_ifg[t], out=dA_gates[t, :3])
+        dh_rec = W_h.T @ dA[t]
+        dc_rec = dc * carry[t]
     return dA
 
 

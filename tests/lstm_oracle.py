@@ -4,7 +4,9 @@ This is the cell-at-a-time formulation the sequence kernel in
 ``seqembed.lstm`` replaced: ``cell_forward``/``cell_backward`` pass state
 and tape objects step by step, and weight gradients accumulate one outer
 product per step.  Tests compare the kernel and ``loss_and_gradients``
-against it.
+against it.  ``backward_step``/``backward`` are the kernel's earlier
+reverse pass over a ``seqembed.lstm.Tape``, one step's local derivatives
+at a time.
 """
 from __future__ import annotations
 
@@ -201,3 +203,39 @@ def loss_and_gradients(views, x, x_in=None):
                       f"{net}.w_cf": g.w_cf, f"{net}.w_co": g.w_co})
     grads["encoder.W_x"] = enc_g.W_x
     return loss, ys, grads
+
+
+def backward_step(tape, t, dh, dc, W_h, w_ci, w_cf, w_co, dA):
+    """Exact reverse of kernel step t.
+
+    ``dh``/``dc`` are the loss gradients reaching ``tape.h[t+1]`` and
+    ``tape.c[t+1]``.  Writes the gate pre-activation gradient into
+    ``dA[t]`` and returns the gradients reaching ``tape.h[t]`` through the
+    recurrent weights and ``tape.c[t]``.
+    """
+    h = W_h.shape[1]
+    a = tape.gates[t]
+    i, f, g, o = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
+    c_prev = tape.c[t]
+    tanh_c = np.tanh(tape.c[t + 1])
+    da = dA[t]
+    da_i, da_f, da_g, da_o = da[:h], da[h : 2 * h], da[2 * h : 3 * h], da[3 * h :]
+    da_o[:] = dh * tanh_c * o * (1.0 - o)
+    # the output-gate peephole reads the updated cell state, so its
+    # pre-activation gradient feeds back into dc as well
+    dc = dc + dh * o * (1.0 - tanh_c**2) + da_o * w_co
+    da_i[:] = dc * g * i * (1.0 - i)
+    da_f[:] = dc * c_prev * f * (1.0 - f)
+    da_g[:] = dc * i * (1.0 - g**2)
+    return W_h.T @ da, dc * f + da_i * w_ci + da_f * w_cf
+
+
+def backward(tape, dH, W_h, w_ci, w_cf, w_co):
+    """dA (T, 4H) of a kernel tape by ``backward_step`` from the last step down."""
+    steps, h = tape.h.shape[0] - 1, tape.h.shape[1]
+    dA = np.empty_like(tape.gates)
+    dh_rec = np.zeros(h)
+    dc = np.zeros(h)
+    for t in range(steps - 1, -1, -1):
+        dh_rec, dc = backward_step(tape, t, dH[t] + dh_rec, dc, W_h, w_ci, w_cf, w_co, dA)
+    return dA

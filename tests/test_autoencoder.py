@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -305,6 +306,30 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"epoch \d+, record 'r\d'"):
                 train(params, records, TrainConfig(seed=1, lr=1e12, epochs=50, clip_norm=None))
+
+    def test_divergence_names_last_finished_epoch(self):
+        records = tiny_train_records(np.random.default_rng(4), n=2)
+        settings = dict(seed=1, lr=1e12, clip_norm=None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                train(init_params(3, 4, seed=0), records, TrainConfig(epochs=50, **settings))
+            found = re.search(
+                r"at epoch (\d+), record 'r\d'; epoch (\d+) was the last to finish, "
+                r"mean loss (\S+)$", str(exc.value))
+            assert found, str(exc.value)
+            last = int(found[2])
+            assert last == int(found[1]) - 1 >= 1
+            _, losses = train(
+                init_params(3, 4, seed=0), records, TrainConfig(epochs=last, **settings)
+            )
+        assert found[3] == repr(losses[-1])
+
+    def test_divergence_in_first_epoch_says_none_finished(self):
+        records = tiny_train_records(np.random.default_rng(4), n=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"epoch 1, record 'r\d'; no epoch finished$"):
+                train(init_params(3, 4, seed=0), records,
+                      TrainConfig(seed=1, lr=1e300, epochs=3, clip_norm=None))
 
     @pytest.mark.parametrize("field", ["lr", "clip_norm", "denoise_p"])
     def test_nan_setting_rejected(self, field):

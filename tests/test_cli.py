@@ -138,6 +138,15 @@ class TestTrain:
         )
         assert code == 3 and "manifest" in err
 
+    def test_wrong_manifest_type_exit_code(self, corpus_dir, capsys):
+        manifest = corpus_dir / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[-1] = json.dumps(dict(json.loads(lines[-1]), word=7))  # a test-split record
+        manifest.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "evaluate", "--manifest", str(manifest), "--method", "ne4")
+        assert code == 3 and out == ""
+        assert f"{manifest}: line {len(lines)}: field 'word' must be a string, got int" in err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--manifest", "m.jsonl"])  # --out and --seed missing

@@ -1,9 +1,14 @@
 """Dataset ingestion and synthetic generation tests."""
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqembed.data import (
     Dataset,
@@ -26,6 +31,9 @@ def write_line_manifest(path, entries):
             fh.write(json.dumps(obj) + "\n")
 
 
+GOOD_B = {"id": "b", "word": "beta", "split": "test", "features": "feat/b.csv"}
+
+
 @pytest.fixture
 def two_record_dir(tmp_path):
     rng = np.random.default_rng(0)
@@ -37,7 +45,7 @@ def two_record_dir(tmp_path):
         [
             {"id": "a", "word": "alpha", "phonemes": ["AH", "L"], "split": "train",
              "features": "feat/a.csv"},
-            {"id": "b", "word": "beta", "split": "test", "features": "feat/b.csv"},
+            GOOD_B,
         ],
     )
     return tmp_path
@@ -90,6 +98,43 @@ class TestParseManifest:
         with pytest.raises(DataError, match="non-finite"):
             parse_manifest(two_record_dir / "manifest.jsonl")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('"x"', "expected a JSON object, got str"),
+            ("null", "expected a JSON object, got NoneType"),
+            (dict(GOOD_B, features=5), "field 'features' must be a string, got int"),
+            (dict(GOOD_B, word=7), "field 'word' must be a string, got int"),
+            (dict(GOOD_B, id=3), "field 'id' must be a string, got int"),
+            (dict(GOOD_B, split=["test"]), "field 'split' must be a string, got list"),
+            (dict(GOOD_B, phonemes="abc"), "'phonemes' must be an array of strings"),
+            (dict(GOOD_B, phonemes=["AH", 1]), "'phonemes' must be an array of strings"),
+        ],
+        ids=["list", "string", "null", "int-features", "int-word", "int-id", "list-split",
+             "string-phonemes", "int-phoneme"],
+    )
+    def test_wrong_json_types_rejected(self, two_record_dir, line, message):
+        manifest = two_record_dir / "manifest.jsonl"
+        first = manifest.read_text().splitlines()[0]
+        bad = line if isinstance(line, str) else json.dumps(line)
+        manifest.write_text(first + "\n" + bad + "\n")
+        pattern = re.escape(f"{manifest}: line 2: ") + ".*" + re.escape(message)
+        with pytest.raises(DataError, match=pattern):
+            parse_manifest(manifest)
+
+    @pytest.mark.parametrize("features", ["absolute", "../{dir}/feat/b.csv", "feat/../feat/b.csv"])
+    def test_features_path_must_stay_under_the_manifest(self, two_record_dir, features):
+        # each path names the existing feature file of record 'b'
+        target = two_record_dir / "feat" / "b.csv"
+        rel = str(target) if features == "absolute" else features.format(dir=two_record_dir.name)
+        assert (two_record_dir / rel).resolve() == target.resolve()
+        manifest = two_record_dir / "manifest.jsonl"
+        first = manifest.read_text().splitlines()[0]
+        manifest.write_text(first + "\n" + json.dumps(dict(GOOD_B, features=rel)) + "\n")
+        with pytest.raises(DataError, match=r"line 2: record 'b': features path .* no '\.\.' part"):
+            parse_manifest(manifest)
+
 
 class TestRoundTrip:
     def test_manifest_round_trip_is_identity(self, tmp_path):
@@ -130,6 +175,28 @@ class TestRoundTrip:
         manifest = write_manifest(Dataset.from_records(records), tmp_path / "m.jsonl", fmt="bin")
         loaded = parse_manifest(manifest)
         npt.assert_array_equal(loaded.records[0].features, records[0].features)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), steps=st.integers(1, 5), dim=st.integers(1, 4))
+    def test_feature_files_round_trip_exactly(self, data, steps, dim):
+        """CSV keeps every finite float64 and .bin every finite float32, sign
+        bits, subnormals and extremes included."""
+        f32_info = np.finfo(np.float32)
+        f32_special = [-0.0, 0.0, float(f32_info.smallest_subnormal), -float(f32_info.max)]
+        f64 = st.sampled_from(f32_special + [5e-324, -2.5e-310, 1e300, -1e300]) | st.floats(
+            allow_nan=False, allow_infinity=False
+        )
+        f32 = st.sampled_from(f32_special) | st.floats(
+            width=32, allow_nan=False, allow_infinity=False
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, values, write in (("x.csv", f64, write_feature_csv),
+                                        ("x.bin", f32, write_feature_bin)):
+                frames = np.array(
+                    data.draw(st.lists(values, min_size=steps * dim, max_size=steps * dim))
+                ).reshape(steps, dim)
+                write(Path(tmp) / name, frames)
+                assert load_feature_file(Path(tmp) / name).tobytes() == frames.tobytes(), name
 
     def test_truncated_binary_rejected(self, tmp_path):
         write_feature_bin(tmp_path / "x.bin", np.zeros((3, 2)))

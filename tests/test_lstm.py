@@ -5,13 +5,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lstm_oracle as oracle
 from conftest import assert_grads_close, finite_difference
 from seqembed.errors import DimensionError
-from seqembed.lstm import Tape, backward, backward_step, forward, sigmoid, step, weight_grads
+from seqembed.lstm import Tape, backward, forward, sigmoid, step, weight_grads
 
 # kernel argument order: forward takes W_x, b, then the cell (W_h, w_ci, w_cf, w_co)
 NAMES = ("W_x", "b", "W_h", "w_ci", "w_cf", "w_co")
@@ -176,14 +176,12 @@ def test_shape_mismatch_raises():
 def test_zero_upstream_gradients_give_zero_gradients():
     rng = np.random.default_rng(1)
     params = uniform_params(rng, 2, 3, 0.5)
-    xs = rng.standard_normal((1, 2))
+    xs = rng.standard_normal((4, 2))
     tape = run(params, xs)
-    dA = np.empty_like(tape.gates)
-    gh, gc = backward_step(tape, 0, np.zeros(3), np.zeros(3), *cell(params), dA)
-    npt.assert_array_equal(dA @ params["W_x"], np.zeros((1, 2)))
-    npt.assert_array_equal(gh, np.zeros(3))
-    npt.assert_array_equal(gc, np.zeros(3))
-    grads = sequence_grads(params, xs, np.zeros((1, 3)))
+    dA = backward(tape, np.zeros((4, 3)), *cell(params))
+    npt.assert_array_equal(dA, np.zeros((4, 12)))
+    npt.assert_array_equal(dA @ params["W_x"], np.zeros((4, 2)))
+    grads = sequence_grads(params, xs, np.zeros((4, 3)))
     for arr in grads.values():
         npt.assert_array_equal(arr, np.zeros_like(arr))
 
@@ -281,3 +279,28 @@ def test_kernel_matches_per_step_oracle(input_dim, hidden, steps, seed):
     for name, ref in want.items():
         scale = max(1.0, float(np.abs(ref).max()))
         npt.assert_allclose(got[name], ref, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_dim=st.integers(1, 6),
+    hidden=st.integers(1, 6),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(input_dim=2, hidden=3, steps=1, seed=0)
+def test_backward_matches_per_step_loop(input_dim, hidden, steps, seed):
+    """The whole-tape backward against the per-step loop, through a recurrent
+    matrix other than the forward W_h, as the autoencoder's decoder passes."""
+    rng = np.random.default_rng(seed)
+    params = uniform_params(rng, input_dim, hidden, 0.9)
+    params["b"] = rng.uniform(-0.9, 0.9, size=4 * hidden)
+    tape = run(params, rng.standard_normal((steps, input_dim)))
+    W_rec = rng.uniform(-1.5, 1.5, size=(4 * hidden, hidden))
+    dH = rng.standard_normal((steps, hidden))
+    peepholes = params["w_ci"], params["w_cf"], params["w_co"]
+
+    got = backward(tape, dH, W_rec, *peepholes)
+    want = oracle.backward(tape, dH, W_rec, *peepholes)
+    scale = max(1.0, float(np.abs(want).max()))
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)

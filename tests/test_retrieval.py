@@ -1,5 +1,7 @@
 """Retrieval tests: cosine scores, archives, ranking, DTW ranking and score
 matrices, CSV round-trip, and equivalence with the per-entry oracle."""
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,15 @@ from seqembed.retrieval import (
     rank,
     rank_dtw,
     save_archive,
+)
+
+
+# archive ids and words: CSV's special characters, spaces, empty text and any
+# other character that UTF-8 can encode
+ARCHIVE_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a"]) | st.characters(),
+                       max_size=6)
+ARCHIVE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
 )
 
 
@@ -367,3 +378,32 @@ class TestArchiveCsv:
         path.write_text("foo,bar,z0\nx,w,1.0\n")
         with pytest.raises(DataError):
             load_archive(path)
+
+    @pytest.mark.parametrize("seg_id", ["a\rb", "tail\r", "\r", "a\r\nb"])
+    def test_carriage_return_round_trips(self, tmp_path, seg_id):
+        archive = EmbeddingArchive(entries=[(seg_id, "w\r", np.array([1.5, -0.0]))], dim=2)
+        save_archive(archive, tmp_path / "a.csv")
+        [(got_id, got_word, got_vec)] = load_archive(tmp_path / "a.csv").entries
+        assert (got_id, got_word) == (seg_id, "w\r")
+        assert got_vec.tobytes() == np.array([1.5, -0.0]).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        entries=st.lists(st.tuples(ARCHIVE_TEXT, ARCHIVE_TEXT), min_size=1, max_size=6,
+                         unique_by=lambda e: e[0]),
+        data=st.data(),
+    )
+    def test_round_trip_is_exact(self, dim, entries, data):
+        vectors = [np.array(data.draw(st.lists(ARCHIVE_FLOATS, min_size=dim, max_size=dim)))
+                   for _ in entries]
+        archive = EmbeddingArchive(
+            entries=[(i, w, v) for (i, w), v in zip(entries, vectors)], dim=dim
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            save_archive(archive, Path(tmp) / "a.csv")
+            loaded = load_archive(Path(tmp) / "a.csv")
+        assert loaded.dim == dim
+        assert [(i, w) for i, w, _ in loaded.entries] == entries
+        for (_, _, want), (_, _, got) in zip(archive.entries, loaded.entries):
+            assert got.tobytes() == want.tobytes()  # sign bits of -0.0 included

@@ -8,6 +8,12 @@ Because z (width d) and the fed-back frames (width D) have different
 widths, the decoder carries two input projection blocks: one applied at
 step 1 only, one at every later step.  Both are trained.
 
+Both networks run through ``lstm.forward`` and ``lstm.backward``.  The fed-back
+frame y = W_out h + b_out reaches the next step's gates as W_y W_out h +
+W_y b_out, so the decoder is a plain LSTM whose recurrent matrix is
+W_h + W_y W_out and whose gate inputs (W_z z at step 1, W_y b_out later,
+plus the bias) are known before it runs.
+
 Training minimizes the summed squared reconstruction error against the
 uncorrupted input with plain per-sequence SGD; gradients flow through the
 decoder's output-feedback edges, the z handoff, and the encoder.
@@ -24,7 +30,7 @@ import numpy as np
 
 from .data import SegmentRecord, replace_on_close, validate_frames, write_csv
 from .errors import CheckpointError, DataError, DimensionError, DivergenceError
-from .lstm import GATE_ORDER, Tape, backward, forward, step, weight_grads
+from .lstm import GATE_ORDER, Tape, backward, forward, weight_grads
 
 INIT_SCALE = 0.08
 CHECKPOINT_VERSION = 1
@@ -119,36 +125,33 @@ def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, ...]:
 
 
 def _encode(views: dict[str, np.ndarray], x: np.ndarray) -> Tape:
-    return forward(x, views["encoder.W_x"], views["encoder.b_"], *_cell(views, "encoder"))
+    W_x = views["encoder.W_x"]
+    if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
+        raise DimensionError(f"input width mismatch: shape {x.shape}, input_dim {W_x.shape[1]}")
+    return forward(x @ W_x.T + views["encoder.b_"], *_cell(views, "encoder"))
+
+
+def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The decoder's cell with its output feedback folded in: step t+1 reads
+    h[t+1] through W_h and, via W_y, through y_t = W_out h[t+1] + b_out."""
+    W_h, *peepholes = _cell(views, "decoder")
+    return W_h + views["decoder.W_y.W_x"] @ views["output.W"], *peepholes
 
 
 def _decode(views: dict[str, np.ndarray], z: np.ndarray, length: int) -> tuple[Tape, np.ndarray]:
     """Decoder tape and output frames; step 1 reads z, later steps the previous frame."""
     W_z, W_y, b = views["decoder.W_z.W_x"], views["decoder.W_y.W_x"], views["decoder.b_"]
     W_out, b_out = views["output.W"], views["output.b"]
-    cell = _cell(views, "decoder")
-    tape = Tape(length, W_z.shape[1])
-    ys = np.empty((length, W_out.shape[0]))
-    for t in range(length):
-        if t == 0:
-            np.matmul(W_z, z, out=tape.gates[0])
-        else:
-            np.matmul(W_y, ys[t - 1], out=tape.gates[t])
-        tape.gates[t] += b
-        step(tape, t, *cell)
-        np.matmul(W_out, tape.h[t + 1], out=ys[t])
-        ys[t] += b_out
-    return tape, ys
+    gates = np.empty((length, W_z.shape[0]))
+    gates[0] = W_z @ z + b
+    gates[1:] = W_y @ b_out + b
+    tape = forward(gates, *_decoder_cell(views))
+    return tape, tape.h[1:] @ W_out.T + b_out
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Run the encoder over x_1..x_T from a zero state; return h_T."""
-    x = validate_frames(x)
-    if x.shape[1] != params.input_dim:
-        raise DimensionError(
-            f"input width {x.shape[1]} does not match model input_dim {params.input_dim}"
-        )
-    return _encode(params.views(), x).h[-1].copy()
+    return _encode(params.views(), validate_frames(x)).h[-1].copy()
 
 
 def decode(params: ModelParams, z: np.ndarray, length: int) -> np.ndarray:
@@ -202,11 +205,8 @@ def loss_and_gradients(
     grad = np.zeros_like(params.flat)
     g = unpack(grad, params.input_dim, params.hidden_dim)
     W_y, W_out = views["decoder.W_y.W_x"], views["output.W"]
-    W_h, *peepholes = _cell(views, "decoder")
     dY = 2.0 * (ys - x)
-    # step t+1 reads h[t+1] through W_h and through y_t = W_out h[t+1] + b_out
-    # via W_y, so the feedback edge joins the recurrent matrix
-    dA = backward(dec, dY @ W_out, W_h + W_y @ W_out, *peepholes)
+    dA = backward(dec, dY @ W_out, *_decoder_cell(views))
     dY[:-1] += dA[1:] @ W_y  # the feedback edge y_t -> step t+1
     np.matmul(dY.T, dec.h[1:], out=g["output.W"])
     np.sum(dY, axis=0, out=g["output.b"])
@@ -345,18 +345,20 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: malformed checkpoint file") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: malformed checkpoint file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {payload.get('version')!r}"
-        )
-    try:
-        input_dim = int(payload["input_dim"])
-        hidden_dim = int(payload["hidden_dim"])
-        seed = int(payload["seed"])
-        epochs = int(payload["epochs"])
-        blob = payload["params"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"{path}: missing or invalid header field") from exc
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # true and 1.0 equal 1
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    header = []
+    for key, low in (("input_dim", 1), ("hidden_dim", 1), ("seed", 0), ("epochs", 0)):
+        value = payload.get(key)
+        # a JSON integer only: int() would truncate 2.7 and parse "2", and a bool is an int
+        if type(value) is not int or value < low:
+            raise CheckpointError(
+                f"{path}: header field '{key}' must be an integer >= {low}, got {value!r}"
+            )
+        header.append(value)
+    input_dim, hidden_dim, seed, epochs = header
+    blob = payload.get("params")
     if not isinstance(blob, dict):
         raise CheckpointError(f"{path}: 'params' must be an object")
 

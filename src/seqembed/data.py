@@ -197,6 +197,15 @@ def write_feature_bin(path: str | Path, frames: np.ndarray) -> None:
         fh.write(frames.astype("<f4").tobytes())
 
 
+def _is_utf8(text: str) -> bool:
+    """False for a string that cannot be written out, such as JSON "\\ud800"."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_manifest(path: str | Path) -> Dataset:
     """Load a JSON-lines manifest; record order is file order."""
     path = Path(path)
@@ -223,6 +232,8 @@ def parse_manifest(path: str | Path) -> Dataset:
                     raise DataError(
                         f"{where}: field '{key}' must be a string, got {type(obj[key]).__name__}"
                     )
+                if not _is_utf8(obj[key]):
+                    raise DataError(f"{where}: field '{key}' holds a lone surrogate")
             rec_id, phonemes = obj["id"], obj.get("phonemes")
             if phonemes is not None and not (
                 isinstance(phonemes, list) and all(isinstance(p, str) for p in phonemes)
@@ -230,6 +241,8 @@ def parse_manifest(path: str | Path) -> Dataset:
                 raise DataError(
                     f"{where}: record '{rec_id}': 'phonemes' must be an array of strings"
                 )
+            if phonemes is not None and not all(map(_is_utf8, phonemes)):
+                raise DataError(f"{where}: record '{rec_id}': a phoneme holds a lone surrogate")
             feat_rel = Path(obj["features"])
             if feat_rel.is_absolute() or ".." in feat_rel.parts:
                 raise DataError(

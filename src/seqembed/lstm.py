@@ -6,14 +6,17 @@ Gate weights are stacked along the first axis in the fixed order
 weights are elementwise H-vectors; the input and forget gates read the
 previous cell state, the output gate reads the freshly updated one.
 
-One sequence of T steps lives in a preallocated ``Tape``: the activated
-gates (T, 4H) and the hidden and cell states (T+1, H), row 0 holding the
-initial state.  The backward pass computes every step's local derivatives
-over the whole tape at once, then runs the reverse recurrence, writing one
-row per step of dA, the gradient of the gate pre-activations (T, 4H); every
-weight gradient is then one matrix product or column sum over the whole
-sequence instead of T outer products (the recurrence restructuring of
-Appleyard et al., arXiv 1604.01946).
+One sequence of T steps lives in a ``Tape``: the activated gates (T, 4H)
+and the hidden and cell states (T+1, H), row 0 holding the initial state.
+The forward pass takes each step's gate input W_x x_t + b, so it serves any
+network whose inputs are known up front; the autoencoder's decoder is one
+once its output feedback is folded into the recurrent matrix.  The backward
+pass computes every step's local derivatives over the whole tape at once,
+then runs the reverse recurrence, writing one row per step of dA, the
+gradient of the gate pre-activations (T, 4H); every weight gradient is then
+one matrix product or column sum over the whole sequence instead of T
+outer products (the recurrence restructuring of Appleyard et al., arXiv
+1604.01946).
 
 All arithmetic is float64: the gradient acceptance checks compare against
 central finite differences and need the headroom.
@@ -41,12 +44,14 @@ def sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class Tape:
-    """Activations of one sequence of ``steps`` steps through H units."""
+    """Activations of one sequence through H units.  ``gates`` (T, 4H) holds
+    each step's input projection plus bias; it is taken over, not copied."""
 
     __slots__ = ("gates", "h", "c")
 
-    def __init__(self, steps: int, hidden: int):
-        self.gates = np.empty((steps, 4 * hidden))
+    def __init__(self, gates: np.ndarray):
+        steps, hidden = gates.shape[0], gates.shape[1] // 4
+        self.gates = gates
         self.h = np.zeros((steps + 1, hidden))
         self.c = np.zeros((steps + 1, hidden))
 
@@ -91,29 +96,22 @@ def step(
 
 
 def forward(
-    x: np.ndarray,
-    W_x: np.ndarray,
-    b: np.ndarray,
+    gates: np.ndarray,
     W_h: np.ndarray,
     w_ci: np.ndarray,
     w_cf: np.ndarray,
     w_co: np.ndarray,
 ) -> Tape:
-    """Run over the rows of x from a zero state.
-
-    The input projection of every step is computed up front as one product.
-    """
+    """Run T steps from a zero state.  Row t of ``gates`` (T, 4H) holds step
+    t's input projection plus bias, W_x x_t + b; it becomes the activated
+    gates."""
     h = W_h.shape[1]
-    if W_h.shape != (4 * h, h) or W_x.shape[0] != 4 * h:
-        raise DimensionError(
-            f"inconsistent LSTM weight shapes: W_x {W_x.shape}, W_h {W_h.shape}"
-        )
-    if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
-        raise DimensionError(f"input shape {x.shape}, expected (T, {W_x.shape[1]})")
-    tape = Tape(x.shape[0], h)
-    np.matmul(x, W_x.T, out=tape.gates)
-    tape.gates += b
-    for t in range(x.shape[0]):
+    if W_h.shape != (4 * h, h):
+        raise DimensionError(f"recurrent weights {W_h.shape}, expected ({4 * h}, {h})")
+    if gates.ndim != 2 or gates.shape[1] != 4 * h:
+        raise DimensionError(f"gate inputs {gates.shape}, expected (T, {4 * h})")
+    tape = Tape(gates)
+    for t in range(gates.shape[0]):
         step(tape, t, W_h, w_ci, w_cf, w_co)
     return tape
 

@@ -3,10 +3,10 @@
 This is the cell-at-a-time formulation the sequence kernel in
 ``seqembed.lstm`` replaced: ``cell_forward``/``cell_backward`` pass state
 and tape objects step by step, and weight gradients accumulate one outer
-product per step.  Tests compare the kernel and ``loss_and_gradients``
-against it.  ``backward_step``/``backward`` are the kernel's earlier
-reverse pass over a ``seqembed.lstm.Tape``, one step's local derivatives
-at a time.
+product per step.  Tests compare the kernel, ``decode`` and
+``loss_and_gradients`` against it.  ``backward_step``/``backward`` are the
+kernel's earlier reverse pass over a ``seqembed.lstm.Tape``, one step's
+local derivatives at a time.
 """
 from __future__ import annotations
 
@@ -138,6 +138,18 @@ def encoder_layer(views) -> LstmParams:
 
 def decoder_layer(views, first: bool) -> LstmParams:
     return _layer(views, "decoder", views["decoder.W_z.W_x" if first else "decoder.W_y.W_x"])
+
+
+def decode(views, z, length):
+    """Output frames by per-step output feedback: step 1 reads z, every later
+    step the frame the step before it emitted."""
+    state = zero_state(views["decoder.W_h"].shape[1])
+    inp, ys = z, []
+    for t in range(length):
+        state, _ = cell_forward(decoder_layer(views, t == 0), inp, state)
+        inp = views["output.W"] @ state.h + views["output.b"]
+        ys.append(inp)
+    return np.array(ys)
 
 
 def loss_and_gradients(views, x, x_in=None):

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lstm_oracle as oracle
@@ -126,19 +126,17 @@ class TestDecode:
         v = p.views()
         W_out, b_out = v["output.W"], v["output.b"]
 
-        # the kernel, one step at a time
-        tape = Tape(3, 4)
-        cell = (v["decoder.W_h"], v["decoder.w_ci"], v["decoder.w_cf"], v["decoder.w_co"])
-        tape.gates[0] = v["decoder.W_z.W_x"] @ z + v["decoder.b_"]
+        # the kernel, one step at a time, through the folded recurrent matrix
+        # and the gate inputs that stand in for the fed-back frames
+        b = v["decoder.b_"]
+        cell = (v["decoder.W_h"] + v["decoder.W_y.W_x"] @ W_out,
+                v["decoder.w_ci"], v["decoder.w_cf"], v["decoder.w_co"])
+        fed_back = v["decoder.W_y.W_x"] @ b_out + b
+        tape = Tape(np.stack([v["decoder.W_z.W_x"] @ z + b, fed_back, fed_back]))
         step(tape, 0, *cell)
-        y1 = W_out @ tape.h[1] + b_out
-        tape.gates[1] = v["decoder.W_y.W_x"] @ y1 + v["decoder.b_"]
         step(tape, 1, *cell)
-        y2 = W_out @ tape.h[2] + b_out
-        tape.gates[2] = v["decoder.W_y.W_x"] @ y2 + v["decoder.b_"]
         step(tape, 2, *cell)
-        y3 = W_out @ tape.h[3] + b_out
-        npt.assert_array_equal(y, np.stack([y1, y2, y3]))
+        npt.assert_array_equal(y, tape.h[1:] @ W_out.T + b_out)
 
         # the per-step oracle
         state, _ = oracle.cell_forward(oracle.decoder_layer(v, True), z, oracle.zero_state(4))
@@ -148,6 +146,24 @@ class TestDecode:
         state, _ = oracle.cell_forward(oracle.decoder_layer(v, False), o2, state)
         o3 = W_out @ state.h + b_out
         npt.assert_allclose(y, np.stack([o1, o2, o3]), rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        input_dim=st.integers(1, 5),
+        hidden=st.integers(1, 6),
+        length=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(input_dim=2, hidden=3, length=1, seed=0)
+    def test_matches_per_step_feedback_oracle(self, input_dim, hidden, length, seed):
+        # the folded recurrence against frames really fed back one step at a time
+        rng = np.random.default_rng(seed)
+        params = init_params(input_dim, hidden, seed=seed)
+        params.flat += rng.uniform(-0.5, 0.5, size=params.flat.shape)
+        z = rng.standard_normal(hidden)
+        want = oracle.decode(params.views(), z, length)
+        scale = max(1.0, float(np.abs(want).max()))
+        npt.assert_allclose(decode(params, z, length), want, rtol=0, atol=1e-12 * scale)
 
     def test_bad_length(self):
         p = init_params(3, 4, seed=9)
@@ -253,6 +269,12 @@ class TestEndToEndGradient:
         for name, _arr, got in grad_blocks(params, grad):
             scale = max(1.0, float(np.abs(want[name]).max()))
             npt.assert_allclose(got, want[name], rtol=0, atol=1e-12 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (12,)])
+    def test_wrong_encoder_input_width(self, shape):
+        params = init_params(3, 4, seed=1)
+        with pytest.raises(DimensionError, match="input_dim 3"):
+            loss_and_gradients(params, np.zeros((4, 3)), np.zeros(shape))
 
 
 def tiny_train_records(rng, n=3, t=4, d=3):
@@ -479,6 +501,19 @@ class TestCheckpoints:
         payload["hidden_dim"] = hidden_dim
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_dim", 2.7), ("epochs", 1.9), ("epochs", -5), ("seed", True), ("input_dim", "2"),
+        ("version", True), ("version", 1.0),
+    ])
+    def test_header_fields_must_be_integers_in_range(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(2, 3, seed=1), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
     def test_records_provenance(self, tmp_path):

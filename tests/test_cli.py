@@ -147,6 +147,18 @@ class TestTrain:
         assert code == 3 and out == ""
         assert f"{manifest}: line {len(lines)}: field 'word' must be a string, got int" in err
 
+    def test_lone_surrogate_exit_code(self, corpus_dir, tmp_path, capsys):
+        manifest = corpus_dir / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), id="a\ud800"))
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ne.csv"
+        code, _, err = run(capsys, "encode", "--manifest", str(manifest), "--encoder", "ne",
+                           "--m", "1", "--out", str(out), "--split", "all")
+        assert code == 3
+        assert f"{manifest}: line 1: field 'id' holds a lone surrogate" in err
+        assert list(tmp_path.iterdir()) == [corpus_dir]
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--manifest", "m.jsonl"])  # --out and --seed missing

@@ -123,6 +123,17 @@ class TestParseManifest:
         with pytest.raises(DataError, match=pattern):
             parse_manifest(manifest)
 
+    @pytest.mark.parametrize("field", ["id", "word", "split", "features", "phonemes"])
+    def test_lone_surrogate_rejected(self, two_record_dir, field):
+        # JSON "\ud800" decodes to a str that cannot be written back as UTF-8
+        manifest = two_record_dir / "manifest.jsonl"
+        first = manifest.read_text().splitlines()[0]
+        value = ["AH", "b\ud800"] if field == "phonemes" else GOOD_B.get(field, "") + "\ud800"
+        manifest.write_text(first + "\n" + json.dumps(dict(GOOD_B, **{field: value})) + "\n")
+        pattern = re.escape(f"{manifest}: line 2: ") + ".*lone surrogate"
+        with pytest.raises(DataError, match=pattern):
+            parse_manifest(manifest)
+
     @pytest.mark.parametrize("features", ["absolute", "../{dir}/feat/b.csv", "feat/../feat/b.csv"])
     def test_features_path_must_stay_under_the_manifest(self, two_record_dir, features):
         # each path names the existing feature file of record 'b'

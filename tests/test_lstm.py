@@ -1,6 +1,8 @@
 """LSTM kernel tests: hand oracles, scalar references, finite differences,
 and equivalence with the per-step oracle."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lstm_oracle as oracle
+import seqembed
 from conftest import assert_grads_close, finite_difference
 from seqembed.errors import DimensionError
 from seqembed.lstm import Tape, backward, forward, sigmoid, step, weight_grads
 
-# kernel argument order: forward takes W_x, b, then the cell (W_h, w_ci, w_cf, w_co)
+# the weights of one layer; forward takes the gate inputs x W_x^T + b, then the
+# cell (W_h, w_ci, w_cf, w_co)
 NAMES = ("W_x", "b", "W_h", "w_ci", "w_cf", "w_co")
 
 
@@ -48,7 +52,8 @@ def scalar_params(p):
 
 
 def run(params, xs):
-    return forward(np.asarray(xs, dtype=np.float64), *(params[n] for n in NAMES))
+    xs = np.asarray(xs, dtype=np.float64)
+    return forward(xs @ params["W_x"].T + params["b"], *cell(params))
 
 
 def cell(params):
@@ -57,9 +62,8 @@ def cell(params):
 
 def single_step(params, x, h_prev, c_prev):
     """One kernel step from an arbitrary state."""
-    tape = Tape(1, params["W_h"].shape[1])
+    tape = Tape((params["W_x"] @ x + params["b"])[None])
     tape.h[0], tape.c[0] = h_prev, c_prev
-    tape.gates[0] = params["W_x"] @ x + params["b"]
     step(tape, 0, *cell(params))
     return tape
 
@@ -163,8 +167,9 @@ def test_forward_is_pure():
 
 def test_shape_mismatch_raises():
     params = zero_params(3, 4)
-    with pytest.raises(DimensionError):
-        run(params, np.zeros((1, 2)))
+    for gates in (np.zeros((1, 15)), np.zeros(16)):  # not (T, 4H)
+        with pytest.raises(DimensionError):
+            forward(gates, *cell(params))
     bad = dict(params, W_h=np.zeros((16, 5)))  # recurrent weights of a 5-unit state
     with pytest.raises(DimensionError):
         run(bad, np.zeros((1, 3)))
@@ -304,3 +309,19 @@ def test_backward_matches_per_step_loop(input_dim, hidden, steps, seed):
     want = oracle.backward(tape, dH, W_rec, *peepholes)
     scale = max(1.0, float(np.abs(want).max()))
     npt.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def test_forward_is_the_only_caller_of_step():
+    """One forward time loop in the package: every ``step`` call sits in
+    ``lstm.forward``, and no other module imports ``step``."""
+    callers = []
+    for path in sorted(Path(seqembed.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.alias) and node.name == "step":
+                    callers.append(f"{path.stem} imports step")
+                elif isinstance(node, ast.Call):
+                    f = node.func
+                    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "step":
+                        callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == ["lstm.forward"]

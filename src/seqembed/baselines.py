@@ -19,8 +19,8 @@ from numpy.lib.stride_tricks import as_strided
 from .data import validate_frames
 from .errors import DimensionError
 
-# Byte budget of one block's DTW table and of one chunk of frame differences;
-# it bounds the memory that aligning many pairs at once adds.
+# Byte budget of one block's DTW table; it bounds the memory that aligning
+# many pairs at once adds (each frame-cost term is smaller than the table).
 _BLOCK_BYTES = 1 << 18
 
 
@@ -41,6 +41,46 @@ def naive_encode(x: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _added(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y, written into x."""
+    return np.add(x, y, out=x)
+
+
+def _left_to_right(term, ks: range, total: np.ndarray | None = None) -> np.ndarray:
+    """``total + term(k0) + term(k1) + ...``, added in that order."""
+    for k in ks:
+        total = term(k) if total is None else _added(total, term(k))
+    return total
+
+
+def _pairwise_sum(term, ks: range) -> np.ndarray:
+    """The sum of the arrays ``term(k)``, k in ``ks`` (each a fresh array the
+    sum may overwrite), added in the order of numpy's pairwise summation,
+    so it is bit-identical to ``np.stack(terms, axis=-1).sum(axis=-1)``.
+
+    Below 8 terms numpy adds left to right.  Up to 128 it sums eight
+    columns, r_j = term(j) + term(j+8) + ... over the largest multiple of
+    8, adds them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the rest
+    left to right.  Above 128 it splits at a multiple of 8 below the middle
+    and adds the two halves' sums.  Terms are made as the order reaches
+    them, so only a few are alive at once.
+    """
+    n = len(ks)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _added(_pairwise_sum(term, ks[:half]), _pairwise_sum(term, ks[half:]))
+    if n < 8:
+        return _left_to_right(term, ks)
+    body = n - n % 8
+
+    def r(j):
+        return _left_to_right(term, ks[j:body:8])
+
+    total = _added(_added(_added(r(0), r(1)), _added(r(2), r(3))),
+                   _added(_added(r(4), r(5)), _added(r(6), r(7))))
+    return _left_to_right(term, ks[body:], total)
+
+
 def _dtw_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Accumulated-cost tables of m pairs of validated sequences at once:
     ``a`` is (m, T_a, D) and ``b`` is (m, T_b, D).
@@ -51,7 +91,9 @@ def _dtw_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``acc[0][0] = 0``; slots outside the grid are never read.  Each cell is
     ``cost + min(diag, up, left)`` on the same floats as a per-pair loop,
     because the minimum of three non-NaN floats does not depend on their
-    order, so the tables are bit-identical to one.
+    order, so the tables are bit-identical to one.  A frame cost is
+    ``sqrt(sum(diff**2))`` with the D squares added in ``_pairwise_sum``'s
+    order, the order of numpy's ``sum`` over a contiguous last axis.
     """
     m, ta, d = a.shape
     tb = b.shape[1]
@@ -60,14 +102,14 @@ def _dtw_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # cells[i, j] is frame pair (i, j)'s slot [i+j+2, i+1], the bordered cell (i+1, j+1)
     s_step, i_step, p_step = table.strides
     cells = as_strided(table[2, 1:], shape=(ta, tb, m), strides=(s_step + i_step, s_step, p_step))
-    # frame costs stay sqrt(sum(diff**2)) over the contiguous D axis, chunked
-    # because each pair's difference tensor is T_a*T_b*D floats
-    chunk = max(1, _BLOCK_BYTES // (ta * tb * d * 8))
-    for lo in range(0, m, chunk):
-        diff = a[lo : lo + chunk, :, None, :] - b[lo : lo + chunk, None, :, :]
-        diff *= diff
-        cost = diff.sum(axis=-1)
-        cells[:, :, lo : lo + chunk] = np.sqrt(cost, out=cost).transpose(1, 2, 0)
+    # one feature's squared differences at a time, pair axis innermost
+    a_t, b_t = a.transpose(2, 1, 0).copy(), b.transpose(2, 1, 0).copy()
+
+    def square(k):
+        diff = a_t[k, :, None, :] - b_t[k, None, :, :]
+        return np.multiply(diff, diff, out=diff)
+
+    np.sqrt(_pairwise_sum(square, range(d)), out=cells)
     best = np.empty((ta, m))
     for s in range(2, ta + tb + 1):
         lo, hi = max(1, s - tb), min(ta, s - 1) + 1  # the rows i of diagonal s inside the grid

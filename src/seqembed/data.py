@@ -9,6 +9,7 @@ suffix.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import struct
@@ -135,10 +136,24 @@ def write_csv(path: str | Path, rows) -> None:
         write_rows(fh, rows)
 
 
+def _text_lines(path: Path, unit: str, first: int) -> io.StringIO:
+    """The lines of a UTF-8 text file, as ``open(path)`` reads them
+    (universal newlines).  A byte that is not UTF-8 is a DataError naming
+    the ``unit`` of the file it is on, counting from ``first``."""
+    raw = path.read_bytes()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        breaks = io.StringIO(raw[: exc.start].decode("utf-8"), newline=None).read().count("\n")
+        raise DataError(
+            f"{path}: {unit} {first + breaks}: byte {raw[exc.start]:#04x} is not valid UTF-8"
+        ) from None
+
+
 def _read_csv_features(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text_lines(path, "row", 0) as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
             if not line:
@@ -213,7 +228,7 @@ def parse_manifest(path: str | Path) -> Dataset:
         raise DataError(f"manifest not found: {path}")
     base = path.parent
     records: list[SegmentRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text_lines(path, "line", 1) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

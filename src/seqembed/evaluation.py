@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, SegmentRecord, write_csv
 from .errors import DataError, DimensionError
-from .retrieval import EmbeddingArchive, RankedResult, cosine_matrix, order_by_score
+from .retrieval import EmbeddingArchive, RankedResult, cosine_matrix
 
 
 def phoneme_edit_distance(p: Sequence[str], q: Sequence[str]) -> int:
@@ -58,24 +59,17 @@ def similarity_table(
         if by_id[seg_id].phonemes is None:
             raise DataError(f"record '{seg_id}' has no phoneme sequence")
         seqs.append(tuple(by_id[seg_id].phonemes))
-    sims = cosine_matrix(archive)
-
-    dist_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-
-    def cached_distance(pa, pb):
-        key = (pa, pb) if pa <= pb else (pb, pa)
-        if key not in dist_cache:
-            dist_cache[key] = phoneme_edit_distance(key[0], key[1])
-        return dist_cache[key]
-
-    n = len(seqs)
-    sums = [0.0] * (max_bucket + 1)
-    counts = [0] * (max_bucket + 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            bucket = min(cached_distance(seqs[i], seqs[j]), max_bucket)
-            sums[bucket] += float(sims[i, j])
-            counts[bucket] += 1
+    # one edit distance per unordered pair of distinct phoneme sequences
+    code: dict[tuple[str, ...], int] = {}
+    kinds = np.array([code.setdefault(seq, len(code)) for seq in seqs], dtype=np.intp)
+    dist = np.zeros((len(code), len(code)), dtype=np.intp)
+    for (p, u), (q, v) in combinations(code.items(), 2):
+        dist[u, v] = dist[v, u] = phoneme_edit_distance(p, q)
+    # bincount adds each bucket's cosines in row-major pair order, from 0.0
+    i, j = np.triu_indices(len(seqs), 1)
+    bucket = np.minimum(dist[kinds[i], kinds[j]], max_bucket)
+    sums = np.bincount(bucket, weights=cosine_matrix(archive)[i, j], minlength=max_bucket + 1).tolist()
+    counts = np.bincount(bucket, minlength=max_bucket + 1).tolist()
 
     rows = []
     for bucket in range(max_bucket + 1):
@@ -130,19 +124,32 @@ def mean_average_precision(
     if np.shape(scores) != (len(records), len(records)):
         raise DimensionError(f"scores of shape {np.shape(scores)} for {len(records)} records")
     ids = [rec.id for rec in records]
-    ids_by_word: dict[str, set[str]] = defaultdict(set)
-    for rec in records:
-        ids_by_word[rec.word.casefold()].add(rec.id)
+    if len(set(ids)) != len(ids):
+        raise DataError("MAP requires distinct record ids")
+    # id_order[i]: where ids[i] falls in string order, the tie break among equal scores
+    id_order = np.empty(len(ids), dtype=np.intp)
+    id_order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    members: dict[str, list[int]] = defaultdict(list)
+    for i, rec in enumerate(records):
+        members[rec.word.casefold()].append(i)
     rows: list[QueryResult] = []
     aps: list[float] = []
     excluded = 0
-    for rec, row in zip(records, scores):
-        relevant = ids_by_word[rec.word.casefold()] - {rec.id}
-        if not relevant:
+    for q, (rec, row) in enumerate(zip(records, np.asarray(scores))):
+        relevant = np.array([i for i in members[rec.word.casefold()] if i != q], dtype=np.intp)
+        if not len(relevant):
             excluded += 1
             rows.append(QueryResult(rec.id, rec.word, 0, None))
             continue
-        ap = average_precision(order_by_score(ids, row, exclude_id=rec.id), relevant)
+        # a relevant id's rank under (-score, id), the query left out: 1 + the
+        # ids scored higher + the ids tied in score whose string sorts lower
+        score = row[relevant, None]
+        before = (row > score) | ((row == score) & (id_order < id_order[relevant, None]))
+        before[:, q] = False
+        total = 0.0
+        for hits, ahead in enumerate(sorted(before.sum(axis=1).tolist()), start=1):
+            total += hits / (ahead + 1)
+        ap = total / len(relevant)
         rows.append(QueryResult(rec.id, rec.word, len(relevant), ap))
         aps.append(ap)
     mean = sum(aps) / len(aps) if aps else None

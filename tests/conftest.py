@@ -104,8 +104,8 @@ def tie_blocks(ranked, tol=1e-12):
 def dtw_records(draw):
     """SegmentRecords for exact DTW tests: ragged lengths from 1 and repeated
     lengths (so a length pair spans several blocks once the byte budget is
-    shrunk), frames of width up to 12 (numpy sums 9 or more squares
-    pairwise, not left to right) drawn as {0, 1, 2} grid values (ties),
+    shrunk), frames of width up to 12 (numpy sums 8 or more squares in
+    eight columns, not left to right) drawn as {0, 1, 2} grid values (ties),
     normal floats, or +-1e200 (costs that overflow to inf)."""
     d = draw(st.integers(1, 12))
     pool = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))

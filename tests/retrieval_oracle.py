@@ -1,10 +1,12 @@
-"""Reference scoring: per-entry cosine, per-query rankers and ranker-based MAP.
+"""Reference scoring: per-entry cosine, per-query rankers, ranker-based MAP
+and the pair-by-pair similarity table.
 
 This is the scoring code that the score-matrix path in ``seqembed.retrieval``
 and ``seqembed.evaluation`` replaced, kept as the oracle the equivalence
 tests compare against.  Every score is computed pair by pair, every query
-sorts its own (id, score) list by (-score, id), and relevance is found by
-scanning all records per query.
+sorts its own (id, score) list by (-score, id), relevance is found by
+scanning all records per query, and the similarity table adds each pair's
+cosine to its bucket in a Python loop.
 """
 from __future__ import annotations
 
@@ -15,8 +17,14 @@ import numpy as np
 from dtw_oracle import bordered_table
 from seqembed.data import SegmentRecord
 from seqembed.errors import DataError, DimensionError
-from seqembed.evaluation import MapReport, QueryResult, average_precision
-from seqembed.retrieval import EmbeddingArchive, RankedResult
+from seqembed.evaluation import (
+    MapReport,
+    QueryResult,
+    SimilarityBucket,
+    average_precision,
+    phoneme_edit_distance,
+)
+from seqembed.retrieval import EmbeddingArchive, RankedResult, cosine_matrix
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -107,3 +115,48 @@ def cosine_ranker(archive: EmbeddingArchive) -> Callable[[SegmentRecord], Ranked
 
 def dtw_ranker(records: Sequence[SegmentRecord]) -> Callable[[SegmentRecord], RankedResult]:
     return lambda rec: rank_dtw(rec.features, records, exclude_id=rec.id)
+
+
+def matrix_ranker(scores: np.ndarray, records: Sequence[SegmentRecord]) -> Callable[[SegmentRecord], RankedResult]:
+    """Each record's row of ``scores`` (index i is records[i]), sorted by (-score, id)."""
+    index = {rec.id: i for i, rec in enumerate(records)}
+    return lambda rec: _sorted_top(
+        [(other.id, float(s)) for other, s in zip(records, scores[index[rec.id]]) if other.id != rec.id],
+        None,
+    )
+
+
+def similarity_table(
+    archive: EmbeddingArchive,
+    records: Sequence[SegmentRecord],
+    max_bucket: int = 5,
+) -> list[SimilarityBucket]:
+    """Mean cosine per edit-distance bucket, one unordered pair at a time in
+    row-major order, with edit distances cached per pair of sequences."""
+    by_id = {rec.id: rec for rec in records}
+    seqs = [tuple(by_id[seg_id].phonemes) for seg_id in archive.ids]
+    sims = cosine_matrix(archive)
+
+    dist_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
+
+    def cached_distance(pa, pb):
+        key = (pa, pb) if pa <= pb else (pb, pa)
+        if key not in dist_cache:
+            dist_cache[key] = phoneme_edit_distance(key[0], key[1])
+        return dist_cache[key]
+
+    n = len(seqs)
+    sums = [0.0] * (max_bucket + 1)
+    counts = [0] * (max_bucket + 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            bucket = min(cached_distance(seqs[i], seqs[j]), max_bucket)
+            sums[bucket] += float(sims[i, j])
+            counts[bucket] += 1
+
+    rows = []
+    for bucket in range(max_bucket + 1):
+        label = str(bucket) if bucket < max_bucket else f"{max_bucket}+"
+        mean = sums[bucket] / counts[bucket] if counts[bucket] else float("nan")
+        rows.append(SimilarityBucket(label=label, pair_count=counts[bucket], mean_cosine=mean))
+    return rows

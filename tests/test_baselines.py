@@ -1,4 +1,5 @@
 """Baseline tests: naive segment-average encoder and DTW with oracles."""
+import gc
 import itertools
 import math
 
@@ -178,6 +179,35 @@ class TestDtw:
         want = [[dtw_oracle.dtw_path(a, b)[0] for b in seqs] for a in seqs]
         assert dtw_distances(seqs, seqs).tolist() == want
         assert dtw_distances(seqs).tolist() == want
+
+    @pytest.mark.parametrize("d", [16, 17, 24, 129, 300])
+    def test_matches_both_oracles_where_numpy_sum_order_changes(self, d):
+        # a second block of 8 squares (16, 17, 24) and the split above 128
+        # (129, 300); magnitudes spread so that the order of addition shows
+        rng = np.random.default_rng(d)
+        seqs = [rng.standard_normal((t, d)) * 10.0 ** rng.integers(-4, 5, (t, d))
+                for t in (1, 2, 3, 3, 5)]
+        want = [[dtw_oracle.bordered_table(a, b)[-1][-1] for b in seqs] for a in seqs]
+        assert dtw_distances(seqs).tolist() == want
+        assert dtw_distances(seqs[:2], seqs).tolist() == want[:2]
+        for a in seqs:
+            for b in seqs:
+                assert dtw_path(a, b) == dtw_oracle.dtw_path(a, b) == dtw_oracle.bordered_path(a, b)
+
+    def test_kernel_leaves_no_cyclic_garbage(self):
+        # each block's arrays must be freed when the block ends, not held by a
+        # reference cycle until the next cyclic collection
+        rng = np.random.default_rng(9)
+        seqs = [rng.standard_normal((t, d)) for d in (3, 16, 129) for t in (2, 3, 3)]
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(0, len(seqs), 3):
+                dtw_distances(seqs[k : k + 3])
+                dtw_path(seqs[k], seqs[k + 1])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_overflowing_costs_keep_a_grid_path(self):
         a = np.array([[1e200], [-1e200], [1e200]])

@@ -159,6 +159,21 @@ class TestTrain:
         assert f"{manifest}: line 1: field 'id' holds a lone surrogate" in err
         assert list(tmp_path.iterdir()) == [corpus_dir]
 
+    @pytest.mark.parametrize("target", ["manifest", "features"])
+    def test_byte_not_utf8_exit_code(self, corpus_dir, tmp_path, capsys, target):
+        manifest = corpus_dir / "manifest.jsonl"
+        if target == "manifest":
+            bad, where = manifest, "line 1"
+        else:
+            bad, where = corpus_dir / json.loads(manifest.read_text().splitlines()[0])["features"], "row 0"
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        out = tmp_path / "ne.csv"
+        code, _, err = run(capsys, "encode", "--manifest", str(manifest), "--encoder", "ne",
+                           "--m", "1", "--out", str(out), "--split", "all")
+        assert code == 3
+        assert f"{bad}: {where}: byte 0xff is not valid UTF-8" in err
+        assert list(tmp_path.iterdir()) == [corpus_dir]
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--manifest", "m.jsonl"])  # --out and --seed missing

@@ -134,6 +134,21 @@ class TestParseManifest:
         with pytest.raises(DataError, match=pattern):
             parse_manifest(manifest)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_manifest_byte_not_utf8_names_line(self, two_record_dir, newline):
+        manifest = two_record_dir / "manifest.jsonl"
+        first, second = manifest.read_bytes().splitlines()
+        manifest.write_bytes(first + newline + second.replace(b'"b"', b'"b\xff"') + newline)
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: line 2: byte 0xff is not valid UTF-8")):
+            parse_manifest(manifest)
+
+    def test_feature_csv_byte_not_utf8_names_row(self, two_record_dir):
+        feat = two_record_dir / "feat" / "b.csv"
+        rows = feat.read_bytes().splitlines(keepends=True)
+        feat.write_bytes(b"".join(rows[:2] + [b"\xff" + rows[2]] + rows[3:]))
+        with pytest.raises(DataError, match=re.escape(f"{feat}: row 2: byte 0xff is not valid UTF-8")):
+            parse_manifest(two_record_dir / "manifest.jsonl")
+
     @pytest.mark.parametrize("features", ["absolute", "../{dir}/feat/b.csv", "feat/../feat/b.csv"])
     def test_features_path_must_stay_under_the_manifest(self, two_record_dir, features):
         # each path names the existing feature file of record 'b'

@@ -1,5 +1,6 @@
 """Evaluation tests: edit distance, similarity tables, AP/MAP, difference
 vectors and the 2-D projection."""
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retrieval_oracle as oracle
-from conftest import grid_archive, grid_records, make_records, tie_blocks
+from conftest import GRID, ID_POOL, WORD_POOL, grid_archive, grid_records, make_records, tie_blocks
+from seqembed.data import SegmentRecord
 from seqembed.errors import DataError, DimensionError
 from seqembed.evaluation import (
     MapReport,
@@ -141,6 +143,23 @@ class TestSimilarityTable:
         with pytest.raises(DataError, match="r1"):
             similarity_table(archive, records)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pair_loop_oracle(self, data):
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 3))
+        vectors = data.draw(st.lists(st.lists(st.one_of(GRID, st.floats(-10, 10)), min_size=d, max_size=d),
+                                     min_size=n, max_size=n))
+        seqs = data.draw(st.lists(st.lists(st.sampled_from("ABC"), min_size=1, max_size=4),
+                                  min_size=n, max_size=n))
+        archive, records = archive_with_phonemes(vectors, seqs)
+        max_bucket = data.draw(st.integers(1, 4))
+        got = similarity_table(archive, records, max_bucket)
+        want = oracle.similarity_table(archive, records, max_bucket)
+        # repr, as the table file writes it: NaN means of empty buckets compare too
+        assert [(r.label, r.pair_count, repr(r.mean_cosine)) for r in got] == \
+            [(r.label, r.pair_count, repr(r.mean_cosine)) for r in want]
+
 
 class TestAveragePrecision:
     def test_all_relevant_on_top(self):
@@ -258,6 +277,50 @@ class TestMapOracleEquivalence:
         want = oracle.mean_average_precision(oracle.dtw_ranker(records), records)
         assert got.rows == want.rows
         assert got.mean_ap == want.mean_ap
+
+
+# ties, signed zeros and -inf (an overflowed DTW distance) among ordinary floats
+SCORES = st.one_of(st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0]), st.floats(-2, 2))
+
+
+@st.composite
+def scored_records(draw):
+    """Records with ids whose string order differs from record order, and a
+    score matrix over them."""
+    ids = draw(st.lists(st.one_of(st.sampled_from(ID_POOL), st.text(max_size=2)),
+                        min_size=1, max_size=14, unique=True))
+    records = [SegmentRecord(id=seg_id, word=draw(st.sampled_from(WORD_POOL)), phonemes=None,
+                             split="test", features=np.ones((1, 1))) for seg_id in ids]
+    n = len(ids)
+    scores = draw(st.lists(SCORES, min_size=n * n, max_size=n * n))
+    return records, np.array(scores).reshape(n, n)
+
+
+class TestMapFromRanks:
+    @given(scored_records())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorted_ranking_oracle_exactly(self, case):
+        records, scores = case
+        got = mean_average_precision(scores, records)
+        want = oracle.mean_average_precision(oracle.matrix_ranker(scores, records), records)
+        assert got.rows == want.rows
+        assert got.num_excluded == want.num_excluded
+        assert got.mean_ap == want.mean_ap
+
+    def test_ties_break_by_id_string_not_record_order(self):
+        # every score ties, so ids alone order each ranking: "10" < "9" < "a"
+        records = make_records([np.ones((1, 1))] * 3, words=["w", "q", "w"])
+        for rec, seg_id in zip(records, ["9", "10", "a"]):
+            rec.id = seg_id
+        report = mean_average_precision(np.zeros((3, 3)), records)
+        # query "9" ranks "10", then "a": AP 1/2; query "a" ranks "10", then "9": AP 1/2
+        assert [row.ap for row in report.rows] == [0.5, None, 0.5]
+
+    def test_duplicate_ids_rejected(self):
+        records = make_records([np.ones((1, 1))] * 2, words=["w", "w"])
+        records[1].id = records[0].id
+        with pytest.raises(DataError, match="distinct record ids"):
+            mean_average_precision(np.zeros((2, 2)), records)
 
 
 def archive_of(vec_by_word):

@@ -20,6 +20,7 @@ decoder's output-feedback edges, the z handoff, and the encoder.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,34 +36,35 @@ from .lstm import GATE_ORDER, Tape, backward, forward, weight_grads
 INIT_SCALE = 0.08
 CHECKPOINT_VERSION = 1
 
-# Every weight block, in checkpoint order: (name, shape, gated).  Shapes are
-# written in D (input width), H (hidden units) and 4H (the stacked gates).
-# A gated block stacks its gate rows in GATE_ORDER and is saved as four keys
-# ``{name}{gate}``; any other block is saved under ``name``.  Biases (the
-# blocks whose last name part starts with "b") start at zero; every other
-# block draws uniform init values, in table order.
+# Every weight block, in checkpoint order: (name, shape, gate letters).
+# Shapes are written in D (input width), H (hidden units) and G (one per gate
+# letter), so "GH" is the stacked gate rows.  A block with gate letters is
+# saved as one key ``{name}{gate}`` per letter, holding that gate's part: H
+# rows of a "GH" block, one row of a "G" block.  Any other block is saved
+# under ``name``.  Biases (the blocks whose last name part starts with "b")
+# start at zero; every other block draws uniform init values, in table order.
 LAYOUT = (
-    ("encoder.W_x", ("4H", "D"), True),
-    ("encoder.W_h", ("4H", "H"), True),
-    ("encoder.w_ci", ("H",), False),
-    ("encoder.w_cf", ("H",), False),
-    ("encoder.w_co", ("H",), False),
-    ("encoder.b_", ("4H",), True),
-    ("decoder.W_z.W_x", ("4H", "H"), True),
-    ("decoder.W_y.W_x", ("4H", "D"), True),
-    ("decoder.W_h", ("4H", "H"), True),
-    ("decoder.w_ci", ("H",), False),
-    ("decoder.w_cf", ("H",), False),
-    ("decoder.w_co", ("H",), False),
-    ("decoder.b_", ("4H",), True),
-    ("output.W", ("D", "H"), False),
-    ("output.b", ("D",), False),
+    ("encoder.W_x", ("GH", "D"), GATE_ORDER),
+    ("encoder.W_h", ("GH", "H"), GATE_ORDER),
+    ("encoder.w_c", ("G", "H"), "ifo"),
+    ("encoder.b_", ("GH",), GATE_ORDER),
+    ("decoder.W_z.W_x", ("GH", "H"), GATE_ORDER),
+    ("decoder.W_y.W_x", ("GH", "D"), GATE_ORDER),
+    ("decoder.W_h", ("GH", "H"), GATE_ORDER),
+    ("decoder.w_c", ("G", "H"), "ifo"),
+    ("decoder.b_", ("GH",), GATE_ORDER),
+    ("output.W", ("D", "H"), ""),
+    ("output.b", ("D",), ""),
 )
 
 
-def _block_shapes(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...], bool]]:
-    sizes = {"D": input_dim, "H": hidden_dim, "4H": 4 * hidden_dim}
-    return [(name, tuple(sizes[s] for s in shape), gated) for name, shape, gated in LAYOUT]
+def _shape(symbols, gates, input_dim: int, hidden_dim: int) -> tuple[int, ...]:
+    sizes = {"D": input_dim, "H": hidden_dim, "G": len(gates), "GH": len(gates) * hidden_dim}
+    return tuple(sizes[s] for s in symbols)
+
+
+def _block_shapes(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    return [(name, _shape(shape, gates, input_dim, hidden_dim)) for name, shape, gates in LAYOUT]
 
 
 def _tile(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
@@ -80,7 +82,7 @@ def _tile(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
 
 def unpack(flat: np.ndarray, input_dim: int, hidden_dim: int) -> dict[str, np.ndarray]:
     """Named views into a flat parameter or gradient vector, in LAYOUT order."""
-    return _tile(flat, [(name, shape) for name, shape, _ in _block_shapes(input_dim, hidden_dim)])
+    return _tile(flat, _block_shapes(input_dim, hidden_dim))
 
 
 @dataclass
@@ -111,7 +113,7 @@ def init_params(input_dim: int, hidden_dim: int, seed: int) -> ModelParams:
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError("input_dim and hidden_dim must be >= 1")
     rng = np.random.default_rng(seed)
-    size = sum(math.prod(shape) for _, shape, _ in _block_shapes(input_dim, hidden_dim))
+    size = sum(math.prod(shape) for _, shape in _block_shapes(input_dim, hidden_dim))
     params = ModelParams(input_dim, hidden_dim, np.zeros(size), rng_seed=seed)
     for name, view in params.views().items():
         if not name.rsplit(".", 1)[1].startswith("b"):
@@ -119,9 +121,9 @@ def init_params(input_dim: int, hidden_dim: int, seed: int) -> ModelParams:
     return params
 
 
-def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, ...]:
-    """One network's recurrent weights and peepholes, in lstm.step's order."""
-    return views[f"{net}.W_h"], views[f"{net}.w_ci"], views[f"{net}.w_cf"], views[f"{net}.w_co"]
+def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, np.ndarray]:
+    """One network's recurrent weights and (3, H) peepholes, as lstm.step takes them."""
+    return views[f"{net}.W_h"], views[f"{net}.w_c"]
 
 
 def _encode(views: dict[str, np.ndarray], x: np.ndarray) -> Tape:
@@ -131,11 +133,11 @@ def _encode(views: dict[str, np.ndarray], x: np.ndarray) -> Tape:
     return forward(x @ W_x.T + views["encoder.b_"], *_cell(views, "encoder"))
 
 
-def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The decoder's cell with its output feedback folded in: step t+1 reads
     h[t+1] through W_h and, via W_y, through y_t = W_out h[t+1] + b_out."""
-    W_h, *peepholes = _cell(views, "decoder")
-    return W_h + views["decoder.W_y.W_x"] @ views["output.W"], *peepholes
+    W_h, w_c = _cell(views, "decoder")
+    return W_h + views["decoder.W_y.W_x"] @ views["output.W"], w_c
 
 
 def _decode(views: dict[str, np.ndarray], z: np.ndarray, length: int) -> tuple[Tape, np.ndarray]:
@@ -264,6 +266,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []
+    last_norm = None  # global gradient norm, before clipping, of the last update
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(records))
         total = 0.0
@@ -277,14 +280,17 @@ def train(
                     f"epoch {epoch - 1} was the last to finish, mean loss {losses[-1]!r}"
                     if losses else "no epoch finished"
                 )
+                update = (
+                    f"gradient norm of the last update {last_norm!r} before clipping"
+                    if last_norm is not None else "no update was made"
+                )
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, record '{rec.id}'; {last}"
+                    f"non-finite loss at epoch {epoch}, record '{rec.id}'; {last}; {update}"
                 )
             total += loss
-            if config.clip_norm is not None:
-                norm = math.sqrt(grad @ grad)
-                if norm > config.clip_norm:
-                    grad *= config.clip_norm / norm
+            last_norm = math.sqrt(grad @ grad)
+            if config.clip_norm is not None and last_norm > config.clip_norm:
+                grad *= config.clip_norm / last_norm
             params.flat -= config.lr * grad
         params.epoch_count += 1
         losses.append(total / len(records))
@@ -296,16 +302,18 @@ def write_loss_log(losses: Sequence[float], path: str | Path) -> None:
 
 
 def _checkpoint_keys(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
-    """(key, shape) of every checkpoint entry, in checkpoint order.  A gated
-    block is split into its GATE_ORDER rows, keyed ``{name}{gate}``; since
-    those rows are contiguous, the entries tile the flat vector in order."""
+    """(key, shape) of every checkpoint entry, in checkpoint order.  A block
+    with gate letters is split into one part per letter, keyed
+    ``{name}{gate}``: "GH" rows become H rows and a "G" axis is dropped.
+    Each gate's rows are contiguous, so the entries tile the flat vector in
+    order."""
     keys = []
-    for name, shape, gated in _block_shapes(input_dim, hidden_dim):
-        if gated:
-            rows = (shape[0] // len(GATE_ORDER), *shape[1:])
-            keys += [(f"{name}{gate}", rows) for gate in GATE_ORDER]
+    for name, shape, gates in LAYOUT:
+        if gates:
+            part = _shape(filter(None, (shape[0][1:], *shape[1:])), gates, input_dim, hidden_dim)
+            keys += [(f"{name}{gate}", part) for gate in gates]
         else:
-            keys.append((name, shape))
+            keys.append((name, _shape(shape, gates, input_dim, hidden_dim)))
     return keys
 
 
@@ -367,16 +375,22 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     for key, shape in _checkpoint_keys(input_dim, hidden_dim):
         if key not in blob:
             raise CheckpointError(f"{path}: checkpoint is missing parameter '{key}'")
+        value = blob[key]
         try:
-            arr = np.asarray(blob[key], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            arr = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"{path}: parameter '{key}' is not numeric") from exc
         if arr.shape != shape:
             raise CheckpointError(
                 f"{path}: inconsistent shapes: '{key}' is {arr.shape}, expected {shape}"
             )
+        # numpy reads "0.5", true and null as floats; the shape check leaves
+        # lists only above the last axis, so these are the file's values
+        values = value if arr.ndim == 1 else itertools.chain.from_iterable(value)
+        if not set(map(type, values)) <= {float, int}:
+            raise CheckpointError(f"{path}: parameter '{key}' is not numeric")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter '{key}' contains non-finite values")
         blocks.append(arr.ravel())
-    flat = np.concatenate(blocks)
-    if not np.isfinite(flat).all():
-        raise CheckpointError(f"{path}: parameters contain non-finite values")
-    return ModelParams(input_dim, hidden_dim, flat, rng_seed=seed, epoch_count=epochs)
+    return ModelParams(input_dim, hidden_dim, np.concatenate(blocks), rng_seed=seed,
+                       epoch_count=epochs)

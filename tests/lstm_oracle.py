@@ -126,9 +126,9 @@ def _layer(views, net, W_x):
         W_x=W_x,
         W_h=views[f"{net}.W_h"],
         b=views[f"{net}.b_"],
-        w_ci=views[f"{net}.w_ci"],
-        w_cf=views[f"{net}.w_cf"],
-        w_co=views[f"{net}.w_co"],
+        w_ci=views[f"{net}.w_c"][0],
+        w_cf=views[f"{net}.w_c"][1],
+        w_co=views[f"{net}.w_c"][2],
     )
 
 
@@ -211,8 +211,8 @@ def loss_and_gradients(views, x, x_in=None):
     grads = {"decoder.W_z.W_x": g_in_z, "decoder.W_y.W_x": dec_g.W_x,
              "output.W": g_W_out, "output.b": g_b_out}
     for net, g in (("encoder", enc_g), ("decoder", dec_g)):
-        grads.update({f"{net}.W_h": g.W_h, f"{net}.b_": g.b, f"{net}.w_ci": g.w_ci,
-                      f"{net}.w_cf": g.w_cf, f"{net}.w_co": g.w_co})
+        grads.update({f"{net}.W_h": g.W_h, f"{net}.b_": g.b,
+                      f"{net}.w_c": np.stack([g.w_ci, g.w_cf, g.w_co])})
     grads["encoder.W_x"] = enc_g.W_x
     return loss, ys, grads
 

@@ -11,10 +11,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lstm_oracle as oracle
 from conftest import assert_grads_close, finite_difference, make_records
 from seqembed.autoencoder import (
+    ModelParams,
     TrainConfig,
     checkpoint_blocks,
     corrupt_zero_mask,
@@ -129,8 +131,7 @@ class TestDecode:
         # the kernel, one step at a time, through the folded recurrent matrix
         # and the gate inputs that stand in for the fed-back frames
         b = v["decoder.b_"]
-        cell = (v["decoder.W_h"] + v["decoder.W_y.W_x"] @ W_out,
-                v["decoder.w_ci"], v["decoder.w_cf"], v["decoder.w_co"])
+        cell = (v["decoder.W_h"] + v["decoder.W_y.W_x"] @ W_out, v["decoder.w_c"])
         fed_back = v["decoder.W_y.W_x"] @ b_out + b
         tape = Tape(np.stack([v["decoder.W_z.W_x"] @ z + b, fed_back, fed_back]))
         step(tape, 0, *cell)
@@ -337,7 +338,8 @@ class TestTrain:
                 train(init_params(3, 4, seed=0), records, TrainConfig(epochs=50, **settings))
             found = re.search(
                 r"at epoch (\d+), record 'r\d'; epoch (\d+) was the last to finish, "
-                r"mean loss (\S+)$", str(exc.value))
+                r"mean loss (\S+); gradient norm of the last update (\S+) before clipping$",
+                str(exc.value))
             assert found, str(exc.value)
             last = int(found[2])
             assert last == int(found[1]) - 1 >= 1
@@ -345,13 +347,20 @@ class TestTrain:
                 init_params(3, 4, seed=0), records, TrainConfig(epochs=last, **settings)
             )
         assert found[3] == repr(losses[-1])
+        assert float(found[4]) > 0.0 and found[4] == repr(float(found[4]))
 
     def test_divergence_in_first_epoch_says_none_finished(self):
         records = tiny_train_records(np.random.default_rng(4), n=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match=r"epoch 1, record 'r\d'; no epoch finished$"):
+            with pytest.raises(DivergenceError, match=r"epoch 1, record 'r\d'; no epoch finished; "
+                               r"gradient norm of the last update \S+ before clipping$"):
                 train(init_params(3, 4, seed=0), records,
                       TrainConfig(seed=1, lr=1e300, epochs=3, clip_norm=None))
+            broken = init_params(3, 4, seed=0)
+            broken.views()["output.b"][0] = np.inf  # the first loss is not finite
+            with pytest.raises(DivergenceError, match=r"epoch 1, record 'r\d'; no epoch finished; "
+                               r"no update was made$"):
+                train(broken, records, TrainConfig(seed=1, epochs=3))
 
     @pytest.mark.parametrize("field", ["lr", "clip_norm", "denoise_p"])
     def test_nan_setting_rejected(self, field):
@@ -515,6 +524,44 @@ class TestCheckpoints:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("output.b", ["0.5", 0.0]), ("output.b", [True, 0.0]), ("output.b", [None, 0.0]),
+        ("output.b", [10**400, 0.0]),
+        ("encoder.W_xi", [[True, 0.5]] * 3),
+        ("encoder.w_co", [0.0, float("nan"), 0.0]), ("decoder.b_f", [float("inf"), 0.0, 0.0]),
+        ("output.W", [[0.0, 0.0, -float("inf")]] * 2),
+    ])
+    def test_params_must_be_finite_json_numbers(self, tmp_path, key, value):
+        # numpy alone would read "0.5" as 0.5, true as 1.0 and null as nan
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(2, 3, seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["params"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=re.escape(f"'{key}'")):
+            load_checkpoint(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), input_dim=st.integers(1, 4), hidden_dim=st.integers(1, 5),
+           seed=st.integers(0, 2**64), epochs=st.integers(0, 10**6))
+    def test_round_trip_keeps_every_bit(self, tmp_path_factory, data, input_dim, hidden_dim,
+                                        seed, epochs):
+        size = init_params(input_dim, hidden_dim, seed=0).flat.size
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        flat = data.draw(hnp.arrays(np.float64, size, elements=finite))
+        # every example also holds -0.0, subnormals and both largest floats
+        flat[:5] = [-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308,
+                    -1.7976931348623157e308]
+        path = tmp_path_factory.mktemp("ckpt") / "model.json"
+        save_checkpoint(ModelParams(input_dim, hidden_dim, flat, seed, epochs), path)
+        loaded = load_checkpoint(path)
+        assert (loaded.input_dim, loaded.hidden_dim) == (input_dim, hidden_dim)
+        assert (loaded.rng_seed, loaded.epoch_count) == (seed, epochs)
+        npt.assert_array_equal(loaded.flat.view(np.uint64), flat.view(np.uint64))
+        again = path.with_name("again.json")
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_records_provenance(self, tmp_path):
         params = init_params(2, 3, seed=5)

@@ -17,8 +17,8 @@ from seqembed.errors import DimensionError
 from seqembed.lstm import Tape, backward, forward, sigmoid, step, weight_grads
 
 # the weights of one layer; forward takes the gate inputs x W_x^T + b, then the
-# cell (W_h, w_ci, w_cf, w_co)
-NAMES = ("W_x", "b", "W_h", "w_ci", "w_cf", "w_co")
+# cell (W_h, w_c), w_c holding the i, f and o peepholes as rows
+NAMES = ("W_x", "b", "W_h", "w_c")
 
 
 def zero_params(input_dim, hidden_dim):
@@ -27,15 +27,13 @@ def zero_params(input_dim, hidden_dim):
         "W_x": np.zeros((4 * h, input_dim)),
         "b": np.zeros(4 * h),
         "W_h": np.zeros((4 * h, h)),
-        "w_ci": np.zeros(h),
-        "w_cf": np.zeros(h),
-        "w_co": np.zeros(h),
+        "w_c": np.zeros((3, h)),
     }
 
 
 def uniform_params(rng, input_dim, hidden_dim, scale):
     p = zero_params(input_dim, hidden_dim)
-    for name in ("W_x", "W_h", "w_ci", "w_cf", "w_co"):
+    for name in ("W_x", "W_h", "w_c"):
         p[name] = rng.uniform(-scale, scale, size=p[name].shape)
     return p
 
@@ -45,9 +43,7 @@ def scalar_params(p):
         "W_x": np.array([[p["wxi"]], [p["wxf"]], [p["wxc"]], [p["wxo"]]]),
         "b": np.array([p["bi"], p["bf"], p["bc"], p["bo"]]),
         "W_h": np.array([[p["whi"]], [p["whf"]], [p["whc"]], [p["who"]]]),
-        "w_ci": np.array([p["wci"]]),
-        "w_cf": np.array([p["wcf"]]),
-        "w_co": np.array([p["wco"]]),
+        "w_c": np.array([[p["wci"]], [p["wcf"]], [p["wco"]]]),
     }
 
 
@@ -57,7 +53,7 @@ def run(params, xs):
 
 
 def cell(params):
-    return params["W_h"], params["w_ci"], params["w_cf"], params["w_co"]
+    return params["W_h"], params["w_c"]
 
 
 def single_step(params, x, h_prev, c_prev):
@@ -69,9 +65,7 @@ def single_step(params, x, h_prev, c_prev):
 
 
 def oracle_layer(params):
-    return oracle.LstmParams(
-        params["W_x"], params["W_h"], params["b"], params["w_ci"], params["w_cf"], params["w_co"]
-    )
+    return oracle.LstmParams(params["W_x"], params["W_h"], params["b"], *params["w_c"])
 
 
 def scalar_peephole_step(p, x, h, c):
@@ -221,7 +215,8 @@ def oracle_sequence_grads(params, xs, weights):
     for t in range(len(xs) - 1, -1, -1):
         dx, (dh, dc) = oracle.cell_backward(layer, tape[t], dh + weights[t], dc, grads)
         dxs.append(dx)
-    out = {n: getattr(grads, n) for n in NAMES}
+    out = {n: getattr(grads, n) for n in ("W_x", "b", "W_h")}
+    out["w_c"] = np.stack([grads.w_ci, grads.w_cf, grads.w_co])
     out["x"] = np.array(dxs[::-1])
     return out
 
@@ -303,10 +298,8 @@ def test_backward_matches_per_step_loop(input_dim, hidden, steps, seed):
     tape = run(params, rng.standard_normal((steps, input_dim)))
     W_rec = rng.uniform(-1.5, 1.5, size=(4 * hidden, hidden))
     dH = rng.standard_normal((steps, hidden))
-    peepholes = params["w_ci"], params["w_cf"], params["w_co"]
-
-    got = backward(tape, dH, W_rec, *peepholes)
-    want = oracle.backward(tape, dH, W_rec, *peepholes)
+    got = backward(tape, dH, W_rec, params["w_c"])
+    want = oracle.backward(tape, dH, W_rec, *params["w_c"])
     scale = max(1.0, float(np.abs(want).max()))
     npt.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 

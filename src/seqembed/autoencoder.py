@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import SegmentRecord, replace_on_close, validate_frames, write_csv
+from .data import SegmentRecord, read_input, replace_on_close, validate_frames, write_csv
 from .errors import CheckpointError, DataError, DimensionError, DivergenceError
 from .lstm import GATE_ORDER, Tape, backward, forward, weight_grads
 
@@ -288,7 +288,9 @@ def train(
                     f"non-finite loss at epoch {epoch}, record '{rec.id}'; {last}; {update}"
                 )
             total += loss
-            last_norm = math.sqrt(grad @ grad)
+            # numpy's own sum of products, not a BLAS ddot, whose last bit
+            # depends on the BLAS thread count
+            last_norm = math.sqrt(np.einsum("i,i", grad, grad))
             if config.clip_norm is not None and last_norm > config.clip_norm:
                 grad *= config.clip_norm / last_norm
             params.flat -= config.lr * grad
@@ -344,12 +346,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint written by save_checkpoint; exact round-trip."""
     path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"checkpoint not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        payload = json.loads("".join(read_input(path, "checkpoint", "line",
+                                                error=CheckpointError)))
+    except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: malformed checkpoint file") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: malformed checkpoint file")

@@ -29,8 +29,10 @@ from .autoencoder import (
 from .baselines import naive_encode
 from .data import (
     Dataset,
+    check_output_dirs,
     generate_synthetic,
     load_feature_file,
+    output_dir,
     parse_manifest,
     write_manifest,
     write_rows,
@@ -109,12 +111,14 @@ def cmd_train(args, parser) -> int:
     clip = None if args.no_clip else args.clip
     settings = {"denoise_p": denoise, "lr": args.lr, "clip_norm": clip}  # checkpoint records it too
 
+    loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
+    check_output_dirs(args.out, loss_log)  # so a missing one does not cost the trained model
+
     dataset = parse_manifest(args.manifest)
     records = _split_records(dataset, "train")
     params = init_params(dataset.dim, args.hidden, args.seed)
     config = TrainConfig(seed=args.seed, epochs=args.epochs, **settings)
     params, losses = train(params, records, config)
-    loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
     write_loss_log(losses, loss_log)
     save_checkpoint(params, args.out, train_meta=settings)
     final = losses[-1] if losses else float("nan")
@@ -224,8 +228,7 @@ def _parse_methods(tokens, parser):
 def cmd_evaluate(args, parser) -> int:
     methods = _parse_methods(args.method, parser)
     records = _split_records(parse_manifest(args.manifest), args.split)
-    report_dir = Path(args.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
+    report_dir = output_dir(args.report_dir)
 
     results = []
     for label, segment_encoder in methods:

@@ -1,4 +1,4 @@
-"""Dataset ingestion, validation, synthetic corpus generation, and output files.
+"""Datasets, synthetic corpora, and the one reader and writer of files.
 
 A dataset on disk is a JSON-lines manifest plus one feature file per
 segment.  Feature files are CSV (one frame per row, auditable) or an
@@ -9,7 +9,6 @@ suffix.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import struct
@@ -103,14 +102,42 @@ class Dataset:
 
 
 @contextmanager
+def _output(path: str | Path):
+    """An OSError while creating or replacing ``path`` is a DataError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def output_dir(path: str | Path) -> Path:
+    """Create the directory ``path`` and its parents, unless it exists."""
+    path = Path(path)
+    with _output(path):
+        path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def check_output_dirs(*paths: str | Path) -> None:
+    """Raise the DataError a later write to any of ``paths`` would raise
+    because its directory does not exist, before any work is done."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise DataError(f"cannot write {path}: {Path(path).parent} is not a directory")
+
+
+@contextmanager
 def replace_on_close(path: str | Path):
     """A text file whose bytes replace ``path`` on a clean exit; on an
     exception it is removed and ``path`` keeps its old bytes."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
+    with _output(path):
+        fh = open(tmp, "w", encoding="utf-8", newline="")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        with _output(path):
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -136,47 +163,54 @@ def write_csv(path: str | Path, rows) -> None:
         write_rows(fh, rows)
 
 
-def _text_lines(path: Path, unit: str, first: int) -> io.StringIO:
-    """The lines of a UTF-8 text file, as ``open(path)`` reads them
-    (universal newlines).  A byte that is not UTF-8 is a DataError naming
-    the ``unit`` of the file it is on, counting from ``first``."""
-    raw = path.read_bytes()
+def read_input(path: Path, what: str, unit: str | None = None, first: int = 1,
+               error: type[DataError] = DataError):
+    """The bytes of an input file or, given a ``unit`` counted from ``first``,
+    its UTF-8 lines with their ends as written.  A path that is not a file, or
+    a byte that is not UTF-8, raises ``error`` naming the path (and the line)."""
     try:
-        return io.StringIO(raw.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as exc:
-        breaks = io.StringIO(raw[: exc.start].decode("utf-8"), newline=None).read().count("\n")
-        raise DataError(
-            f"{path}: {unit} {first + breaks}: byte {raw[exc.start]:#04x} is not valid UTF-8"
-        ) from None
+        raw = path.read_bytes()
+    except OSError:
+        raise error(f"{what} not found: {path}") from None
+    if unit is None:
+        return raw
+    lines = raw.splitlines(keepends=True)  # at "\n", "\r\n" and "\r", as open() splits
+    for n, line in enumerate(lines):
+        try:
+            lines[n] = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(
+                f"{path}: {unit} {first + n}: byte {line[exc.start]:#04x} is not valid UTF-8"
+            ) from None
+    return lines
 
 
 def _read_csv_features(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with _text_lines(path, "row", 0) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: non-numeric value") from exc
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise DimensionError(
-                    f"{path}: row {lineno} has width {len(vals)}, expected {width}"
-                )
-            rows.append(vals)
+    for lineno, line in enumerate(read_input(path, "feature file", "row", 0)):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: non-numeric value") from exc
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise DimensionError(
+                f"{path}: row {lineno} has width {len(vals)}, expected {width}"
+            )
+        rows.append(vals)
     if not rows:
         raise DataError(f"{path}: empty feature file")
     return validate_frames(np.array(rows, dtype=np.float64), str(path))
 
 
 def _read_binary_features(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
+    raw = read_input(path, "feature file")
     if len(raw) < 8:
         raise DataError(f"{path}: truncated header")
     t, d = struct.unpack("<ii", raw[:8])
@@ -224,58 +258,55 @@ def _is_utf8(text: str) -> bool:
 def parse_manifest(path: str | Path) -> Dataset:
     """Load a JSON-lines manifest; record order is file order."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"manifest not found: {path}")
     base = path.parent
     records: list[SegmentRecord] = []
-    with _text_lines(path, "line", 1) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON") from exc
-            where = f"{path}: line {lineno}"
-            if not isinstance(obj, dict):
-                raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-            for key in ("id", "word", "split", "features"):
-                if key not in obj:
-                    raise DataError(f"{where}: missing field '{key}'")
-                if not isinstance(obj[key], str):
-                    raise DataError(
-                        f"{where}: field '{key}' must be a string, got {type(obj[key]).__name__}"
-                    )
-                if not _is_utf8(obj[key]):
-                    raise DataError(f"{where}: field '{key}' holds a lone surrogate")
-            rec_id, phonemes = obj["id"], obj.get("phonemes")
-            if phonemes is not None and not (
-                isinstance(phonemes, list) and all(isinstance(p, str) for p in phonemes)
-            ):
+    for lineno, line in enumerate(read_input(path, "manifest", "line"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: invalid JSON") from exc
+        where = f"{path}: line {lineno}"
+        if not isinstance(obj, dict):
+            raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+        for key in ("id", "word", "split", "features"):
+            if key not in obj:
+                raise DataError(f"{where}: missing field '{key}'")
+            if not isinstance(obj[key], str):
                 raise DataError(
-                    f"{where}: record '{rec_id}': 'phonemes' must be an array of strings"
+                    f"{where}: field '{key}' must be a string, got {type(obj[key]).__name__}"
                 )
-            if phonemes is not None and not all(map(_is_utf8, phonemes)):
-                raise DataError(f"{where}: record '{rec_id}': a phoneme holds a lone surrogate")
-            feat_rel = Path(obj["features"])
-            if feat_rel.is_absolute() or ".." in feat_rel.parts:
-                raise DataError(
-                    f"{where}: record '{rec_id}': features path {obj['features']!r} must be "
-                    "relative to the manifest directory, with no '..' part"
-                )
-            feat_path = base / feat_rel
-            if not feat_path.is_file():
-                raise DataError(f"record '{rec_id}': feature file not found: {feat_path}")
-            records.append(
-                SegmentRecord(
-                    id=rec_id,
-                    word=obj["word"],
-                    phonemes=phonemes,
-                    split=obj["split"],
-                    features=load_feature_file(feat_path),
-                )
+            if not _is_utf8(obj[key]):
+                raise DataError(f"{where}: field '{key}' holds a lone surrogate")
+        rec_id, phonemes = obj["id"], obj.get("phonemes")
+        if phonemes is not None and not (
+            isinstance(phonemes, list) and all(isinstance(p, str) for p in phonemes)
+        ):
+            raise DataError(
+                f"{where}: record '{rec_id}': 'phonemes' must be an array of strings"
             )
+        if phonemes is not None and not all(map(_is_utf8, phonemes)):
+            raise DataError(f"{where}: record '{rec_id}': a phoneme holds a lone surrogate")
+        feat_rel = Path(obj["features"])
+        if feat_rel.is_absolute() or ".." in feat_rel.parts:
+            raise DataError(
+                f"{where}: record '{rec_id}': features path {obj['features']!r} must be "
+                "relative to the manifest directory, with no '..' part"
+            )
+        feat_path = base / feat_rel
+        if not feat_path.is_file():
+            raise DataError(f"record '{rec_id}': feature file not found: {feat_path}")
+        records.append(
+            SegmentRecord(
+                id=rec_id,
+                word=obj["word"],
+                phonemes=phonemes,
+                split=obj["split"],
+                features=load_feature_file(feat_path),
+            )
+        )
     return Dataset.from_records(records)
 
 
@@ -288,8 +319,7 @@ def write_manifest(
     if fmt not in ("csv", "bin"):
         raise ValueError(f"unknown feature format '{fmt}'")
     manifest_path = Path(manifest_path)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    (manifest_path.parent / FEATURES_DIRNAME).mkdir(parents=True, exist_ok=True)
+    output_dir(manifest_path.parent / FEATURES_DIRNAME)
     suffix = ".csv" if fmt == "csv" else BINARY_SUFFIX
     with replace_on_close(manifest_path) as fh:
         for rec in dataset:

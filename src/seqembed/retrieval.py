@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import dtw_distances
-from .data import Dataset, SegmentRecord, write_csv
+from .data import Dataset, SegmentRecord, read_input, write_csv
 from .errors import DataError, DimensionError
 
 RankedResult = list[tuple[str, float]]
@@ -161,28 +161,25 @@ def save_archive(archive: EmbeddingArchive, path: str | Path) -> None:
 
 def load_archive(path: str | Path) -> EmbeddingArchive:
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"archive not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(read_input(path, "archive", "line"))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty archive file") from None
+    if len(header) < 3 or header[:2] != ["id", "word"]:
+        raise DataError(f"{path}: unexpected archive header {header!r}")
+    dim = len(header) - 2
+    entries = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != dim + 2:
+            raise DimensionError(f"{path}: line {lineno} has {len(row)} fields, expected {dim + 2}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty archive file") from None
-        if len(header) < 3 or header[:2] != ["id", "word"]:
-            raise DataError(f"{path}: unexpected archive header {header!r}")
-        dim = len(header) - 2
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise DimensionError(f"{path}: line {lineno} has {len(row)} fields, expected {dim + 2}")
-            try:
-                vec = np.array([float(v) for v in row[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: non-numeric embedding value") from exc
-            entries.append((row[0], row[1], vec))
+            vec = np.array([float(v) for v in row[2:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-numeric embedding value") from exc
+        entries.append((row[0], row[1], vec))
     if not entries:
         raise DataError(f"{path}: archive contains no entries")
     return EmbeddingArchive(entries=entries, dim=dim)

@@ -3,8 +3,12 @@ end-to-end gradients, training behavior, checkpoint round-trips."""
 import copy
 import hashlib
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lstm_oracle as oracle
+import seqembed
 from conftest import assert_grads_close, finite_difference, make_records
 from seqembed.autoencoder import (
     ModelParams,
@@ -388,6 +393,28 @@ class TestTrain:
         )
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a)
         assert drops / (len(losses) - 1) >= 0.9
+
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count when numpy is imported, so each count
+        # needs a fresh process; D=8, H=32 is 15048 parameters, enough for a
+        # threaded dot product to split and clipping to read its last bit
+        script = (
+            "import sys\n"
+            "from seqembed.autoencoder import TrainConfig, init_params, save_checkpoint, train\n"
+            "from seqembed.data import generate_synthetic\n"
+            "ds = generate_synthetic(10, 20, 2, (3, 6), 8, (2, 4), 0.1, seed=11)\n"
+            "params, _ = train(init_params(8, 32, seed=5), ds.subset('train'),\n"
+            "                  TrainConfig(seed=17, lr=0.05, epochs=1, clip_norm=5.0))\n"
+            "save_checkpoint(params, sys.argv[1])\n"
+        )
+        src = str(Path(seqembed.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            child = subprocess.run([sys.executable, "-c", script, str(tmp_path / f"{threads}.json")],
+                                   env=env, capture_output=True, text=True, timeout=120)
+            assert child.returncode == 0, child.stderr
+        assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
 
 CHECKPOINT_KEYS = [

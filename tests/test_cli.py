@@ -207,6 +207,32 @@ class TestTrain:
         assert not (tmp_path / "x.json").exists() and not (tmp_path / "synth").exists()
 
 
+@pytest.mark.parametrize("case", ["train --out", "train --loss-log", "train --out dir",
+                                  "encode --out", "evaluate --report-dir", "synth --out-dir"])
+def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
+    manifest, nodir, afile = str(corpus_dir / "manifest.jsonl"), tmp_path / "nodir", tmp_path / "f"
+    afile.write_text("kept\n")
+    (tmp_path / "adir").mkdir()
+    train = ["train", "--manifest", manifest, "--seed", "0", "--hidden", "3", "--epochs", "1"]
+    path, argv = {
+        "train --out": (nodir / "m.json", [*train, "--out", str(nodir / "m.json")]),
+        "train --loss-log": (nodir / "l.csv", [*train, "--out", str(tmp_path / "m.json"),
+                                               "--loss-log", str(nodir / "l.csv")]),
+        "train --out dir": (tmp_path / "adir", [*train, "--out", str(tmp_path / "adir")]),
+        "encode --out": (nodir / "a.csv", ["encode", "--manifest", manifest, "--encoder", "ne",
+                                           "--m", "2", "--out", str(nodir / "a.csv")]),
+        "evaluate --report-dir": (afile, ["evaluate", "--manifest", manifest, "--method", "ne2",
+                                          "--report-dir", str(afile)]),
+        "synth --out-dir": (afile / "x", ["synth", "--out-dir", str(afile / "x"), "--seed", "0"]),
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and f"cannot write {path}" in err
+    assert afile.read_text() == "kept\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+    if case == "train --loss-log":  # checked before training, so nothing was written
+        assert not (tmp_path / "m.json").exists()
+
+
 @pytest.fixture
 def trained(corpus_dir, tmp_path):
     ckpt = tmp_path / "model.json"
@@ -357,6 +383,39 @@ class TestSearch:
         first = stdout.strip().splitlines()[1].split(",")
         assert first[1] == target.id
         assert float(first[3]) == 0.0
+
+
+@pytest.mark.parametrize("command", ["search", "edit-distance", "diff-vectors"])
+def test_archive_byte_not_utf8_exit_code(corpus_dir, tmp_path, capsys, command):
+    manifest, archive = str(corpus_dir / "manifest.jsonl"), tmp_path / "arch.csv"
+    assert main(["encode", "--manifest", manifest, "--encoder", "ne", "--m", "1",
+                 "--out", str(archive)]) == 0
+    lines = archive.read_bytes().split(b"\n")
+    query = lines[1].split(b",")[0].decode()
+    lines[2] = lines[2][:1] + b"\xf8" + lines[2][2:]
+    archive.write_bytes(b"\n".join(lines))
+    argv = {
+        "search": ["search", "--archive", str(archive), "--query-id", query],
+        "edit-distance": ["analyze", "edit-distance", "--archive", str(archive),
+                          "--manifest", manifest],
+        "diff-vectors": ["analyze", "diff-vectors", "--archive", str(archive),
+                         "--pairs", "w000:w001"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"{archive}: line 3: byte 0xf8 is not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("name, method", [("nope.csv", "cosine"), ("nope.bin", "cosine"),
+                                          ("", "cosine"), ("nope.csv", "dtw")])
+def test_missing_query_features_exit_code(corpus_dir, trained, tmp_path, capsys, name, method):
+    query = tmp_path / name  # "" names tmp_path itself, a directory
+    source = ["--checkpoint", str(trained)] if method == "cosine" else []
+    code, out, err = run(capsys, "search", "--method", method, *source,
+                         "--manifest", str(corpus_dir / "manifest.jsonl"),
+                         "--query-features", str(query))
+    assert code == 3 and out == ""
+    assert f"feature file not found: {query}" in err
 
 
 class TestEvaluate:

@@ -174,3 +174,23 @@ def test_only_the_data_module_opens_files_for_writing():
     }
     assert writers["data.py"], "the guard no longer sees data.py's writes"
     assert {name: lines for name, lines in writers.items() if lines and name != "data.py"} == {}
+
+
+def _opens_or_reads(tree: ast.AST) -> list[int]:
+    """Line numbers of every ``open``, ``read_bytes`` and ``read_text`` call."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("open", "read_bytes", "read_text")
+    ]
+
+
+def test_only_the_data_module_opens_files_for_reading():
+    package = Path(seqembed.__file__).parent
+    readers = {
+        path.name: _opens_or_reads(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert readers["data.py"], "the guard no longer sees data.py's reads"
+    assert {name: lines for name, lines in readers.items() if lines and name != "data.py"} == {}

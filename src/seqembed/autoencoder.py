@@ -122,7 +122,7 @@ def init_params(input_dim: int, hidden_dim: int, seed: int) -> ModelParams:
 
 
 def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, np.ndarray]:
-    """One network's recurrent weights and (3, H) peepholes, as lstm.step takes them."""
+    """One network's recurrent weights and (3, H) peepholes, as lstm.forward takes them."""
     return views[f"{net}.W_h"], views[f"{net}.w_c"]
 
 
@@ -130,7 +130,7 @@ def _encode(views: dict[str, np.ndarray], x: np.ndarray) -> Tape:
     W_x = views["encoder.W_x"]
     if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
         raise DimensionError(f"input width mismatch: shape {x.shape}, input_dim {W_x.shape[1]}")
-    return forward(x @ W_x.T + views["encoder.b_"], *_cell(views, "encoder"))
+    return forward(Tape(x @ W_x.T + views["encoder.b_"]), *_cell(views, "encoder"))
 
 
 def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +147,7 @@ def _decode(views: dict[str, np.ndarray], z: np.ndarray, length: int) -> tuple[T
     gates = np.empty((length, W_z.shape[0]))
     gates[0] = W_z @ z + b
     gates[1:] = W_y @ b_out + b
-    tape = forward(gates, *_decoder_cell(views))
+    tape = forward(Tape(gates), *_decoder_cell(views))
     return tape, tape.h[1:] @ W_out.T + b_out
 
 

@@ -152,8 +152,8 @@ def cmd_encode(args, parser) -> int:
 
 
 def cmd_search(args, parser) -> int:
-    if args.query_id is None and args.query_features is None:
-        parser.error("provide --query-id or --query-features")
+    if (args.query_id is None) == (args.query_features is None):
+        parser.error("provide exactly one of --query-id and --query-features")
 
     if args.method == "dtw":
         if not args.manifest:

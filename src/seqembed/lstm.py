@@ -8,16 +8,16 @@ the input and forget gates read the previous cell state, the output gate
 reads the freshly updated one.
 
 One sequence of T steps lives in a ``Tape``: the activated gates (T, 4H)
-and the hidden and cell states (T+1, H), row 0 holding the initial state.
-The forward pass takes each step's gate input W_x x_t + b, so it serves any
-network whose inputs are known up front; the autoencoder's decoder is one
-once its output feedback is folded into the recurrent matrix.  The backward
-pass computes every step's local derivatives over the whole tape at once,
-then runs the reverse recurrence, writing one row per step of dA, the
-gradient of the gate pre-activations (T, 4H); every weight gradient is then
-one matrix product or column sum over the whole sequence instead of T
-outer products (the recurrence restructuring of Appleyard et al., arXiv
-1604.01946).
+and the hidden and cell states (T+1, H), row 0 holding the start state.
+``forward``, the one function that advances a tape, takes each step's gate
+input W_x x_t + b, so it serves any network whose inputs are known up front;
+the autoencoder's decoder is one once its output feedback is folded into the
+recurrent matrix.  The backward pass computes every step's local derivatives
+over the whole tape at once, then runs the reverse recurrence, writing one
+row per step of dA, the gradient of the gate pre-activations (T, 4H); every
+weight gradient is then one matrix product or column sum over the whole
+sequence instead of T outer products (the recurrence restructuring of
+Appleyard et al., arXiv 1604.01946).
 
 All arithmetic is float64: the gradient acceptance checks compare against
 central finite differences and need the headroom.
@@ -31,19 +31,6 @@ from .errors import DimensionError
 GATE_ORDER = ("i", "f", "c", "o")
 
 
-def sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function as 0.5*tanh(a/2) + 0.5.
-
-    Cannot overflow, and is exactly 0, 0.5 and 1 at a = -1000, 0 and 1000.
-    ``out`` may be ``a`` itself for an in-place update.
-    """
-    r = np.multiply(a, 0.5, out=out)
-    np.tanh(r, out=r)
-    r *= 0.5
-    r += 0.5
-    return r
-
-
 class Tape:
     """Activations of one sequence through H units.  ``gates`` (T, 4H) holds
     each step's input projection plus bias; it is taken over, not copied."""
@@ -51,19 +38,22 @@ class Tape:
     __slots__ = ("gates", "h", "c")
 
     def __init__(self, gates: np.ndarray):
+        if gates.ndim != 2:
+            raise DimensionError(f"gate inputs {gates.shape}, expected (T, 4H)")
         steps, hidden = gates.shape[0], gates.shape[1] // 4
         self.gates = gates
         self.h = np.zeros((steps + 1, hidden))
         self.c = np.zeros((steps + 1, hidden))
 
 
-def step(tape: Tape, t: int, W_h: np.ndarray, w_c: np.ndarray) -> None:
-    """Advance step t in place.
+def forward(tape: Tape, W_h: np.ndarray, w_c: np.ndarray) -> Tape:
+    """Run the tape's T steps in place from its row-0 state (zero as ``Tape``
+    builds it); return the tape.
 
-    On entry ``tape.gates[t]`` holds the input projection plus bias,
-    W_x x_t + b; on return it holds the activated gates (i, f, g, o), and
-    ``tape.h[t+1]``/``tape.c[t+1]`` the new state.  The peepholes ``w_c``
-    (3, H) hold the rows w_i, w_f and w_o:
+    On entry row t of ``tape.gates`` holds step t's input projection plus
+    bias, W_x x_t + b; on return it holds the activated gates (i, f, g, o),
+    and ``tape.h[t+1]``/``tape.c[t+1]`` the new state.  The peepholes
+    ``w_c`` (3, H) hold the rows w_i, w_f and w_o:
 
     i = sig(W_xi x + W_hi h' + w_i*c' + b_i)
     f = sig(W_xf x + W_hf h' + w_f*c' + b_f)
@@ -71,38 +61,40 @@ def step(tape: Tape, t: int, W_h: np.ndarray, w_c: np.ndarray) -> None:
     c = f*c' + i*g
     o = sig(W_xo x + W_ho h' + w_o*c + b_o)
     h = o*tanh(c)
+
+    with sig(a) = 0.5*tanh(a/2) + 0.5, which cannot overflow.  The i, f and
+    o rows of the gate inputs, W_h and w_c are halved once per call (exactly),
+    so one tanh covers the contiguous i, f and g rows of each step.
     """
-    h = W_h.shape[1]
-    w_i, w_f, w_o = w_c
-    a = tape.gates[t]
-    a += W_h @ tape.h[t]
-    c_prev, c = tape.c[t], tape.c[t + 1]
-    i, f, g, o = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
-    i += w_i * c_prev
-    f += w_f * c_prev
-    sigmoid(a[: 2 * h], out=a[: 2 * h])
-    np.tanh(g, out=g)
-    np.multiply(f, c_prev, out=c)
-    c += i * g
-    o += w_o * c
-    sigmoid(o, out=o)
-    h_new = tape.h[t + 1]
-    np.tanh(c, out=h_new)
-    h_new *= o
-
-
-def forward(gates: np.ndarray, W_h: np.ndarray, w_c: np.ndarray) -> Tape:
-    """Run T steps from a zero state.  Row t of ``gates`` (T, 4H) holds step
-    t's input projection plus bias, W_x x_t + b; it becomes the activated
-    gates."""
     h = W_h.shape[1]
     if W_h.shape != (4 * h, h):
         raise DimensionError(f"recurrent weights {W_h.shape}, expected ({4 * h}, {h})")
-    if gates.ndim != 2 or gates.shape[1] != 4 * h:
-        raise DimensionError(f"gate inputs {gates.shape}, expected (T, {4 * h})")
-    tape = Tape(gates)
-    for t in range(gates.shape[0]):
-        step(tape, t, W_h, w_c)
+    if tape.gates.shape[1] != 4 * h:
+        raise DimensionError(f"gate inputs {tape.gates.shape}, expected (T, {4 * h})")
+    half = np.full(4 * h, 0.5)
+    half[2 * h : 3 * h] = 1.0
+    tape.gates *= half
+    W_h = W_h * half[:, None]
+    w_i, w_f, w_o = w_c * 0.5
+    for t, a in enumerate(tape.gates):
+        a += W_h @ tape.h[t]
+        c_prev, c = tape.c[t], tape.c[t + 1]
+        i, f, g, o = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
+        i_f, i_f_g = a[: 2 * h], a[: 3 * h]
+        i += w_i * c_prev
+        f += w_f * c_prev
+        np.tanh(i_f_g, out=i_f_g)
+        i_f *= 0.5
+        i_f += 0.5
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        o += w_o * c
+        np.tanh(o, out=o)
+        o *= 0.5
+        o += 0.5
+        h_new = tape.h[t + 1]
+        np.tanh(c, out=h_new)
+        h_new *= o
     return tape
 
 

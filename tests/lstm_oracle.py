@@ -4,9 +4,11 @@ This is the cell-at-a-time formulation the sequence kernel in
 ``seqembed.lstm`` replaced: ``cell_forward``/``cell_backward`` pass state
 and tape objects step by step, and weight gradients accumulate one outer
 product per step.  Tests compare the kernel, ``decode`` and
-``loss_and_gradients`` against it.  ``backward_step``/``backward`` are the
-kernel's earlier reverse pass over a ``seqembed.lstm.Tape``, one step's
-local derivatives at a time.
+``loss_and_gradients`` against it.  ``sigmoid``/``step`` are the kernel's
+earlier forward step over a ``seqembed.lstm.Tape``, the reference that
+``seqembed.lstm.forward`` must match bit for bit; ``backward_step``/
+``backward`` are its earlier reverse pass, one step's local derivatives at
+a time.
 """
 from __future__ import annotations
 
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from seqembed.errors import DimensionError
+from seqembed.lstm import Tape
 
 
-def sigmoid(a):
+def logistic(a):
     e = np.exp(-np.abs(a))
     return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -80,11 +83,11 @@ def cell_forward(params: LstmParams, x_t, prev: LstmState):
     if prev.h.shape != (h,) or prev.c.shape != (h,):
         raise DimensionError(f"state shapes {prev.h.shape}/{prev.c.shape}, expected ({h},)")
     pre = params.W_x @ x_t + params.W_h @ prev.h + params.b
-    i = sigmoid(pre[0:h] + params.w_ci * prev.c)
-    f = sigmoid(pre[h : 2 * h] + params.w_cf * prev.c)
+    i = logistic(pre[0:h] + params.w_ci * prev.c)
+    f = logistic(pre[h : 2 * h] + params.w_cf * prev.c)
     g = np.tanh(pre[2 * h : 3 * h])
     c = f * prev.c + i * g
-    o = sigmoid(pre[3 * h : 4 * h] + params.w_co * c)
+    o = logistic(pre[3 * h : 4 * h] + params.w_co * c)
     tanh_c = np.tanh(c)
     entry = TapeEntry(
         x=x_t, h_prev=prev.h, c_prev=prev.c, i=i, f=f, g=g, o=o, c=c, tanh_c=tanh_c
@@ -251,3 +254,50 @@ def backward(tape, dH, W_h, w_ci, w_cf, w_co):
     for t in range(steps - 1, -1, -1):
         dh_rec, dc = backward_step(tape, t, dH[t] + dh_rec, dc, W_h, w_ci, w_cf, w_co, dA)
     return dA
+
+
+def sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5*tanh(a/2) + 0.5.
+
+    Cannot overflow, and is exactly 0, 0.5 and 1 at a = -1000, 0 and 1000.
+    ``out`` may be ``a`` itself for an in-place update.
+    """
+    r = np.multiply(a, 0.5, out=out)
+    np.tanh(r, out=r)
+    r *= 0.5
+    r += 0.5
+    return r
+
+
+def step(tape: Tape, t: int, W_h: np.ndarray, w_c: np.ndarray) -> None:
+    """Advance step t in place.
+
+    On entry ``tape.gates[t]`` holds the input projection plus bias,
+    W_x x_t + b; on return it holds the activated gates (i, f, g, o), and
+    ``tape.h[t+1]``/``tape.c[t+1]`` the new state.  The peepholes ``w_c``
+    (3, H) hold the rows w_i, w_f and w_o:
+
+    i = sig(W_xi x + W_hi h' + w_i*c' + b_i)
+    f = sig(W_xf x + W_hf h' + w_f*c' + b_f)
+    g = tanh(W_xc x + W_hc h' + b_c)
+    c = f*c' + i*g
+    o = sig(W_xo x + W_ho h' + w_o*c + b_o)
+    h = o*tanh(c)
+    """
+    h = W_h.shape[1]
+    w_i, w_f, w_o = w_c
+    a = tape.gates[t]
+    a += W_h @ tape.h[t]
+    c_prev, c = tape.c[t], tape.c[t + 1]
+    i, f, g, o = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
+    i += w_i * c_prev
+    f += w_f * c_prev
+    sigmoid(a[: 2 * h], out=a[: 2 * h])
+    np.tanh(g, out=g)
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    o += w_o * c
+    sigmoid(o, out=o)
+    h_new = tape.h[t + 1]
+    np.tanh(c, out=h_new)
+    h_new *= o

@@ -5,7 +5,9 @@ The desk-scale corpus and training hyperparameters are frozen here; the
 trend and gap gates are deterministic for these seeds.
 """
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -81,13 +83,22 @@ def _train_run(corpus, denoise_p):
 
 
 @pytest.fixture(scope="module")
-def trained_sa(corpus):
-    return _train_run(corpus, denoise_p=0.0)
+def trained(corpus):
+    """(params, losses, train_time) of the sa and dsa fits, each in its own
+    worker process; a fit uses one core.  Workers are spawned, not forked,
+    because this process already runs OpenBLAS threads."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return dict(zip(("sa", "dsa"), pool.map(_train_run, [corpus] * 2, [0.0, 0.3])))
 
 
 @pytest.fixture(scope="module")
-def trained_dsa(corpus):
-    return _train_run(corpus, denoise_p=0.3)
+def trained_sa(trained):
+    return trained["sa"]
+
+
+@pytest.fixture(scope="module")
+def trained_dsa(trained):
+    return trained["dsa"]
 
 
 def archive_map(archive, records):

@@ -36,7 +36,7 @@ from seqembed.autoencoder import (
     unpack,
 )
 from seqembed.errors import CheckpointError, DimensionError, DivergenceError
-from seqembed.lstm import Tape, step
+from seqembed.lstm import Tape, forward
 
 
 def zeroed(params):
@@ -133,15 +133,12 @@ class TestDecode:
         v = p.views()
         W_out, b_out = v["output.W"], v["output.b"]
 
-        # the kernel, one step at a time, through the folded recurrent matrix
-        # and the gate inputs that stand in for the fed-back frames
+        # the kernel through the folded recurrent matrix and the gate inputs
+        # that stand in for the fed-back frames
         b = v["decoder.b_"]
         cell = (v["decoder.W_h"] + v["decoder.W_y.W_x"] @ W_out, v["decoder.w_c"])
         fed_back = v["decoder.W_y.W_x"] @ b_out + b
-        tape = Tape(np.stack([v["decoder.W_z.W_x"] @ z + b, fed_back, fed_back]))
-        step(tape, 0, *cell)
-        step(tape, 1, *cell)
-        step(tape, 2, *cell)
+        tape = forward(Tape(np.stack([v["decoder.W_z.W_x"] @ z + b, fed_back, fed_back])), *cell)
         npt.assert_array_equal(y, tape.h[1:] @ W_out.T + b_out)
 
         # the per-step oracle

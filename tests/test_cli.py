@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqembed.autoencoder import encode, init_params, load_checkpoint
+from seqembed.autoencoder import encode, init_params, load_checkpoint, save_checkpoint
 from seqembed.baselines import naive_encode
 from seqembed.cli import build_parser, main
 from seqembed.data import Dataset, SegmentRecord, parse_manifest, write_manifest
@@ -361,6 +361,11 @@ class TestSearch:
             ["--archive", missing, "--query-features", missing],
             ["--method", "dtw", "--query-id", "q0"],
             ["--checkpoint", missing, "--query-id", "q0"],
+            ["--archive", missing, "--query-id", "q0", "--query-features", missing],
+            ["--checkpoint", missing, "--manifest", missing, "--query-id", "q0",
+             "--query-features", missing],
+            ["--method", "dtw", "--manifest", missing, "--query-id", "q0",
+             "--query-features", missing],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(["search", *argv])
@@ -528,6 +533,46 @@ class TestEvaluate:
         assert exc.value.code == 2
         assert "label" in capsys.readouterr().err
         assert not reports.exists()
+
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, capsys):
+        # OpenBLAS reads its thread count when numpy is imported, so each
+        # count needs a fresh process; the seed-11 corpus and an H=32 model
+        # are the acceptance scale, where a threaded BLAS call would split
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out-dir", str(corpus), "--seed", "11",
+                     "--frames-min", "3", "--frames-max", "5"]) == 0
+        manifest = str(corpus / "manifest.jsonl")
+        assert len(parse_manifest(manifest).subset("test")) == 280
+        params = init_params(8, 32, seed=5)
+        params.flat += np.random.default_rng(5).uniform(-0.5, 0.5, size=params.flat.shape)
+        checkpoint = str(tmp_path / "model.json")
+        save_checkpoint(params, checkpoint)
+        capsys.readouterr()
+        script = (
+            "import sys\n"
+            "from seqembed.cli import main\n"
+            "manifest, checkpoint, out = sys.argv[1:]\n"
+            "assert main(['encode', '--manifest', manifest, '--checkpoint', checkpoint,\n"
+            "             '--out', out + '/archive.csv']) == 0\n"
+            "assert main(['evaluate', '--manifest', manifest, '--method', 'sa=' + checkpoint,\n"
+            "             '--method', 'ne4', '--method', 'dtw', '--report-dir', out,\n"
+            "             '--out', out + '/comparison.csv']) == 0\n"
+        )
+        src = str(Path(__import__("seqembed").__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            child = subprocess.run([sys.executable, "-c", script, manifest, checkpoint, str(out)],
+                                   env=env, capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["archive.csv", "comparison.csv", "per_query_dtw.csv",
+                                      "per_query_ne4.csv", "per_query_sa.csv"]
+        assert outputs[0] == outputs[1]
 
 
 class TestAnalyze:

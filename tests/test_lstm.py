@@ -14,7 +14,7 @@ import lstm_oracle as oracle
 import seqembed
 from conftest import assert_grads_close, finite_difference
 from seqembed.errors import DimensionError
-from seqembed.lstm import Tape, backward, forward, sigmoid, step, weight_grads
+from seqembed.lstm import Tape, backward, forward, weight_grads
 
 # the weights of one layer; forward takes the gate inputs x W_x^T + b, then the
 # cell (W_h, w_c), w_c holding the i, f and o peepholes as rows
@@ -49,7 +49,7 @@ def scalar_params(p):
 
 def run(params, xs):
     xs = np.asarray(xs, dtype=np.float64)
-    return forward(xs @ params["W_x"].T + params["b"], *cell(params))
+    return forward(Tape(xs @ params["W_x"].T + params["b"]), *cell(params))
 
 
 def cell(params):
@@ -60,8 +60,7 @@ def single_step(params, x, h_prev, c_prev):
     """One kernel step from an arbitrary state."""
     tape = Tape((params["W_x"] @ x + params["b"])[None])
     tape.h[0], tape.c[0] = h_prev, c_prev
-    step(tape, 0, *cell(params))
-    return tape
+    return forward(tape, *cell(params))
 
 
 def oracle_layer(params):
@@ -91,9 +90,14 @@ def scalar_plain_step(p, x, h, c):
 
 
 def test_sigmoid_stable_at_extremes():
-    assert sigmoid(np.array([1000.0]))[0] == 1.0
-    assert sigmoid(np.array([-1000.0]))[0] == 0.0
-    npt.assert_allclose(sigmoid(np.array([0.0]))[0], 0.5, rtol=0, atol=0)
+    # gate inputs +1000, -1000 and 0 on the i, f and o rows; with zero
+    # recurrent and peephole weights nothing else reaches them
+    params = zero_params(1, 1)
+    gates = np.zeros((3, 4))
+    gates[:, [0, 1, 3]] = np.array([1000.0, -1000.0, 0.0])[:, None]
+    tape = forward(Tape(gates), *cell(params))
+    for row, want in zip(tape.gates, (1.0, 0.0, 0.5)):
+        assert row[0] == row[1] == row[3] == want
 
 
 def test_zero_params_zero_state_gives_zero_outputs():
@@ -161,9 +165,9 @@ def test_forward_is_pure():
 
 def test_shape_mismatch_raises():
     params = zero_params(3, 4)
-    for gates in (np.zeros((1, 15)), np.zeros(16)):  # not (T, 4H)
+    for gates in (np.zeros((1, 15)), np.zeros((1, 20)), np.zeros(16)):  # not (T, 4H)
         with pytest.raises(DimensionError):
-            forward(gates, *cell(params))
+            forward(Tape(gates), *cell(params))
     bad = dict(params, W_h=np.zeros((16, 5)))  # recurrent weights of a 5-unit state
     with pytest.raises(DimensionError):
         run(bad, np.zeros((1, 3)))
@@ -281,6 +285,40 @@ def test_kernel_matches_per_step_oracle(input_dim, hidden, steps, seed):
         npt.assert_allclose(got[name], ref, rtol=0, atol=1e-12 * scale, err_msg=name)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    input_dim=st.integers(1, 8),
+    hidden=st.integers(1, 8),
+    steps=st.integers(1, 40),
+    scale=st.floats(0.08, 3.0),
+    fold=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(input_dim=8, hidden=32, steps=17, scale=0.08, fold=True, seed=0)
+def test_forward_equals_per_step_oracle_bit_for_bit(input_dim, hidden, steps, scale, fold, seed):
+    """``forward`` against a loop of the oracle ``step``, from a random
+    nonzero start state: halving the i, f and o rows once per call changes
+    no bit.  With ``fold`` the recurrent matrix is the decoder's
+    W_h + W_y W_out."""
+    rng = np.random.default_rng(seed)
+    params = uniform_params(rng, input_dim, hidden, scale)
+    params["b"] = rng.uniform(-scale, scale, size=4 * hidden)
+    W_h = params["W_h"]
+    if fold:
+        W_y = rng.uniform(-scale, scale, size=(4 * hidden, input_dim))
+        W_h = W_h + W_y @ rng.uniform(-scale, scale, size=(input_dim, hidden))
+    gates = rng.standard_normal((steps, input_dim)) @ params["W_x"].T + params["b"]
+    h0, c0 = rng.standard_normal(hidden), rng.standard_normal(hidden)
+    got, want = Tape(gates.copy()), Tape(gates.copy())
+    for tape in (got, want):
+        tape.h[0], tape.c[0] = h0, c0
+    forward(got, W_h, params["w_c"])
+    for t in range(steps):
+        oracle.step(want, t, W_h, params["w_c"])
+    for name in ("gates", "h", "c"):
+        npt.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     input_dim=st.integers(1, 6),
@@ -304,17 +342,24 @@ def test_backward_matches_per_step_loop(input_dim, hidden, steps, seed):
     npt.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
-def test_forward_is_the_only_caller_of_step():
-    """One forward time loop in the package: every ``step`` call sits in
-    ``lstm.forward``, and no other module imports ``step``."""
+def test_forward_is_the_only_forward_time_loop():
+    """One forward time loop in the package: ``lstm`` defines no per-step
+    function, and ``forward`` is called only by the autoencoder's encoder
+    and decoder."""
+    package = Path(seqembed.__file__).parent
+    lstm_tree = ast.parse((package / "lstm.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(lstm_tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert sorted(getattr(node, "name", "<lambda>") for node in functions) == [
+        "__init__", "backward", "forward", "weight_grads"]
     callers = []
-    for path in sorted(Path(seqembed.__file__).parent.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.alias) and node.name == "step":
-                    callers.append(f"{path.stem} imports step")
+                if isinstance(node, ast.alias) and node.name == "forward" and node.asname:
+                    callers.append(f"{path.stem} renames forward")
                 elif isinstance(node, ast.Call):
                     f = node.func
-                    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "step":
+                    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "forward":
                         callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == ["lstm.forward"]
+    assert callers == ["autoencoder._encode", "autoencoder._decode"]

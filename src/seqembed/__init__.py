@@ -10,6 +10,7 @@ from .autoencoder import (
     corrupt_zero_mask,
     decode,
     encode,
+    encode_batch,
     init_params,
     load_checkpoint,
     reconstruction_loss,
@@ -52,6 +53,7 @@ __all__ = [
     "dtw_matrix",
     "dtw_path",
     "encode",
+    "encode_batch",
     "generate_synthetic",
     "init_params",
     "load_archive",

@@ -20,6 +20,7 @@ decoder's output-feedback edges, the z handoff, and the encoder.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -35,6 +36,10 @@ from .lstm import GATE_ORDER, Tape, backward, forward, weight_grads
 
 INIT_SCALE = 0.08
 CHECKPOINT_VERSION = 1
+
+# Byte budget of the tape of one block of sequences that ``encode_batch``
+# runs at once; it bounds the memory that encoding many sequences adds.
+_TAPE_BYTES = 1 << 18
 
 # Every weight block, in checkpoint order: (name, shape, gate letters).
 # Shapes are written in D (input width), H (hidden units) and G (one per gate
@@ -63,26 +68,37 @@ def _shape(symbols, gates, input_dim: int, hidden_dim: int) -> tuple[int, ...]:
     return tuple(sizes[s] for s in symbols)
 
 
-def _block_shapes(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
-    return [(name, _shape(shape, gates, input_dim, hidden_dim)) for name, shape, gates in LAYOUT]
-
-
-def _tile(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
-    """Views of consecutive slices of ``flat``, one per (name, shape), in order."""
-    views = {}
+def _placed(shapes) -> tuple[tuple[tuple[str, int, int, tuple[int, ...]], ...], int]:
+    """(name, start, stop, shape) of consecutive slices, one per (name, shape),
+    in order, and the size they add up to."""
+    placed = []
     offset = 0
     for name, shape in shapes:
-        size = math.prod(shape)
-        views[name] = flat[offset : offset + size].reshape(shape)
-        offset += size
-    if offset != flat.shape[0]:
-        raise DimensionError(f"parameter vector has {flat.shape[0]} entries, expected {offset}")
-    return views
+        stop = offset + math.prod(shape)
+        placed.append((name, offset, stop, shape))
+        offset = stop
+    return tuple(placed), offset
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(input_dim: int, hidden_dim: int):
+    """LAYOUT's blocks placed in the flat vector, derived once per model shape."""
+    return _placed(
+        [(name, _shape(shape, gates, input_dim, hidden_dim)) for name, shape, gates in LAYOUT]
+    )
+
+
+def _tile(flat: np.ndarray, placed) -> dict[str, np.ndarray]:
+    """Views of ``flat``, one per slice that ``_placed`` returned."""
+    slices, size = placed
+    if flat.shape[0] != size:
+        raise DimensionError(f"parameter vector has {flat.shape[0]} entries, expected {size}")
+    return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in slices}
 
 
 def unpack(flat: np.ndarray, input_dim: int, hidden_dim: int) -> dict[str, np.ndarray]:
     """Named views into a flat parameter or gradient vector, in LAYOUT order."""
-    return _tile(flat, _block_shapes(input_dim, hidden_dim))
+    return _tile(flat, _layout(input_dim, hidden_dim))
 
 
 @dataclass
@@ -113,7 +129,7 @@ def init_params(input_dim: int, hidden_dim: int, seed: int) -> ModelParams:
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError("input_dim and hidden_dim must be >= 1")
     rng = np.random.default_rng(seed)
-    size = sum(math.prod(shape) for _, shape in _block_shapes(input_dim, hidden_dim))
+    size = _layout(input_dim, hidden_dim)[1]
     params = ModelParams(input_dim, hidden_dim, np.zeros(size), rng_seed=seed)
     for name, view in params.views().items():
         if not name.rsplit(".", 1)[1].startswith("b"):
@@ -126,11 +142,21 @@ def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, np.ndarra
     return views[f"{net}.W_h"], views[f"{net}.w_c"]
 
 
-def _encode(views: dict[str, np.ndarray], x: np.ndarray) -> Tape:
+def _encode(views: dict[str, np.ndarray], xs: Sequence[np.ndarray]) -> Tape:
+    """Encoder tape of ``xs``, sorted longest first: a one-sequence tape for
+    one, as training backpropagates through, else one column per sequence."""
     W_x = views["encoder.W_x"]
-    if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
-        raise DimensionError(f"input width mismatch: shape {x.shape}, input_dim {W_x.shape[1]}")
-    return forward(Tape(x @ W_x.T + views["encoder.b_"]), *_cell(views, "encoder"))
+    for x in xs:
+        if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
+            raise DimensionError(f"input width mismatch: shape {x.shape}, input_dim {W_x.shape[1]}")
+    lengths = [x.shape[0] for x in xs]
+    gates = np.zeros((lengths[0], len(xs), W_x.shape[0]))
+    for column, x in zip(gates.swapaxes(0, 1), xs):
+        # one product per sequence: BLAS sums a one-frame product in another
+        # order than the same frame inside a longer one
+        column[: len(x)] = x @ W_x.T
+    gates += views["encoder.b_"]
+    return forward(Tape(gates if len(xs) > 1 else gates[:, 0], lengths), *_cell(views, "encoder"))
 
 
 def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -140,20 +166,45 @@ def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     return W_h + views["decoder.W_y.W_x"] @ views["output.W"], w_c
 
 
-def _decode(views: dict[str, np.ndarray], z: np.ndarray, length: int) -> tuple[Tape, np.ndarray]:
-    """Decoder tape and output frames; step 1 reads z, later steps the previous frame."""
+def _decode(views: dict[str, np.ndarray], cell, z: np.ndarray, length: int) -> tuple[Tape, np.ndarray]:
+    """Decoder tape and output frames; step 1 reads z, later steps the
+    previous frame.  ``cell`` is ``_decoder_cell(views)``."""
     W_z, W_y, b = views["decoder.W_z.W_x"], views["decoder.W_y.W_x"], views["decoder.b_"]
     W_out, b_out = views["output.W"], views["output.b"]
     gates = np.empty((length, W_z.shape[0]))
     gates[0] = W_z @ z + b
     gates[1:] = W_y @ b_out + b
-    tape = forward(Tape(gates), *_decoder_cell(views))
+    tape = forward(Tape(gates), *cell)
     return tape, tape.h[1:] @ W_out.T + b_out
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Run the encoder over x_1..x_T from a zero state; return h_T."""
-    return _encode(params.views(), validate_frames(x)).h[-1].copy()
+    return _encode(params.views(), [validate_frames(x)]).h[-1].copy()
+
+
+def encode_batch(params: ModelParams, xs: Sequence[np.ndarray]) -> np.ndarray:
+    """Embeddings of the sequences ``xs``, one row each: row i is
+    ``encode(params, xs[i])``, bit for bit.
+
+    Every sequence is checked before it enters a block.  The sequences run
+    longest first, in blocks of as many as fit a tape of ``_TAPE_BYTES``
+    (at least one), and each step advances its whole block.
+    """
+    xs = [validate_frames(x) for x in xs]
+    order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
+    column_step = 8 * 6 * params.hidden_dim  # bytes of a column's gates, h and c per step
+    views = params.views()
+    out = np.empty((len(xs), params.hidden_dim))
+    start = 0
+    while start < len(order):
+        steps = len(xs[order[start]]) + 1
+        block = order[start : start + max(1, _TAPE_BYTES // (column_step * steps))]
+        tape = _encode(views, [xs[i] for i in block])
+        h = tape.h.reshape(steps, len(block), -1)
+        out[block] = h[tape.lengths, range(len(block))]
+        start += len(block)
+    return out
 
 
 def decode(params: ModelParams, z: np.ndarray, length: int) -> np.ndarray:
@@ -163,7 +214,8 @@ def decode(params: ModelParams, z: np.ndarray, length: int) -> np.ndarray:
         raise DimensionError(f"embedding shape {z.shape}, expected ({params.hidden_dim},)")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    return _decode(params.views(), z, length)[1]
+    views = params.views()
+    return _decode(views, _decoder_cell(views), z, length)[1]
 
 
 def reconstruction_loss(x: np.ndarray, y: np.ndarray) -> float:
@@ -199,16 +251,17 @@ def loss_and_gradients(
     else:
         x_in = np.asarray(x_in, dtype=np.float64)
     views = params.views()
-    enc = _encode(views, x_in)
+    enc = _encode(views, [x_in])
     z = enc.h[-1]
-    dec, ys = _decode(views, z, x.shape[0])
+    dec_cell = _decoder_cell(views)
+    dec, ys = _decode(views, dec_cell, z, x.shape[0])
     loss = reconstruction_loss(x, ys)
 
     grad = np.zeros_like(params.flat)
     g = unpack(grad, params.input_dim, params.hidden_dim)
     W_y, W_out = views["decoder.W_y.W_x"], views["output.W"]
     dY = 2.0 * (ys - x)
-    dA = backward(dec, dY @ W_out, *_decoder_cell(views))
+    dA = backward(dec, dY @ W_out, *dec_cell)
     dY[:-1] += dA[1:] @ W_y  # the feedback edge y_t -> step t+1
     np.matmul(dY.T, dec.h[1:], out=g["output.W"])
     np.sum(dY, axis=0, out=g["output.b"])
@@ -321,7 +374,8 @@ def _checkpoint_keys(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[i
 
 def checkpoint_blocks(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """(key, view into ``params.flat``) pairs in checkpoint order."""
-    return list(_tile(params.flat, _checkpoint_keys(params.input_dim, params.hidden_dim)).items())
+    keys = _checkpoint_keys(params.input_dim, params.hidden_dim)
+    return list(_tile(params.flat, _placed(keys)).items())
 
 
 def save_checkpoint(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autoencoder import (
     TrainConfig,
-    encode,
+    encode_batch,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -129,12 +129,13 @@ def cmd_train(args, parser) -> int:
 
 
 def _segment_encoder(checkpoint=None, m=None):
-    """The feature -> vector function of the naive encoder with ``m``
-    segments, or else of the model loaded from ``checkpoint``."""
+    """The batch encoder (a list of feature arrays in, one vector per row out)
+    of the naive encoder with ``m`` segments, or else of the model loaded
+    from ``checkpoint``."""
     if m is not None:
-        return lambda features: naive_encode(features, m)
+        return lambda batch: np.array([naive_encode(features, m) for features in batch])
     params = load_checkpoint(checkpoint)
-    return lambda features: encode(params, features)
+    return lambda batch: encode_batch(params, batch)
 
 
 def cmd_encode(args, parser) -> int:
@@ -143,10 +144,15 @@ def cmd_encode(args, parser) -> int:
         parser.error("--encoder ne requires --m")
     if not naive and not args.checkpoint:
         parser.error("model encoding requires --checkpoint")
+    start = time.perf_counter()
     segment_encoder = _segment_encoder(args.checkpoint, args.m if naive else None)
     records = _split_records(parse_manifest(args.manifest), args.split)
+    read = time.perf_counter()
     archive = build_archive(segment_encoder, records)
+    encoded = time.perf_counter()
     save_archive(archive, args.out)
+    print(f"encode: read {read - start:.3f} s, encode {encoded - read:.3f} s,"
+          f" write {time.perf_counter() - encoded:.3f} s", file=sys.stderr)
     print(f"wrote {len(archive)} embeddings of width {archive.dim} to {args.out}")
     return EXIT_OK
 
@@ -183,7 +189,7 @@ def cmd_search(args, parser) -> int:
         if args.query_id is not None:
             query_vec = archive.vector(args.query_id)
         else:
-            query_vec = segment_encoder(load_feature_file(args.query_features))
+            query_vec = segment_encoder([load_feature_file(args.query_features)])[0]
         words = {seg_id: word for seg_id, word, _vec in archive.entries}
         ranked = rank(query_vec, archive, exclude_id=args.query_id, top_k=args.top)
 

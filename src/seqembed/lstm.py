@@ -9,15 +9,20 @@ reads the freshly updated one.
 
 One sequence of T steps lives in a ``Tape``: the activated gates (T, 4H)
 and the hidden and cell states (T+1, H), row 0 holding the start state.
-``forward``, the one function that advances a tape, takes each step's gate
-input W_x x_t + b, so it serves any network whose inputs are known up front;
-the autoencoder's decoder is one once its output feedback is folded into the
-recurrent matrix.  The backward pass computes every step's local derivatives
-over the whole tape at once, then runs the reverse recurrence, writing one
-row per step of dA, the gradient of the gate pre-activations (T, 4H); every
-weight gradient is then one matrix product or column sum over the whole
-sequence instead of T outer products (the recurrence restructuring of
-Appleyard et al., arXiv 1604.01946).
+A batch tape of B sequences adds a column axis, gates (T, B, 4H) and states
+(T+1, B, H), with its columns sorted longest first; step t advances only
+the columns still running, so no padding step is computed (the batch axis
+of Appleyard et al., arXiv 1604.01946).  ``forward``, the one function that
+advances a tape, takes each step's gate input W_x x_t + b, so it serves any
+network whose inputs are known up front; the autoencoder's decoder is one
+once its output feedback is folded into the recurrent matrix.
+
+The backward pass, for one sequence, computes every step's local
+derivatives over the whole tape at once, then runs the reverse recurrence,
+writing one row per step of dA, the gradient of the gate pre-activations
+(T, 4H); every weight gradient is then one matrix product or column sum
+over the whole sequence instead of T outer products (the recurrence
+restructuring of the same paper).
 
 All arithmetic is float64: the gradient acceptance checks compare against
 central finite differences and need the headroom.
@@ -32,22 +37,36 @@ GATE_ORDER = ("i", "f", "c", "o")
 
 
 class Tape:
-    """Activations of one sequence through H units.  ``gates`` (T, 4H) holds
-    each step's input projection plus bias; it is taken over, not copied."""
+    """Activations through H units of one sequence, gates (T, 4H), or of a
+    batch, gates (T, B, 4H) with ``lengths`` giving each column's steps,
+    longest first.  ``gates`` holds each step's input projection plus bias;
+    it is taken over, not copied.  ``forward`` leaves a column's state rows
+    past its length as they are."""
 
-    __slots__ = ("gates", "h", "c")
+    __slots__ = ("gates", "h", "c", "lengths")
 
-    def __init__(self, gates: np.ndarray):
-        if gates.ndim != 2:
-            raise DimensionError(f"gate inputs {gates.shape}, expected (T, 4H)")
-        steps, hidden = gates.shape[0], gates.shape[1] // 4
+    def __init__(self, gates: np.ndarray, lengths=None):
+        if gates.ndim not in (2, 3):
+            raise DimensionError(f"gate inputs {gates.shape}, expected (T, 4H) or (T, B, 4H)")
+        steps, columns, hidden = gates.shape[0], gates.shape[1:-1], gates.shape[-1] // 4
+        count = columns[0] if columns else 1
+        if lengths is None:
+            lengths = [steps] * count
+        elif len(lengths) != count or not all(
+            a >= b for a, b in zip([steps, *lengths], [*lengths, 0])
+        ):
+            raise DimensionError(
+                f"lengths {lengths} of gate inputs {gates.shape}: expected {count}"
+                f" non-increasing lengths from 0 to {steps}"
+            )
         self.gates = gates
-        self.h = np.zeros((steps + 1, hidden))
-        self.c = np.zeros((steps + 1, hidden))
+        self.h = np.zeros((steps + 1, *columns, hidden))
+        self.c = np.zeros((steps + 1, *columns, hidden))
+        self.lengths = lengths
 
 
 def forward(tape: Tape, W_h: np.ndarray, w_c: np.ndarray) -> Tape:
-    """Run the tape's T steps in place from its row-0 state (zero as ``Tape``
+    """Run the tape's steps in place from its row-0 state (zero as ``Tape``
     builds it); return the tape.
 
     On entry row t of ``tape.gates`` holds step t's input projection plus
@@ -65,36 +84,56 @@ def forward(tape: Tape, W_h: np.ndarray, w_c: np.ndarray) -> Tape:
     with sig(a) = 0.5*tanh(a/2) + 0.5, which cannot overflow.  The i, f and
     o rows of the gate inputs, W_h and w_c are halved once per call (exactly),
     so one tanh covers the contiguous i, f and g rows of each step.
+
+    A step advances the first n columns, those still running.  Their
+    recurrent term is one matrix-vector product per column, W_h broadcast
+    over the columns: one matrix product for all n would sum in another
+    order and change the last bits, so every column keeps the bits of its
+    sequence run alone.
     """
     h = W_h.shape[1]
     if W_h.shape != (4 * h, h):
         raise DimensionError(f"recurrent weights {W_h.shape}, expected ({4 * h}, {h})")
-    if tape.gates.shape[1] != 4 * h:
-        raise DimensionError(f"gate inputs {tape.gates.shape}, expected (T, {4 * h})")
+    if tape.gates.shape[-1] != 4 * h:
+        raise DimensionError(f"gate inputs {tape.gates.shape}, expected (..., {4 * h})")
     half = np.full(4 * h, 0.5)
     half[2 * h : 3 * h] = 1.0
     tape.gates *= half
     W_h = W_h * half[:, None]
-    w_i, w_f, w_o = w_c * 0.5
-    for t, a in enumerate(tape.gates):
-        a += W_h @ tape.h[t]
-        c_prev, c = tape.c[t], tape.c[t + 1]
-        i, f, g, o = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
-        i_f, i_f_g = a[: 2 * h], a[: 3 * h]
-        i += w_i * c_prev
-        f += w_f * c_prev
-        np.tanh(i_f_g, out=i_f_g)
-        i_f *= 0.5
-        i_f += 0.5
-        np.multiply(f, c_prev, out=c)
-        c += i * g
-        o += w_o * c
-        np.tanh(o, out=o)
-        o *= 0.5
-        o += 0.5
-        h_new = tape.h[t + 1]
-        np.tanh(c, out=h_new)
-        h_new *= o
+    w_i, w_f, w_o = w_c[:, None] * 0.5  # (1, H) rows, the shape of one running column
+    # one sequence is a batch of one: (T, B, ...) views of every array
+    steps = tape.gates.shape[0]
+    gates = tape.gates.reshape(steps, -1, 4, h)
+    h_col = tape.h.reshape(steps + 1, -1, h, 1)
+    c_all = tape.c.reshape(steps + 1, -1, h)
+    batch = gates.shape[1]
+    rec = np.empty((batch, 4 * h, 1))  # the recurrent term, reused by every step
+    # the steps from bounds[k] to bounds[k + 1] run the first batch - k columns
+    bounds = [0, *reversed(tape.lengths)]
+    for n, start, stop in zip(range(batch, 0, -1), bounds, bounds[1:]):
+        a = gates[start:stop, :n]
+        rec_n = rec[:n]
+        rec_gates = rec_n.reshape(n, 4, h)
+        for a_t, i_f, i_f_g, i, f, g, o, h_t, h_new, c_t, c_new in zip(
+            a, a[:, :, :2], a[:, :, :3], a[:, :, 0], a[:, :, 1], a[:, :, 2], a[:, :, 3],
+            h_col[start:stop, :n], h_col[start + 1 : stop + 1, :n, :, 0],
+            c_all[start:stop, :n], c_all[start + 1 : stop + 1, :n],
+        ):
+            np.matmul(W_h, h_t, out=rec_n)
+            a_t += rec_gates
+            i += w_i * c_t
+            f += w_f * c_t
+            np.tanh(i_f_g, out=i_f_g)
+            i_f *= 0.5
+            i_f += 0.5
+            np.multiply(f, c_t, out=c_new)
+            c_new += i * g
+            o += w_o * c_new
+            np.tanh(o, out=o)
+            o *= 0.5
+            o += 0.5
+            np.tanh(c_new, out=h_new)
+            h_new *= o
     return tape
 
 
@@ -103,6 +142,8 @@ def backward(tape: Tape, dH: np.ndarray, W_h: np.ndarray, w_c: np.ndarray) -> np
     reaching each step's output h[1..T].  ``W_h`` is the matrix through which
     h[t] reaches the gates of step t; it need not be the forward one.  The
     input gradient is ``dA @ W_x``."""
+    if tape.gates.ndim != 2:
+        raise DimensionError(f"gate inputs {tape.gates.shape}: backward takes one sequence")
     steps, h = tape.h.shape[0] - 1, tape.h.shape[1]
     if dH.shape != (steps, h):
         raise DimensionError(f"upstream gradient shape {dH.shape}, expected ({steps}, {h})")

@@ -76,24 +76,32 @@ class EmbeddingArchive:
 
 
 def build_archive(
-    encoder: Callable[[np.ndarray], np.ndarray],
+    encoder: Callable[[list[np.ndarray]], np.ndarray],
     dataset: Dataset | Sequence[SegmentRecord],
 ) -> EmbeddingArchive:
-    """Encode every record with ``encoder``; entry order follows record order."""
-    entries: list[tuple[str, str, np.ndarray]] = []
-    for rec in dataset:
-        try:
-            vec = np.asarray(encoder(rec.features), dtype=np.float64)
-        except Exception as exc:
-            raise DataError(f"encoding failed for record '{rec.id}': {exc}") from exc
-        if vec.ndim != 1:
-            raise DimensionError(
-                f"encoder returned shape {vec.shape} for record '{rec.id}', expected a vector"
-            )
-        entries.append((rec.id, rec.word, vec))
-    if not entries:
+    """Encode every record with the batch ``encoder``, which maps a list of
+    T x D feature arrays to one vector row each; entry order follows record
+    order.  If the batch fails, the error names the first record that fails
+    on its own."""
+    records = list(dataset)
+    if not records:
         raise DataError("cannot build an archive from zero records")
-    return EmbeddingArchive(entries=entries, dim=entries[0][2].shape[0])
+    try:
+        vectors = np.asarray(encoder([rec.features for rec in records]), dtype=np.float64)
+    except Exception as exc:
+        for rec in records:
+            try:
+                encoder([rec.features])
+            except Exception as own:
+                raise DataError(f"encoding failed for record '{rec.id}': {own}") from own
+        raise DataError(f"encoding failed: {exc}") from exc
+    if vectors.ndim != 2 or len(vectors) != len(records):
+        raise DimensionError(
+            f"encoder returned shape {vectors.shape} for {len(records)} records,"
+            " expected one vector each"
+        )
+    entries = [(rec.id, rec.word, vec) for rec, vec in zip(records, vectors)]
+    return EmbeddingArchive(entries=entries, dim=vectors.shape[1])
 
 
 def order_by_score(

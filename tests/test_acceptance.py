@@ -16,7 +16,7 @@ import pytest
 from conftest import assert_grads_close, finite_difference
 from seqembed.autoencoder import (
     TrainConfig,
-    encode,
+    encode_batch,
     init_params,
     loss_and_gradients,
     save_checkpoint,
@@ -204,7 +204,7 @@ def test_criterion_3_edit_distance_and_ap_oracles():
 def test_criterion_4_similarity_trend(corpus, trained_sa):
     params, losses, train_time = trained_sa
     start = time.time()
-    archive = build_archive(lambda x: encode(params, x), corpus.subset("test"))
+    archive = build_archive(lambda xs: encode_batch(params, xs), corpus.subset("test"))
     rows = similarity_table(archive, corpus, max_bucket=3)
     elapsed = train_time + (time.time() - start)
 
@@ -234,9 +234,9 @@ def test_criterion_5_retrieval_gains(corpus, corpus_dir, trained_sa, trained_dsa
     test_records = corpus.subset("test")
 
     untrained = init_params(8, HIDDEN, seed=INIT_SEED)
-    map_untrained = archive_map(build_archive(lambda x: encode(untrained, x), test_records), test_records)
-    map_sa = archive_map(build_archive(lambda x: encode(sa_params, x), test_records), test_records)
-    map_dsa = archive_map(build_archive(lambda x: encode(dsa_params, x), test_records), test_records)
+    map_untrained = archive_map(build_archive(lambda xs: encode_batch(untrained, xs), test_records), test_records)
+    map_sa = archive_map(build_archive(lambda xs: encode_batch(sa_params, xs), test_records), test_records)
+    map_dsa = archive_map(build_archive(lambda xs: encode_batch(dsa_params, xs), test_records), test_records)
 
     sa_ckpt = tmp_path / "sa.json"
     dsa_ckpt = tmp_path / "dsa.json"

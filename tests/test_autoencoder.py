@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 import lstm_oracle as oracle
 import seqembed
+from seqembed import autoencoder
 from conftest import assert_grads_close, finite_difference, make_records
 from seqembed.autoencoder import (
     ModelParams,
@@ -27,6 +29,7 @@ from seqembed.autoencoder import (
     corrupt_zero_mask,
     decode,
     encode,
+    encode_batch,
     init_params,
     load_checkpoint,
     loss_and_gradients,
@@ -108,6 +111,39 @@ class TestEncode:
         p = init_params(3, 4, seed=8)
         with pytest.raises(DimensionError):
             encode(p, np.zeros((5, 2)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        input_dim=st.integers(1, 8),
+        hidden=st.integers(1, 8),
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40),
+        block_columns=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(input_dim=8, hidden=32, lengths=[17, 30, 9, 17, 12, 30], block_columns=2, seed=0)
+    @example(input_dim=8, hidden=100, lengths=[3, 25, 25, 1, 14], block_columns=3, seed=1)
+    def test_batch_equals_per_sequence_oracle_bit_for_bit(
+        self, input_dim, hidden, lengths, block_columns, seed
+    ):
+        """``encode_batch`` in input order, in blocks of about
+        ``block_columns`` columns of the longest length, against a loop of
+        the oracle ``step`` over each sequence alone."""
+        rng = np.random.default_rng(seed)
+        params = init_params(input_dim, hidden, seed=seed % 1000)
+        params.flat[:] = rng.uniform(-1.0, 1.0, size=params.flat.shape)
+        xs = [rng.standard_normal((t, input_dim)) for t in lengths]
+        budget = block_columns * 8 * 6 * hidden * (max(lengths) + 1)
+        with mock.patch.object(autoencoder, "_TAPE_BYTES", budget):
+            got = encode_batch(params, xs)
+        views = params.views()
+        for x, row in zip(xs, got):
+            tape = Tape(x @ views["encoder.W_x"].T + views["encoder.b_"])
+            for t in range(len(x)):
+                oracle.step(tape, t, views["encoder.W_h"], views["encoder.w_c"])
+            npt.assert_array_equal(row, tape.h[-1])
+
+    def test_batch_of_none(self):
+        assert encode_batch(init_params(3, 4, seed=0), []).shape == (0, 4)
 
 
 class TestDecode:

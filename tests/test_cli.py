@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqembed.autoencoder import encode, init_params, load_checkpoint, save_checkpoint
+from seqembed.autoencoder import encode_batch, init_params, load_checkpoint, save_checkpoint
 from seqembed.baselines import naive_encode
 from seqembed.cli import build_parser, main
 from seqembed.data import Dataset, SegmentRecord, parse_manifest, write_manifest
@@ -482,8 +482,9 @@ class TestEvaluate:
         records = parse_manifest(manifest).subset("test")
         params = load_checkpoint(trained)
         matrices = {
-            "sa": cosine_matrix(build_archive(lambda x: encode(params, x), records)),
-            "ne2": cosine_matrix(build_archive(lambda x: naive_encode(x, 2), records)),
+            "sa": cosine_matrix(build_archive(lambda xs: encode_batch(params, xs), records)),
+            "ne2": cosine_matrix(build_archive(
+                lambda xs: np.array([naive_encode(x, 2) for x in xs]), records)),
             "dtw": dtw_matrix(records),
         }
         want_dir, results, lines = tmp_path / "want", [], []

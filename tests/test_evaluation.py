@@ -210,7 +210,7 @@ class TestMeanAveragePrecision:
              np.array([[0.0, 1.0]]), np.array([[0.1, 0.9]])],
             words=["u", "u", "v", "v"],
         )
-        archive = build_archive(lambda x: x[0], records)
+        archive = build_archive(lambda xs: np.array([x[0] for x in xs]), records)
         report = mean_average_precision(cosine_matrix(archive), records)
         assert report.mean_ap == 1.0
         assert report.num_excluded == 0

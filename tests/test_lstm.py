@@ -321,6 +321,51 @@ def test_forward_equals_per_step_oracle_bit_for_bit(input_dim, hidden, steps, sc
 
 @settings(max_examples=60, deadline=None)
 @given(
+    input_dim=st.integers(1, 8),
+    hidden=st.integers(1, 8),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40),
+    scale=st.floats(0.08, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(input_dim=8, hidden=32, lengths=[17, 30, 9, 17, 12], scale=0.08, seed=0)
+@example(input_dim=8, hidden=100, lengths=[3, 25, 25, 1, 14], scale=0.3, seed=1)
+def test_batch_forward_equals_per_sequence_oracle_bit_for_bit(
+    input_dim, hidden, lengths, scale, seed
+):
+    """A batch tape, columns longest first with ties, against a loop of the
+    oracle ``step`` over each sequence alone, from a random nonzero start
+    state: every column keeps its sequence's bits, and its state rows past
+    its length stay as they were."""
+    rng = np.random.default_rng(seed)
+    params = uniform_params(rng, input_dim, hidden, scale)
+    lengths = sorted(lengths, reverse=True)
+    batch = len(lengths)
+    gates = rng.standard_normal((lengths[0], batch, input_dim)) @ params["W_x"].T
+    gates += rng.uniform(-scale, scale, size=4 * hidden)
+    h0, c0 = rng.standard_normal((batch, hidden)), rng.standard_normal((batch, hidden))
+    got = Tape(gates.copy(), lengths)
+    got.h[0], got.c[0] = h0, c0
+    forward(got, *cell(params))
+    for b, steps in enumerate(lengths):
+        want = Tape(gates[:steps, b].copy())
+        want.h[0], want.c[0] = h0[b], c0[b]
+        for t in range(steps):
+            oracle.step(want, t, *cell(params))
+        npt.assert_array_equal(got.gates[:steps, b], want.gates, err_msg=f"gates {b}")
+        npt.assert_array_equal(got.h[: steps + 1, b], want.h, err_msg=f"h {b}")
+        npt.assert_array_equal(got.c[: steps + 1, b], want.c, err_msg=f"c {b}")
+        assert not got.h[steps + 1 :, b].any() and not got.c[steps + 1 :, b].any()
+
+
+def test_batch_lengths_checked():
+    gates = np.zeros((3, 2, 8))
+    for lengths in ([3], [2, 3], [4, 1], [3, -1]):
+        with pytest.raises(DimensionError, match="lengths"):
+            Tape(gates, lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     input_dim=st.integers(1, 6),
     hidden=st.integers(1, 6),
     steps=st.integers(1, 6),

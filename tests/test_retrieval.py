@@ -14,6 +14,7 @@ import dtw_oracle
 import retrieval_oracle as oracle
 from conftest import GRID, dtw_records, grid_archive, grid_records, make_records, tie_blocks
 from seqembed import baselines
+from seqembed.autoencoder import encode_batch, init_params
 from seqembed.baselines import dtw_distance
 from seqembed.errors import DataError, DimensionError
 from seqembed.retrieval import (
@@ -131,17 +132,22 @@ def toy_archive():
     )
 
 
+def row_map(encode_one):
+    """The batch encoder that maps ``encode_one`` over its sequences."""
+    return lambda batch: np.array([encode_one(x) for x in batch])
+
+
 class TestArchive:
     def test_build_keeps_record_order(self):
         records = make_records([np.full((2, 3), float(i)) for i in range(3)])
-        archive = build_archive(lambda x: x.mean(axis=0), records)
+        archive = build_archive(row_map(lambda x: x.mean(axis=0)), records)
         assert [e[0] for e in archive.entries] == ["r0", "r1", "r2"]
         assert archive.dim == 3
         npt.assert_array_equal(archive.vector("r2"), [2.0, 2.0, 2.0])
 
     def test_rebuild_is_identical(self):
         records = make_records([np.arange(6, dtype=float).reshape(2, 3)] * 2)
-        encoder = lambda x: x.sum(axis=0)
+        encoder = row_map(lambda x: x.sum(axis=0))
         a = build_archive(encoder, records)
         b = build_archive(encoder, records)
         for (ia, wa, va), (ib, wb, vb) in zip(a.entries, b.entries):
@@ -149,13 +155,34 @@ class TestArchive:
             npt.assert_array_equal(va, vb)
 
     def test_encoder_failure_names_record(self):
-        records = make_records([np.ones((2, 2)), np.ones((2, 2))])
+        records = make_records([np.ones((2, 2)), np.full((2, 2), 2.0), np.full((2, 2), 3.0)])
 
-        def bad(features):
-            raise RuntimeError("boom")
+        def bad(batch):  # fails on any batch that holds r1
+            if any(x[0, 0] == 2.0 for x in batch):
+                raise RuntimeError("boom")
+            return np.array([x.sum(axis=0) for x in batch])
 
-        with pytest.raises(DataError, match="r0"):
+        with pytest.raises(DataError, match="record 'r1': boom"):
             build_archive(bad, records)
+
+    @pytest.mark.parametrize("bad_features, message", [
+        (np.array([[1.0, np.nan, 0.0]]), "non-finite"),
+        (np.zeros((0, 3)), "T >= 1"),
+        (np.ones((4, 2)), "input width mismatch"),
+    ])
+    def test_model_encoding_failure_names_record(self, bad_features, message):
+        """A record the model cannot encode is named, wherever its batch
+        puts it: a non-finite frame, no frames, or the wrong width."""
+        params = init_params(3, 4, seed=0)
+        records = make_records([np.ones((t, 3)) for t in (2, 5, 3, 1)])
+        records[2].features = bad_features  # past SegmentRecord's own checks
+        with pytest.raises(DataError, match=f"record 'r2': .*{message}"):
+            build_archive(lambda batch: encode_batch(params, batch), records)
+
+    def test_encoder_must_return_one_row_per_record(self):
+        records = make_records([np.ones((2, 2))] * 3)
+        with pytest.raises(DimensionError, match="3 records"):
+            build_archive(lambda batch: np.zeros((2, 2)), records)
 
     def test_duplicate_ids_rejected(self):
         entries = [("x", "w", np.zeros(2)), ("x", "w", np.zeros(2))]

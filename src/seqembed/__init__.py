@@ -18,7 +18,14 @@ from .autoencoder import (
     train,
 )
 from .baselines import dtw_distance, dtw_path, naive_encode
-from .data import Dataset, SegmentRecord, generate_synthetic, parse_manifest, write_manifest
+from .data import (
+    Dataset,
+    SegmentRecord,
+    generate_synthetic,
+    parse_manifest,
+    read_manifest,
+    write_manifest,
+)
 from .evaluation import (
     average_precision,
     mean_average_precision,
@@ -65,6 +72,7 @@ __all__ = [
     "project_2d",
     "rank",
     "rank_dtw",
+    "read_manifest",
     "reconstruction_loss",
     "save_archive",
     "save_checkpoint",

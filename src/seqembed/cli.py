@@ -28,12 +28,12 @@ from .autoencoder import (
 )
 from .baselines import naive_encode
 from .data import (
-    Dataset,
     check_output_dirs,
     generate_synthetic,
     load_feature_file,
     output_dir,
     parse_manifest,
+    read_manifest,
     write_manifest,
     write_rows,
 )
@@ -95,15 +95,6 @@ PROBABILITY = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 ALPHABET_SIZE = _bounded(int, lambda v: v >= 2, "an integer >= 2")
 
 
-def _split_records(dataset: Dataset, split: str):
-    if split == "all":
-        return dataset.records
-    records = dataset.subset(split)
-    if not records:
-        raise DataError(f"no records in split '{split}'")
-    return records
-
-
 def cmd_train(args, parser) -> int:
     denoise = args.denoise
     if denoise is None:
@@ -114,8 +105,8 @@ def cmd_train(args, parser) -> int:
     loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
     check_output_dirs(args.out, loss_log)  # so a missing one does not cost the trained model
 
-    dataset = parse_manifest(args.manifest)
-    records = _split_records(dataset, "train")
+    dataset = parse_manifest(args.manifest, "train")
+    records = dataset.records
     params = init_params(dataset.dim, args.hidden, args.seed)
     config = TrainConfig(seed=args.seed, epochs=args.epochs, **settings)
     params, losses = train(params, records, config)
@@ -146,7 +137,7 @@ def cmd_encode(args, parser) -> int:
         parser.error("model encoding requires --checkpoint")
     start = time.perf_counter()
     segment_encoder = _segment_encoder(args.checkpoint, args.m if naive else None)
-    records = _split_records(parse_manifest(args.manifest), args.split)
+    records = parse_manifest(args.manifest, args.split).records
     read = time.perf_counter()
     archive = build_archive(segment_encoder, records)
     encoded = time.perf_counter()
@@ -164,8 +155,7 @@ def cmd_search(args, parser) -> int:
     if args.method == "dtw":
         if not args.manifest:
             parser.error("--method dtw requires --manifest")
-        dataset = parse_manifest(args.manifest)
-        records = _split_records(dataset, args.split)
+        records = parse_manifest(args.manifest, args.split).records
         words = {rec.id: rec.word for rec in records}
         if args.query_id is not None:
             by_id = {rec.id: rec for rec in records}
@@ -184,7 +174,7 @@ def cmd_search(args, parser) -> int:
             if not (args.checkpoint and args.manifest):
                 parser.error("search requires --archive, or --checkpoint with --manifest")
             segment_encoder = _segment_encoder(args.checkpoint)
-            records = _split_records(parse_manifest(args.manifest), args.split)
+            records = parse_manifest(args.manifest, args.split).records
             archive = build_archive(segment_encoder, records)
         if args.query_id is not None:
             query_vec = archive.vector(args.query_id)
@@ -233,7 +223,9 @@ def _parse_methods(tokens, parser):
 
 def cmd_evaluate(args, parser) -> int:
     methods = _parse_methods(args.method, parser)
-    records = _split_records(parse_manifest(args.manifest), args.split)
+    start = time.perf_counter()
+    records = parse_manifest(args.manifest, args.split).records
+    print(f"evaluate: read {time.perf_counter() - start:.3f} s", file=sys.stderr)
     report_dir = output_dir(args.report_dir)
 
     results = []
@@ -266,8 +258,7 @@ def cmd_evaluate(args, parser) -> int:
 
 def cmd_analyze_edit_distance(args, parser) -> int:
     archive = load_archive(args.archive)
-    dataset = parse_manifest(args.manifest)
-    rows = similarity_table(archive, dataset, max_bucket=args.max_bucket)
+    rows = similarity_table(archive, read_manifest(args.manifest), max_bucket=args.max_bucket)
     if args.out:
         write_similarity_table(rows, args.out)
         print(f"wrote similarity table to {args.out}")

@@ -42,6 +42,29 @@ def validate_frames(frames: np.ndarray, what: str = "feature sequence") -> np.nd
     return frames
 
 
+def _check_identity(segment) -> None:
+    if segment.split not in SPLITS:
+        raise DataError(
+            f"record '{segment.id}': split must be one of {SPLITS}, got '{segment.split}'"
+        )
+    if segment.phonemes is not None and len(segment.phonemes) == 0:
+        raise DataError(f"record '{segment.id}': phonemes, when present, must be non-empty")
+
+
+@dataclass
+class ManifestEntry:
+    """One manifest line: a segment's identity and its feature file, unread."""
+
+    id: str
+    word: str
+    phonemes: list[str] | None
+    split: str
+    path: Path
+
+    def __post_init__(self):
+        _check_identity(self)
+
+
 @dataclass
 class SegmentRecord:
     """One segment: features plus identity metadata."""
@@ -53,12 +76,7 @@ class SegmentRecord:
     features: np.ndarray
 
     def __post_init__(self):
-        if self.split not in SPLITS:
-            raise DataError(
-                f"record '{self.id}': split must be one of {SPLITS}, got '{self.split}'"
-            )
-        if self.phonemes is not None and len(self.phonemes) == 0:
-            raise DataError(f"record '{self.id}': phonemes, when present, must be non-empty")
+        _check_identity(self)
         self.features = validate_frames(self.features, f"record '{self.id}'")
 
     @property
@@ -255,11 +273,13 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
-def parse_manifest(path: str | Path) -> Dataset:
-    """Load a JSON-lines manifest; record order is file order."""
+def read_manifest(path: str | Path) -> list[ManifestEntry]:
+    """Check every line of a JSON-lines manifest and return its entries in
+    file order.  Each feature file must exist; none is opened."""
     path = Path(path)
     base = path.parent
-    records: list[SegmentRecord] = []
+    entries: list[ManifestEntry] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(read_input(path, "manifest", "line"), start=1):
         line = line.strip()
         if not line:
@@ -298,16 +318,26 @@ def parse_manifest(path: str | Path) -> Dataset:
         feat_path = base / feat_rel
         if not feat_path.is_file():
             raise DataError(f"record '{rec_id}': feature file not found: {feat_path}")
-        records.append(
-            SegmentRecord(
-                id=rec_id,
-                word=obj["word"],
-                phonemes=phonemes,
-                split=obj["split"],
-                features=load_feature_file(feat_path),
-            )
-        )
-    return Dataset.from_records(records)
+        if rec_id in seen:
+            raise DataError(f"duplicate record id '{rec_id}'")
+        seen.add(rec_id)
+        entries.append(ManifestEntry(rec_id, obj["word"], phonemes, obj["split"], feat_path))
+    if not entries:
+        raise DataError("dataset contains no records")
+    return entries
+
+
+def parse_manifest(path: str | Path, split: str = "all") -> Dataset:
+    """The records of one split of a manifest ("all" for every record), in
+    file order.  Every line is checked, but only that split's feature files
+    are read."""
+    entries = [e for e in read_manifest(path) if split in ("all", e.split)]
+    if not entries:
+        raise DataError(f"no records in split '{split}'")
+    return Dataset.from_records([
+        SegmentRecord(e.id, e.word, e.phonemes, e.split, load_feature_file(e.path))
+        for e in entries
+    ])
 
 
 def write_manifest(

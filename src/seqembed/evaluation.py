@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, SegmentRecord, write_csv
+from .data import Dataset, ManifestEntry, SegmentRecord, write_csv
 from .errors import DataError, DimensionError
 from .retrieval import EmbeddingArchive, RankedResult, cosine_matrix
 
@@ -41,10 +41,11 @@ class SimilarityBucket:
 
 def similarity_table(
     archive: EmbeddingArchive,
-    dataset: Dataset | Sequence[SegmentRecord],
+    dataset: Dataset | Sequence[SegmentRecord | ManifestEntry],
     max_bucket: int = 5,
 ) -> list[SimilarityBucket]:
     """Mean cosine over all unordered entry pairs, bucketed by edit distance.
+    Only each record's id and phonemes are read.
 
     Distances >= ``max_bucket`` fall into the top bucket labeled
     ``"{max_bucket}+"``.  Buckets with no pairs report mean NaN.

@@ -2,8 +2,10 @@
 through every in-process subcommand that reads that kind of file.  Each run
 must exit 0, 2 or 3, with a message on stderr for 2 and 3, and raise nothing
 else.  Training runs 0 epochs, so an edit that makes a finite but huge
-feature value cannot end it with a divergence (exit 4); it still reads the
-manifest and every feature file."""
+feature value cannot end it with a divergence (exit 4); it still checks the
+manifest and reads every feature file of the train split.  Each command
+reads only the feature files of the split it uses, so features are mutated
+in one train record and in one test record."""
 import contextlib
 import io
 import os
@@ -72,6 +74,10 @@ KINDS = {
     "csv features": ("corpus/features/w001_t02.csv", manifest_commands("corpus/manifest.jsonl")),
     "bin features": ("bincorpus/features/w001_t02.bin",
                      manifest_commands("bincorpus/manifest.jsonl")),
+    "csv train features": ("corpus/features/w001_t00.csv",
+                           manifest_commands("corpus/manifest.jsonl")),
+    "bin train features": ("bincorpus/features/w001_t00.bin",
+                           manifest_commands("bincorpus/manifest.jsonl")),
     "checkpoint": ("model.json", [
         ["encode", "--manifest", "corpus/manifest.jsonl", "--checkpoint", "model.json",
          "--out", "a.csv"],

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,14 @@ import pytest
 from seqembed.autoencoder import encode_batch, init_params, load_checkpoint, save_checkpoint
 from seqembed.baselines import naive_encode
 from seqembed.cli import build_parser, main
-from seqembed.data import Dataset, SegmentRecord, parse_manifest, write_manifest
+from seqembed.data import (
+    Dataset,
+    SegmentRecord,
+    load_feature_file,
+    parse_manifest,
+    read_manifest,
+    write_manifest,
+)
 from seqembed.evaluation import mean_average_precision, write_comparison, write_map_report
 from seqembed.retrieval import build_archive, cosine_matrix, dtw_matrix
 
@@ -477,7 +485,9 @@ class TestEvaluate:
         )
         assert code == 0
         timing = r"(\w+): encode \d+\.\d{3} s, score \d+\.\d{3} s, MAP \d+\.\d{3} s"
-        assert [re.fullmatch(timing, line)[1] for line in err.splitlines()] == ["sa", "ne2", "dtw"]
+        read, *methods = err.splitlines()
+        assert re.fullmatch(r"evaluate: read \d+\.\d{3} s", read)
+        assert [re.fullmatch(timing, line)[1] for line in methods] == ["sa", "ne2", "dtw"]
         # the library path writes the same reports and prints the same lines
         records = parse_manifest(manifest).subset("test")
         params = load_checkpoint(trained)
@@ -746,3 +756,137 @@ def test_synth_empty_range_is_usage_error(tmp_path, capsys, low, high):
     assert exc.value.code == 2
     assert f"{low} 5 exceeds {high} 3" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def acceptance_corpus(tmp_path_factory):
+    """The seed-11 acceptance corpus (320 train and 280 test records), an
+    untrained H=3 checkpoint and an ne2 archive of its test split."""
+    root = tmp_path_factory.mktemp("acceptance")
+    manifest = root / "corpus" / "manifest.jsonl"
+    assert main(["synth", "--out-dir", str(manifest.parent), "--seed", "11",
+                 "--frames-min", "3", "--frames-max", "5"]) == 0
+    save_checkpoint(init_params(8, 3, seed=0), root / "model.json")
+    (root / "out").mkdir()
+    assert main(["encode", "--manifest", str(manifest), "--encoder", "ne", "--m", "2",
+                 "--out", str(root / "archive.csv")]) == 0
+    return root
+
+
+def reading_commands(root, split):
+    """Each command that reads a manifest, on ``split`` where it takes --split."""
+    manifest = str(root / "corpus" / "manifest.jsonl")
+    query = "w000_t14"  # a test record
+    on_split = ["--manifest", manifest, "--split", split]
+    return {
+        "encode": ["encode", *on_split, "--encoder", "ne", "--m", "2",
+                   "--out", str(root / "out" / "a.csv")],
+        "evaluate": ["evaluate", *on_split, "--method", "ne2",
+                     "--report-dir", str(root / "out")],
+        "search dtw": ["search", "--method", "dtw", *on_split, "--query-id", query],
+        "search checkpoint": ["search", "--checkpoint", str(root / "model.json"), *on_split,
+                              "--query-id", query],
+        "train": ["train", "--manifest", manifest, "--out", str(root / "out" / "t.json"),
+                  "--seed", "0", "--hidden", "3", "--epochs", "0"],
+        "analyze": ["analyze", "edit-distance", "--archive", str(root / "archive.csv"),
+                    "--manifest", manifest],
+    }
+
+
+def feature_reads(monkeypatch, capsys, argv):
+    """The exit code of ``seqembed <argv>`` and the feature files it read, in order."""
+    read = []
+    monkeypatch.setattr("seqembed.data.load_feature_file",
+                        lambda path: read.append(path) or load_feature_file(path))
+    code = run(capsys, *argv)[0]
+    return code, read
+
+
+class TestFeatureFilesRead:
+    """Each command reads the feature files of the split it uses and no
+    other, while every manifest line is still checked."""
+
+    @pytest.mark.parametrize("command", ["encode", "evaluate", "search dtw",
+                                         "search checkpoint"])
+    @pytest.mark.parametrize("split", ["test", "all"])
+    def test_split_commands_read_exactly_their_split(
+        self, acceptance_corpus, monkeypatch, capsys, command, split
+    ):
+        entries = read_manifest(acceptance_corpus / "corpus" / "manifest.jsonl")
+        want = [e.path for e in entries if split in ("all", e.split)]
+        assert len(want) == {"test": 280, "all": 600}[split]
+        code, read = feature_reads(monkeypatch, capsys,
+                                   reading_commands(acceptance_corpus, split)[command])
+        assert code == 0 and read == want
+
+    def test_train_reads_exactly_the_train_split(self, acceptance_corpus, monkeypatch, capsys):
+        entries = read_manifest(acceptance_corpus / "corpus" / "manifest.jsonl")
+        code, read = feature_reads(monkeypatch, capsys,
+                                   reading_commands(acceptance_corpus, "test")["train"])
+        assert code == 0 and read == [e.path for e in entries if e.split == "train"]
+        assert len(read) == 320
+
+    def test_analyze_edit_distance_reads_none(self, acceptance_corpus, monkeypatch, capsys):
+        code, read = feature_reads(monkeypatch, capsys,
+                                   reading_commands(acceptance_corpus, "test")["analyze"])
+        assert code == 0 and read == []
+
+    def test_bad_test_file_leaves_training_alone(self, corpus_dir, tmp_path, capsys):
+        manifest = corpus_dir / "manifest.jsonl"
+        train = ["train", "--manifest", str(manifest), "--seed", "5", "--hidden", "3",
+                 "--epochs", "2", "--lr", "0.05"]
+        assert run(capsys, *train, "--out", str(tmp_path / "clean.json"))[0] == 0
+        (corpus_dir / "features" / "w001_t02.csv").write_text("oops,1\n")  # a test record
+        assert run(capsys, *train, "--out", str(tmp_path / "bad.json"))[0] == 0
+        for suffix in ("", ".loss.csv"):
+            assert ((tmp_path / f"bad.json{suffix}").read_bytes()
+                    == (tmp_path / f"clean.json{suffix}").read_bytes())
+
+    def test_bad_train_file_fails_only_the_splits_that_hold_it(self, corpus_dir, tmp_path,
+                                                               capsys):
+        bad = corpus_dir / "features" / "w001_t00.csv"  # a train record
+        bad.write_text(bad.read_text() + "oops,1,2,3,4\n")
+        rows = len(bad.read_text().splitlines())
+        evaluate = ["evaluate", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                    "--method", "ne2", "--report-dir", str(tmp_path / "reports")]
+        assert run(capsys, *evaluate, "--split", "test")[0] == 0
+        code, _, err = run(capsys, *evaluate, "--split", "all")
+        assert code == 3 and f"{bad}: row {rows - 1}: non-numeric value" in err
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_missing_feature_file_fails_every_command(self, acceptance_corpus, tmp_path,
+                                                      capsys, split):
+        root = tmp_path / "root"
+        shutil.copytree(acceptance_corpus, root)
+        gone = root / "corpus" / "features" / f"w003_t{'02' if split == 'train' else '12'}.csv"
+        gone.unlink()
+        for command, argv in reading_commands(root, "test").items():
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and f"feature file not found: {gone}" in err, command
+
+    def test_duplicate_id_across_splits_fails_every_command(self, acceptance_corpus, tmp_path,
+                                                            capsys):
+        root = tmp_path / "root"
+        shutil.copytree(acceptance_corpus, root)
+        manifest = root / "corpus" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        first = json.loads(lines[0])
+        assert first["split"] == "train" and json.loads(lines[-1])["split"] == "test"
+        lines[-1] = json.dumps(dict(json.loads(lines[-1]), id=first["id"]))
+        manifest.write_text("\n".join(lines) + "\n")
+        for command, argv in reading_commands(root, "test").items():
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and f"duplicate record id '{first['id']}'" in err, command
+
+    def test_split_with_no_records(self, corpus_dir, tmp_path, capsys):
+        manifest = corpus_dir / "manifest.jsonl"
+        lines = [line for line in manifest.read_text().splitlines()
+                 if json.loads(line)["split"] == "train"]
+        manifest.write_text("\n".join(lines) + "\n")
+        for argv in (["encode", "--encoder", "ne", "--m", "2", "--out", str(tmp_path / "a.csv")],
+                     ["evaluate", "--method", "ne2", "--report-dir", str(tmp_path)],
+                     ["search", "--method", "dtw", "--query-id", "w000_t00"]):
+            code, out, err = run(capsys, *argv, "--manifest", str(manifest))
+            assert code == 3 and out == ""
+            assert err == "error: no records in split 'test'\n", argv
+        assert list(tmp_path.iterdir()) == [corpus_dir]

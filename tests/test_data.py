@@ -16,6 +16,7 @@ from seqembed.data import (
     generate_synthetic,
     load_feature_file,
     parse_manifest,
+    read_manifest,
     replace_on_close,
     write_csv,
     write_feature_bin,
@@ -160,6 +161,59 @@ class TestParseManifest:
         manifest.write_text(first + "\n" + json.dumps(dict(GOOD_B, features=rel)) + "\n")
         with pytest.raises(DataError, match=r"line 2: record 'b': features path .* no '\.\.' part"):
             parse_manifest(manifest)
+
+
+class TestReadManifest:
+    def test_entries_without_reading_features(self, two_record_dir):
+        (two_record_dir / "feat" / "b.csv").write_text("not,numbers\n")
+        entries = read_manifest(two_record_dir / "manifest.jsonl")
+        assert [(e.id, e.word, e.phonemes, e.split) for e in entries] == [
+            ("a", "alpha", ["AH", "L"], "train"), ("b", "beta", None, "test")]
+        assert [e.path for e in entries] == [two_record_dir / "feat" / f"{n}.csv" for n in "ab"]
+        with pytest.raises(DataError, match="non-numeric"):
+            parse_manifest(two_record_dir / "manifest.jsonl")
+
+    def test_split_loads_only_its_records(self, two_record_dir):
+        (two_record_dir / "feat" / "b.csv").write_text("not,numbers\n")
+        ds = parse_manifest(two_record_dir / "manifest.jsonl", "train")
+        assert [rec.id for rec in ds.records] == ["a"] and ds.dim == 13
+        with pytest.raises(DataError, match="non-numeric"):
+            parse_manifest(two_record_dir / "manifest.jsonl", "test")
+
+    @pytest.mark.parametrize("split", ["train", "test", "all"])
+    def test_missing_feature_file_fails_every_split(self, two_record_dir, split):
+        (two_record_dir / "feat" / "a.csv").unlink()
+        with pytest.raises(DataError, match="record 'a': feature file not found"):
+            read_manifest(two_record_dir / "manifest.jsonl")
+        with pytest.raises(DataError, match="record 'a': feature file not found"):
+            parse_manifest(two_record_dir / "manifest.jsonl", split)
+
+    @pytest.mark.parametrize("split", ["train", "test", "all"])
+    def test_duplicate_id_across_splits_fails_every_split(self, two_record_dir, split):
+        manifest = two_record_dir / "manifest.jsonl"
+        write_line_manifest(manifest, [json.loads(manifest.read_text().splitlines()[0]),
+                                       dict(GOOD_B, id="a")])
+        with pytest.raises(DataError, match="duplicate record id 'a'"):
+            parse_manifest(manifest, split)
+
+    def test_bad_split_named_when_not_loaded(self, two_record_dir):
+        manifest = two_record_dir / "manifest.jsonl"
+        first = manifest.read_text().splitlines()[0]
+        manifest.write_text(first + "\n" + json.dumps(dict(GOOD_B, split="dev")) + "\n")
+        with pytest.raises(DataError, match="record 'b': split must be one of"):
+            parse_manifest(manifest, "train")
+
+    def test_split_with_no_records(self, two_record_dir):
+        manifest = two_record_dir / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        assert len(parse_manifest(manifest, "train").records) == 1
+        with pytest.raises(DataError, match="no records in split 'test'"):
+            parse_manifest(manifest, "test")
+
+    def test_empty_manifest(self, tmp_path):
+        (tmp_path / "manifest.jsonl").write_text("\n")
+        with pytest.raises(DataError, match="dataset contains no records"):
+            read_manifest(tmp_path / "manifest.jsonl")
 
 
 class TestRoundTrip:

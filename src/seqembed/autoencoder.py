@@ -142,21 +142,35 @@ def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, np.ndarra
     return views[f"{net}.W_h"], views[f"{net}.w_c"]
 
 
-def _encode(views: dict[str, np.ndarray], xs: Sequence[np.ndarray]) -> Tape:
+def _encode(views: dict[str, np.ndarray], xs: Sequence[np.ndarray],
+            buffer: np.ndarray | None = None) -> Tape:
     """Encoder tape of ``xs``, sorted longest first: a one-sequence tape for
-    one, as training backpropagates through, else one column per sequence."""
+    one, as training backpropagates through, else one column per sequence.
+    The tape is laid in ``buffer``, a flat workspace of at least
+    ``_tape_floats`` floats, or in a new one."""
     W_x = views["encoder.W_x"]
     for x in xs:
         if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
             raise DimensionError(f"input width mismatch: shape {x.shape}, input_dim {W_x.shape[1]}")
     lengths = [x.shape[0] for x in xs]
-    gates = np.zeros((lengths[0], len(xs), W_x.shape[0]))
+    steps, batch, width = lengths[0], len(xs), W_x.shape[0]
+    size = _tape_floats(steps, batch, width // 4)
+    buffer = np.empty(size) if buffer is None else buffer
+    gates = buffer[: steps * batch * width].reshape(steps, batch, width)
+    states = buffer[gates.size : size].reshape(2, steps + 1, batch, -1)
     for column, x in zip(gates.swapaxes(0, 1), xs):
         # one product per sequence: BLAS sums a one-frame product in another
         # order than the same frame inside a longer one
-        column[: len(x)] = x @ W_x.T
-    gates += views["encoder.b_"]
-    return forward(Tape(gates if len(xs) > 1 else gates[:, 0], lengths), *_cell(views, "encoder"))
+        np.add(x @ W_x.T, views["encoder.b_"], out=column[: len(x)])
+        column[len(x) :] = 0.0  # forward scales every row; leave no stale floats
+    if batch == 1:
+        gates, states = gates[:, 0], states[:, :, 0]
+    return forward(Tape(gates, lengths, states), *_cell(views, "encoder"))
+
+
+def _tape_floats(steps: int, batch: int, hidden: int) -> int:
+    """Floats of an encoder tape: gates (T, B, 4H), then h and c (T+1, B, H)."""
+    return steps * batch * 4 * hidden + 2 * (steps + 1) * batch * hidden
 
 
 def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -189,21 +203,24 @@ def encode_batch(params: ModelParams, xs: Sequence[np.ndarray]) -> np.ndarray:
 
     Every sequence is checked before it enters a block.  The sequences run
     longest first, in blocks of as many as fit a tape of ``_TAPE_BYTES``
-    (at least one), and each step advances its whole block.
+    (at least one), and each step advances its whole block.  Every block's
+    tape is laid in one buffer, sized to the largest.
     """
     xs = [validate_frames(x) for x in xs]
     order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
-    column_step = 8 * 6 * params.hidden_dim  # bytes of a column's gates, h and c per step
-    views = params.views()
-    out = np.empty((len(xs), params.hidden_dim))
-    start = 0
+    hidden = params.hidden_dim
+    blocks, start = [], 0
     while start < len(order):
-        steps = len(xs[order[start]]) + 1
-        block = order[start : start + max(1, _TAPE_BYTES // (column_step * steps))]
-        tape = _encode(views, [xs[i] for i in block])
-        h = tape.h.reshape(steps, len(block), -1)
+        column = 8 * _tape_floats(len(xs[order[start]]), 1, hidden)  # bytes of one column's tape
+        blocks.append(order[start : start + max(1, _TAPE_BYTES // column)])
+        start += len(blocks[-1])
+    buffer = np.empty(max([_tape_floats(len(xs[b[0]]), len(b), hidden) for b in blocks], default=0))
+    views = params.views()
+    out = np.empty((len(xs), hidden))
+    for block in blocks:
+        tape = _encode(views, [xs[i] for i in block], buffer)
+        h = tape.h.reshape(tape.h.shape[0], len(block), -1)
         out[block] = h[tape.lengths, range(len(block))]
-        start += len(block)
     return out
 
 

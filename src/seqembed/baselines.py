@@ -7,7 +7,10 @@ Segments left empty when T < m contribute zero vectors.
 
 DTW uses the classic three-direction step set (up, left, diagonal) with
 unit weights, Euclidean frame distance, no band and, by default, no
-path-length normalization.
+path-length normalization.  One kernel, ``_dtw_tables``, aligns a block of
+pairs of equal lengths at once, one anti-diagonal at a time; every block
+of a call is laid in one workspace, sized to the call's largest block, of
+which only the border slots are set per block.
 """
 from __future__ import annotations
 
@@ -81,36 +84,45 @@ def _pairwise_sum(term, ks: range) -> np.ndarray:
     return _left_to_right(term, ks[body:], total)
 
 
-def _dtw_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Accumulated-cost tables of m pairs of validated sequences at once:
-    ``a`` is (m, T_a, D) and ``b`` is (m, T_b, D).
+def _dtw_tables(a: np.ndarray, b: np.ndarray, table: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Accumulated-cost tables of m pairs of validated sequences at once,
+    stacked feature-major: ``a`` is (D, T_a, m) and ``b`` is (D, T_b, m).
+    ``table`` and ``best`` are flat workspaces of at least
+    (T_a+T_b+1)(T_a+1)m and T_a·m floats; the tables are laid in ``table``.
 
-    The result is skewed by anti-diagonal: slot ``[s, i, p]`` of the
-    (T_a+T_b+1, T_a+1, m) array holds pair p's bordered cell ``acc[i][s-i]``,
-    which aligns a[p, :i] with b[p, :s-i].  Border cells are inf except
-    ``acc[0][0] = 0``; slots outside the grid are never read.  Each cell is
+    The result, a view of ``table``, is skewed by anti-diagonal: slot
+    ``[s, i, p]`` of the (T_a+T_b+1, T_a+1, m) array holds pair p's bordered
+    cell ``acc[i][s-i]``, which aligns a[:, :i, p] with b[:, :s-i, p].  Only
+    the border slots are set, to inf except ``acc[0][0] = 0``; the costs
+    overwrite the cell slots, and slots outside the grid keep whatever the
+    workspace held, since they are never read.  Each cell is
     ``cost + min(diag, up, left)`` on the same floats as a per-pair loop,
     because the minimum of three non-NaN floats does not depend on their
     order, so the tables are bit-identical to one.  A frame cost is
     ``sqrt(sum(diff**2))`` with the D squares added in ``_pairwise_sum``'s
-    order, the order of numpy's ``sum`` over a contiguous last axis.
+    order, the order of numpy's ``sum`` over a contiguous last axis.  One
+    feature's differences repeat a's frames along the table columns (a
+    chunk copy) and subtract b's frames as one row, T_b·m long.
     """
-    m, ta, d = a.shape
+    d, ta, m = a.shape
     tb = b.shape[1]
-    table = np.full((ta + tb + 1, ta + 1, m), np.inf)
+    table = table[: (ta + tb + 1) * (ta + 1) * m].reshape(ta + tb + 1, ta + 1, m)
+    slots = table.reshape(-1, m)  # slot [s, i] is row s*(T_a+1) + i
+    slots[: (tb + 1) * (ta + 1) : ta + 1] = np.inf  # acc[0][j], slot [j, 0]
+    slots[: (ta + 1) * (ta + 2) : ta + 2] = np.inf  # acc[i][0], slot [i, i]
     table[0, 0] = 0.0
-    # cells[i, j] is frame pair (i, j)'s slot [i+j+2, i+1], the bordered cell (i+1, j+1)
     s_step, i_step, p_step = table.strides
+    # cells[i, j] is frame pair (i, j)'s slot [i+j+2, i+1], the bordered cell (i+1, j+1)
     cells = as_strided(table[2, 1:], shape=(ta, tb, m), strides=(s_step + i_step, s_step, p_step))
-    # one feature's squared differences at a time, pair axis innermost
-    a_t, b_t = a.transpose(2, 1, 0).copy(), b.transpose(2, 1, 0).copy()
+    b_rows = b.reshape(d, tb * m)
 
     def square(k):
-        diff = a_t[k, :, None, :] - b_t[k, None, :, :]
+        diff = np.repeat(a[k], tb, axis=0).reshape(ta, tb * m)
+        diff -= b_rows[k]
         return np.multiply(diff, diff, out=diff)
 
-    np.sqrt(_pairwise_sum(square, range(d)), out=cells)
-    best = np.empty((ta, m))
+    np.sqrt(_pairwise_sum(square, range(d)).reshape(ta, tb, m), out=cells)
+    best = best[: ta * m].reshape(ta, m)
     for s in range(2, ta + tb + 1):
         lo, hi = max(1, s - tb), min(ta, s - 1) + 1  # the rows i of diagonal s inside the grid
         step = best[: hi - lo]
@@ -120,23 +132,43 @@ def _dtw_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table
 
 
+def _block_pairs(ta: int, tb: int) -> int:
+    """Pairs per block of length pair (ta, tb): as many tables as fit in
+    ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // ((ta + tb + 1) * (ta + 1) * 8))
+
+
+def _workspace(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Flat table and best-row buffers that fit the largest block of the
+    groups (T_a, T_b, pairs) that a call aligns, so that every block of the
+    call is laid in them."""
+    blocks = [(ta, tb, min(n, _block_pairs(ta, tb))) for ta, tb, n in groups]
+    return (np.empty(max([(ta + tb + 1) * (ta + 1) * m for ta, tb, m in blocks], default=0)),
+            np.empty(max([ta * m for ta, _, m in blocks], default=0)))
+
+
 def _length_runs(seqs: list[np.ndarray]) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(length, indices, stacked frames) of the sequences of each distinct
-    length, so that a block gathers its frames with one index."""
+    length, the frames feature-major (D, T, n), so that a block gathers its
+    pairs with one ``np.take`` per side."""
     members: dict[int, list[int]] = {}
     for k, x in enumerate(seqs):
         members.setdefault(len(x), []).append(k)
-    return [(t, np.array(ks), np.stack([seqs[k] for k in ks])) for t, ks in sorted(members.items())]
+    return [(t, np.array(ks), np.stack([seqs[k].T for k in ks], axis=2))
+            for t, ks in sorted(members.items())]
 
 
-def _aligned(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """DTW distances of the pairs (a[p[k]], b[q[k]]), in blocks of at most
-    ``_BLOCK_BYTES`` of table."""
+def _aligned(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray,
+             table: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """DTW distances of the pairs (a[:, :, p[k]], b[:, :, q[k]]), in blocks
+    of ``_block_pairs`` pairs laid in the workspace ``table`` and ``best``."""
     ta, tb = a.shape[1], b.shape[1]
-    block = max(1, _BLOCK_BYTES // ((ta + tb + 1) * (ta + 1) * 8))
+    block = _block_pairs(ta, tb)
     dist = np.empty(len(p))
     for lo in range(0, len(p), block):
-        dist[lo : lo + block] = _dtw_tables(a[p[lo : lo + block]], b[q[lo : lo + block]])[ta + tb, ta]
+        pairs = slice(lo, lo + block)
+        tables = _dtw_tables(np.take(a, p[pairs], axis=2), np.take(b, q[pairs], axis=2), table, best)
+        dist[pairs] = tables[ta + tb, ta]
     return dist
 
 
@@ -149,6 +181,7 @@ def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | Non
     length pair, shorter sequence first: unnormalized DTW is exactly
     symmetric (the frame costs transpose bit for bit and the step minimum
     ignores direction), and the shorter side gives the table fewer rows.
+    One workspace, sized to the largest block, serves every group.
     """
     mirror = others is None
     seqs = [validate_frames(x, f"sequence {k}") for k, x in enumerate(seqs)]
@@ -159,17 +192,22 @@ def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | Non
     out = np.zeros((len(seqs), len(others)))
     runs = _length_runs(seqs)
     other_runs = None if mirror else _length_runs(others)
-    for x, (ta, rows, a) in enumerate(runs):
-        for tb, cols, b in runs[x:] if mirror else other_runs:
-            if b is a:  # a run against itself: its unordered pairs
-                p, q = np.triu_indices(len(rows), 1)
-            else:
-                p, q = np.indices((len(rows), len(cols))).reshape(2, -1)
-            if len(p):
-                dist = _aligned(a, p, b, q) if ta <= tb else _aligned(b, q, a, p)
-                out[rows[p], cols[q]] = dist
-                if mirror:
-                    out[cols[q], rows[p]] = dist
+    groups = [(x, y) for k, x in enumerate(runs) for y in (runs[k:] if mirror else other_runs)]
+
+    def pair_count(x, y):  # a run against itself: its unordered pairs
+        return len(x[1]) * (len(x[1]) - 1) // 2 if y is x else len(x[1]) * len(y[1])
+
+    work = _workspace((*sorted((x[0], y[0])), pair_count(x, y)) for x, y in groups)
+    for (ta, rows, a), (tb, cols, b) in groups:
+        if b is a:
+            p, q = np.triu_indices(len(rows), 1)
+        else:
+            p, q = np.indices((len(rows), len(cols))).reshape(2, -1)
+        if len(p):
+            dist = _aligned(a, p, b, q, *work) if ta <= tb else _aligned(b, q, a, p, *work)
+            out[rows[p], cols[q]] = dist
+            if mirror:
+                out[cols[q], rows[p]] = dist
     return out
 
 
@@ -193,7 +231,8 @@ def dtw_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list[tuple[int, int]]
         raise DimensionError(
             f"feature widths differ: {a.shape[1]} vs {b.shape[1]}"
         )
-    skewed = _dtw_tables(a[None], b[None])[:, :, 0].tolist()
+    work = _workspace([(len(a), len(b), 1)])
+    skewed = _dtw_tables(a.T[..., None], b.T[..., None], *work)[:, :, 0].tolist()
 
     def acc(i, j):  # the bordered cell acc[i][j]
         return skewed[i + j][i]

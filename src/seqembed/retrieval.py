@@ -178,7 +178,10 @@ def load_archive(path: str | Path) -> EmbeddingArchive:
         raise DataError(f"{path}: unexpected archive header {header!r}")
     dim = len(header) - 2
     entries = []
-    for lineno, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        # a quoted field may hold line breaks: name the line the record starts on
+        lineno, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != dim + 2:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import dtw_oracle
 from conftest import GRID, dtw_records
+from seqembed import baselines
 from seqembed.baselines import dtw_distance, dtw_distances, dtw_path, naive_encode
 from seqembed.errors import DimensionError
 
@@ -208,6 +209,27 @@ class TestDtw:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("budget", [1, 2000])
+    @pytest.mark.parametrize("d", [1, 8, 17, 129])
+    def test_one_workspace_serves_every_block(self, d, budget, monkeypatch):
+        # every block of a call is laid in one buffer, so a block of another
+        # shape, or one whose costs overflow to inf, leaves its values in
+        # slots that the next block must border or overwrite
+        rng = np.random.default_rng(d)
+        seqs = [rng.standard_normal((t, d)) for t in (1, 2, 3, 3, 4, 6, 6)]
+        for k in (1, 5):  # runs aligned before and after finite-cost blocks
+            seqs[k][0] = 1e200 * (-1.0) ** np.arange(d)
+        others = seqs[::-2]
+        monkeypatch.setattr(baselines, "_BLOCK_BYTES", budget)
+        with np.errstate(over="ignore"):
+            want = [[dtw_oracle.bordered_table(a, b)[-1][-1] for b in seqs] for a in seqs]
+            mirrored, crossed = dtw_distances(seqs), dtw_distances(seqs, others)
+            # some distances overflow; (1, 5) has inf costs but a finite path
+            assert np.isinf(mirrored).any() and np.isfinite(mirrored[1, 5])
+            assert mirrored.tobytes() == np.array(want).tobytes()
+            assert crossed.tobytes() == np.array(want)[:, ::-2].tobytes()
+            assert dtw_path(seqs[5], seqs[2]) == dtw_oracle.dtw_path(seqs[5], seqs[2])
 
     def test_overflowing_costs_keep_a_grid_path(self):
         a = np.array([[1e200], [-1e200], [1e200]])

@@ -357,6 +357,25 @@ def test_batch_forward_equals_per_sequence_oracle_bit_for_bit(
         assert not got.h[steps + 1 :, b].any() and not got.c[steps + 1 :, b].any()
 
 
+def test_tape_takes_over_states():
+    """A tape laid in a given states array zeroes only its row 0 and runs as
+    one that starts from zeros; an array of the wrong shape is refused."""
+    rng = np.random.default_rng(3)
+    params = uniform_params(rng, 3, 4, 0.5)
+    lengths = [5, 3, 1]
+    gates = rng.standard_normal((5, 3, 3)) @ params["W_x"].T
+    states = np.full((2, 6, 3, 4), np.nan)
+    got = forward(Tape(gates.copy(), lengths, states), *cell(params))
+    want = forward(Tape(gates.copy(), lengths), *cell(params))
+    assert np.shares_memory(got.h, states) and np.shares_memory(got.c, states)
+    for b, steps in enumerate(lengths):
+        npt.assert_array_equal(got.h[: steps + 1, b], want.h[: steps + 1, b])
+        npt.assert_array_equal(got.c[: steps + 1, b], want.c[: steps + 1, b])
+        assert np.isnan(got.h[steps + 1 :, b]).all() and np.isnan(got.c[steps + 1 :, b]).all()
+    with pytest.raises(DimensionError, match="states"):
+        Tape(gates, lengths, np.zeros((2, 5, 3, 4)))
+
+
 def test_batch_lengths_checked():
     gates = np.zeros((3, 2, 8))
     for lengths in ([3], [2, 3], [4, 1], [3, -1]):

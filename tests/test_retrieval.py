@@ -294,9 +294,9 @@ class TestDtwMatrix:
         calls = []
         kernel = baselines._dtw_tables
 
-        def counting(a, b):
-            calls.extend([(a.shape[1], b.shape[1])] * a.shape[0])  # one entry per pair in the block
-            return kernel(a, b)
+        def counting(a, b, table, best):
+            calls.extend([(a.shape[1], b.shape[1])] * a.shape[2])  # one entry per pair in the block
+            return kernel(a, b, table, best)
 
         monkeypatch.setattr(baselines, "_dtw_tables", counting)
         records = make_records([np.ones((2, 2))] * 5)
@@ -407,6 +407,28 @@ class TestArchiveCsv:
         path.write_text("foo,bar,z0\nx,w,1.0\n")
         with pytest.raises(DataError):
             load_archive(path)
+
+    @pytest.mark.parametrize("old, new, line", [(b"1.0", b"x", 2), (b"3.0", b"x", 4)])
+    def test_non_numeric_value_names_the_line_its_record_starts_on(self, tmp_path, old, new, line):
+        # the header is line 1, r0 spans lines 2 and 3 (its word holds a line
+        # break), r1 is line 4
+        self.write_two_line_record_archive(tmp_path, old, new)
+        with pytest.raises(DataError, match=rf": line {line}: non-numeric embedding value$"):
+            load_archive(tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("old, new, line", [(b",2.0", b"", 2), (b",4.0", b"", 4)])
+    def test_field_count_names_the_line_its_record_starts_on(self, tmp_path, old, new, line):
+        self.write_two_line_record_archive(tmp_path, old, new)
+        with pytest.raises(DimensionError, match=rf": line {line} has 3 fields, expected 4$"):
+            load_archive(tmp_path / "b.csv")
+
+    @staticmethod
+    def write_two_line_record_archive(tmp_path, old, new):
+        entries = [("r0", "new\nyork", np.array([1.0, 2.0])), ("r1", "w", np.array([3.0, 4.0]))]
+        save_archive(EmbeddingArchive(entries=entries, dim=2), tmp_path / "a.csv")
+        text = (tmp_path / "a.csv").read_bytes()
+        assert text.count(b"\n") == 4 and text.count(old) == 1
+        (tmp_path / "b.csv").write_bytes(text.replace(old, new))
 
     @pytest.mark.parametrize("seg_id", ["a\rb", "tail\r", "\r", "a\r\nb"])
     def test_carriage_return_round_trips(self, tmp_path, seg_id):

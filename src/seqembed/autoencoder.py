@@ -43,11 +43,12 @@ _TAPE_BYTES = 1 << 18
 
 # Every weight block, in checkpoint order: (name, shape, gate letters).
 # Shapes are written in D (input width), H (hidden units) and G (one per gate
-# letter), so "GH" is the stacked gate rows.  A block with gate letters is
-# saved as one key ``{name}{gate}`` per letter, holding that gate's part: H
-# rows of a "GH" block, one row of a "G" block.  Any other block is saved
-# under ``name``.  Biases (the blocks whose last name part starts with "b")
-# start at zero; every other block draws uniform init values, in table order.
+# letter): "GH" joins the gates' H rows along axis 0, "G" stacks one row per
+# gate.  A block with gate letters is saved as one key ``{name}{gate}`` per
+# letter, holding that gate's part: H rows of a "GH" block, one row of a "G"
+# block.  Any other block is saved under ``name``.  Biases (the blocks whose
+# last name part starts with "b") start at zero; every other block draws
+# uniform init values, in table order.
 LAYOUT = (
     ("encoder.W_x", ("GH", "D"), GATE_ORDER),
     ("encoder.W_h", ("GH", "H"), GATE_ORDER),
@@ -63,34 +64,27 @@ LAYOUT = (
 )
 
 
-def _shape(symbols, gates, input_dim: int, hidden_dim: int) -> tuple[int, ...]:
-    sizes = {"D": input_dim, "H": hidden_dim, "G": len(gates), "GH": len(gates) * hidden_dim}
-    return tuple(sizes[s] for s in symbols)
-
-
-def _placed(shapes) -> tuple[tuple[tuple[str, int, int, tuple[int, ...]], ...], int]:
-    """(name, start, stop, shape) of consecutive slices, one per (name, shape),
-    in order, and the size they add up to."""
-    placed = []
-    offset = 0
-    for name, shape in shapes:
-        stop = offset + math.prod(shape)
-        placed.append((name, offset, stop, shape))
-        offset = stop
-    return tuple(placed), offset
-
-
 @functools.lru_cache(maxsize=32)
 def _layout(input_dim: int, hidden_dim: int):
-    """LAYOUT's blocks placed in the flat vector, derived once per model shape."""
-    return _placed(
-        [(name, _shape(shape, gates, input_dim, hidden_dim)) for name, shape, gates in LAYOUT]
-    )
+    """LAYOUT placed in the flat vector, derived once per model shape: the
+    named blocks, the checkpoint keys (each a tuple of (name, start, stop,
+    shape) tiling the vector in order) and the vector's size.  Each gate's
+    part is contiguous, so a block's keys tile the block."""
+    sizes = {"D": input_dim, "H": hidden_dim}
+    blocks, keys, offset = [], [], 0
+    for name, symbols, gates in LAYOUT:
+        part = tuple(sizes[s.lstrip("G")] for s in symbols if s != "G")
+        count, step = len(gates) or 1, math.prod(part)
+        shape = (count, *part) if symbols[0] == "G" else (count * part[0], *part[1:])
+        blocks.append((name, offset, offset + count * step, shape))
+        for gate in gates or [""]:
+            keys.append((name + gate, offset, offset + step, part))
+            offset += step
+    return tuple(blocks), tuple(keys), offset
 
 
-def _tile(flat: np.ndarray, placed) -> dict[str, np.ndarray]:
-    """Views of ``flat``, one per slice that ``_placed`` returned."""
-    slices, size = placed
+def _tile(flat: np.ndarray, slices, size: int) -> dict[str, np.ndarray]:
+    """Views of ``flat``, one per slice of a ``_layout`` tuple."""
     if flat.shape[0] != size:
         raise DimensionError(f"parameter vector has {flat.shape[0]} entries, expected {size}")
     return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in slices}
@@ -98,7 +92,8 @@ def _tile(flat: np.ndarray, placed) -> dict[str, np.ndarray]:
 
 def unpack(flat: np.ndarray, input_dim: int, hidden_dim: int) -> dict[str, np.ndarray]:
     """Named views into a flat parameter or gradient vector, in LAYOUT order."""
-    return _tile(flat, _layout(input_dim, hidden_dim))
+    blocks, _, size = _layout(input_dim, hidden_dim)
+    return _tile(flat, blocks, size)
 
 
 @dataclass
@@ -129,7 +124,7 @@ def init_params(input_dim: int, hidden_dim: int, seed: int) -> ModelParams:
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError("input_dim and hidden_dim must be >= 1")
     rng = np.random.default_rng(seed)
-    size = _layout(input_dim, hidden_dim)[1]
+    size = _layout(input_dim, hidden_dim)[2]
     params = ModelParams(input_dim, hidden_dim, np.zeros(size), rng_seed=seed)
     for name, view in params.views().items():
         if not name.rsplit(".", 1)[1].startswith("b"):
@@ -142,35 +137,23 @@ def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, np.ndarra
     return views[f"{net}.W_h"], views[f"{net}.w_c"]
 
 
-def _encode(views: dict[str, np.ndarray], xs: Sequence[np.ndarray],
-            buffer: np.ndarray | None = None) -> Tape:
+def _encode(views: dict[str, np.ndarray], xs: Sequence[np.ndarray]) -> Tape:
     """Encoder tape of ``xs``, sorted longest first: a one-sequence tape for
     one, as training backpropagates through, else one column per sequence.
-    The tape is laid in ``buffer``, a flat workspace of at least
-    ``_tape_floats`` floats, or in a new one."""
+    The gate inputs fill a zeroed (T, B, 4H) array; a column's rows past its
+    length stay zero."""
     W_x = views["encoder.W_x"]
     for x in xs:
         if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
             raise DimensionError(f"input width mismatch: shape {x.shape}, input_dim {W_x.shape[1]}")
     lengths = [x.shape[0] for x in xs]
-    steps, batch, width = lengths[0], len(xs), W_x.shape[0]
-    size = _tape_floats(steps, batch, width // 4)
-    buffer = np.empty(size) if buffer is None else buffer
-    gates = buffer[: steps * batch * width].reshape(steps, batch, width)
-    states = buffer[gates.size : size].reshape(2, steps + 1, batch, -1)
+    gates = np.zeros((lengths[0], len(xs), W_x.shape[0]))
     for column, x in zip(gates.swapaxes(0, 1), xs):
         # one product per sequence: BLAS sums a one-frame product in another
         # order than the same frame inside a longer one
         np.add(x @ W_x.T, views["encoder.b_"], out=column[: len(x)])
-        column[len(x) :] = 0.0  # forward scales every row; leave no stale floats
-    if batch == 1:
-        gates, states = gates[:, 0], states[:, :, 0]
-    return forward(Tape(gates, lengths, states), *_cell(views, "encoder"))
-
-
-def _tape_floats(steps: int, batch: int, hidden: int) -> int:
-    """Floats of an encoder tape: gates (T, B, 4H), then h and c (T+1, B, H)."""
-    return steps * batch * 4 * hidden + 2 * (steps + 1) * batch * hidden
+    return forward(Tape(gates[:, 0] if len(xs) == 1 else gates, lengths),
+                   *_cell(views, "encoder"))
 
 
 def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -203,22 +186,21 @@ def encode_batch(params: ModelParams, xs: Sequence[np.ndarray]) -> np.ndarray:
 
     Every sequence is checked before it enters a block.  The sequences run
     longest first, in blocks of as many as fit a tape of ``_TAPE_BYTES``
-    (at least one), and each step advances its whole block.  Every block's
-    tape is laid in one buffer, sized to the largest.
+    (at least one), and each step advances its whole block.
     """
     xs = [validate_frames(x) for x in xs]
     order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
     hidden = params.hidden_dim
     blocks, start = [], 0
     while start < len(order):
-        column = 8 * _tape_floats(len(xs[order[start]]), 1, hidden)  # bytes of one column's tape
+        # bytes of one column's tape: gates (T, 4H), then h and c (T+1, H)
+        column = 8 * hidden * (6 * len(xs[order[start]]) + 2)
         blocks.append(order[start : start + max(1, _TAPE_BYTES // column)])
         start += len(blocks[-1])
-    buffer = np.empty(max([_tape_floats(len(xs[b[0]]), len(b), hidden) for b in blocks], default=0))
     views = params.views()
     out = np.empty((len(xs), hidden))
     for block in blocks:
-        tape = _encode(views, [xs[i] for i in block], buffer)
+        tape = _encode(views, [xs[i] for i in block])
         h = tape.h.reshape(tape.h.shape[0], len(block), -1)
         out[block] = h[tape.lengths, range(len(block))]
     return out
@@ -263,6 +245,8 @@ def loss_and_gradients(
     output-feedback edges y_{t-1} -> y_t, the z handoff, and the encoder.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1:  # the decoder runs len(x) steps
+        raise DimensionError(f"target: expected a T x D array with T >= 1, got shape {x.shape}")
     if x_in is None:
         x_in = x
     else:
@@ -373,26 +357,10 @@ def write_loss_log(losses: Sequence[float], path: str | Path) -> None:
     write_csv(path, [("epoch", "mean_loss"), *enumerate(map(float, losses), start=1)])
 
 
-def _checkpoint_keys(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
-    """(key, shape) of every checkpoint entry, in checkpoint order.  A block
-    with gate letters is split into one part per letter, keyed
-    ``{name}{gate}``: "GH" rows become H rows and a "G" axis is dropped.
-    Each gate's rows are contiguous, so the entries tile the flat vector in
-    order."""
-    keys = []
-    for name, shape, gates in LAYOUT:
-        if gates:
-            part = _shape(filter(None, (shape[0][1:], *shape[1:])), gates, input_dim, hidden_dim)
-            keys += [(f"{name}{gate}", part) for gate in gates]
-        else:
-            keys.append((name, _shape(shape, gates, input_dim, hidden_dim)))
-    return keys
-
-
 def checkpoint_blocks(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """(key, view into ``params.flat``) pairs in checkpoint order."""
-    keys = _checkpoint_keys(params.input_dim, params.hidden_dim)
-    return list(_tile(params.flat, _placed(keys)).items())
+    _, keys, size = _layout(params.input_dim, params.hidden_dim)
+    return list(_tile(params.flat, keys, size).items())
 
 
 def save_checkpoint(
@@ -443,7 +411,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 
     # every array is sized by the file's own lists, never by the header
     blocks = []
-    for key, shape in _checkpoint_keys(input_dim, hidden_dim):
+    for key, _, _, shape in _layout(input_dim, hidden_dim)[1]:
         if key not in blob:
             raise CheckpointError(f"{path}: checkpoint is missing parameter '{key}'")
         value = blob[key]

@@ -40,16 +40,15 @@ class Tape:
     """Activations through H units of one sequence, gates (T, 4H), or of a
     batch, gates (T, B, 4H) with ``lengths`` giving each column's steps,
     longest first.  ``gates`` holds each step's input projection plus bias;
-    it is taken over, not copied.  The hidden and cell states are zeros, or
-    ``states``, a (2, T+1, [B,] H) array taken over as h and c with only
-    its row 0 zeroed.  ``forward`` leaves a column's state rows past its
-    length as they are."""
+    it is taken over, not copied.  The hidden and cell states h and c,
+    (T+1, [B,] H), start as zeros; ``forward`` leaves a column's state rows
+    past its length as they are."""
 
     __slots__ = ("gates", "h", "c", "lengths")
 
-    def __init__(self, gates: np.ndarray, lengths=None, states: np.ndarray | None = None):
-        if gates.ndim not in (2, 3):
-            raise DimensionError(f"gate inputs {gates.shape}, expected (T, 4H) or (T, B, 4H)")
+    def __init__(self, gates: np.ndarray, lengths=None):
+        if gates.ndim not in (2, 3) or gates.shape[0] < 1:
+            raise DimensionError(f"gate inputs {gates.shape}, expected (T, [B,] 4H) with T >= 1")
         steps, columns, hidden = gates.shape[0], gates.shape[1:-1], gates.shape[-1] // 4
         count = columns[0] if columns else 1
         if lengths is None:
@@ -61,15 +60,8 @@ class Tape:
                 f"lengths {lengths} of gate inputs {gates.shape}: expected {count}"
                 f" non-increasing lengths from 0 to {steps}"
             )
-        shape = (2, steps + 1, *columns, hidden)
-        if states is None:
-            states = np.zeros(shape)
-        elif states.shape != shape:
-            raise DimensionError(f"states {states.shape} of gate inputs {gates.shape}, expected {shape}")
-        else:
-            states[:, 0] = 0.0
         self.gates = gates
-        self.h, self.c = states
+        self.h, self.c = np.zeros((2, steps + 1, *columns, hidden))
         self.lengths = lengths
 
 

@@ -315,6 +315,15 @@ class TestEndToEndGradient:
         with pytest.raises(DimensionError, match="input_dim 3"):
             loss_and_gradients(params, np.zeros((4, 3)), np.zeros(shape))
 
+    @pytest.mark.parametrize("x, x_in", [
+        (np.ones((4, 2)), np.zeros((0, 2))), (np.zeros((0, 2)), None),
+        (np.zeros((0, 2)), np.ones((4, 2))),
+    ])
+    def test_sequence_without_frames(self, x, x_in):
+        params = init_params(2, 3, seed=1)
+        with pytest.raises(DimensionError, match="T >= 1"):
+            loss_and_gradients(params, x, x_in)
+
 
 def tiny_train_records(rng, n=3, t=4, d=3):
     return make_records([rng.standard_normal((t, d)) for _ in range(n)], splits=["train"] * n)
@@ -477,17 +486,31 @@ class TestCheckpoints:
         )
 
     def test_gate_rows_are_views_into_flat(self):
-        params = zeroed(init_params(2, 3, seed=0))
-        blocks = dict(checkpoint_blocks(params))
-        assert [key for key, _ in checkpoint_blocks(params)] == CHECKPOINT_KEYS
-        for key, rows in blocks.items():
-            assert np.shares_memory(rows, params.flat), key
-        blocks["encoder.W_xi"][:] = 1.0
-        assert params.views()["encoder.W_x"][:3].sum() == 6.0
-        assert params.flat.sum() == 6.0
-        assert blocks["encoder.W_xi"].shape == (3, 2)
-        assert blocks["encoder.W_hf"].shape == (3, 3)
-        assert blocks["encoder.b_o"].shape == (3,)
+        # at H=1 a "GH" gate part is one row, like a "G" part: only the shapes
+        # tell gate rows joined along axis 0 from gate rows stacked
+        for d, h in [(2, 3), (1, 1), (3, 1)]:
+            params = zeroed(init_params(d, h, seed=0))
+            blocks = dict(checkpoint_blocks(params))
+            assert list(blocks) == CHECKPOINT_KEYS
+            for key, rows in blocks.items():
+                assert np.shares_memory(rows, params.flat), key
+            blocks["encoder.W_xi"][:] = 1.0
+            assert params.views()["encoder.W_x"][:h].sum() == h * d
+            assert params.flat.sum() == h * d
+            # the part shapes that test_format_is_pinned's keys imply
+            part = {
+                "encoder.W_x": (h, d), "encoder.W_h": (h, h), "encoder.w_c": (h,),
+                "encoder.b_": (h,), "decoder.W_z.W_x": (h, h), "decoder.W_y.W_x": (h, d),
+                "decoder.W_h": (h, h), "decoder.w_c": (h,), "decoder.b_": (h,),
+                "output.W": (d, h), "output.b": (d,),
+            }
+            for key, rows in blocks.items():
+                assert rows.shape == part[key if key.startswith("output.") else key[:-1]], key
+            for name, view in params.views().items():
+                parts = [rows for key, rows in blocks.items() if name in (key, key[:-1])]
+                whole = np.stack(parts) if name.endswith("w_c") else np.concatenate(parts)
+                assert view.shape == whole.shape, name
+                npt.assert_array_equal(view, whole, err_msg=name)
 
     def test_views_are_built_once_over_flat(self):
         params = init_params(2, 3, seed=0)

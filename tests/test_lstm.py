@@ -165,7 +165,9 @@ def test_forward_is_pure():
 
 def test_shape_mismatch_raises():
     params = zero_params(3, 4)
-    for gates in (np.zeros((1, 15)), np.zeros((1, 20)), np.zeros(16)):  # not (T, 4H)
+    # not (T, [B,] 4H), or no step
+    for gates in (np.zeros((1, 15)), np.zeros((1, 20)), np.zeros(16), np.zeros((0, 16)),
+                  np.zeros((0, 2, 16))):
         with pytest.raises(DimensionError):
             forward(Tape(gates), *cell(params))
     bad = dict(params, W_h=np.zeros((16, 5)))  # recurrent weights of a 5-unit state
@@ -357,23 +359,20 @@ def test_batch_forward_equals_per_sequence_oracle_bit_for_bit(
         assert not got.h[steps + 1 :, b].any() and not got.c[steps + 1 :, b].any()
 
 
-def test_tape_takes_over_states():
-    """A tape laid in a given states array zeroes only its row 0 and runs as
-    one that starts from zeros; an array of the wrong shape is refused."""
+def test_batch_tape_states_start_at_zero():
+    """After ``forward``, a batch tape's state rows past each column's
+    length are still the zeros ``Tape`` made, and the rows up to it equal
+    the same column run alone."""
     rng = np.random.default_rng(3)
     params = uniform_params(rng, 3, 4, 0.5)
     lengths = [5, 3, 1]
     gates = rng.standard_normal((5, 3, 3)) @ params["W_x"].T
-    states = np.full((2, 6, 3, 4), np.nan)
-    got = forward(Tape(gates.copy(), lengths, states), *cell(params))
-    want = forward(Tape(gates.copy(), lengths), *cell(params))
-    assert np.shares_memory(got.h, states) and np.shares_memory(got.c, states)
+    got = forward(Tape(gates.copy(), lengths), *cell(params))
     for b, steps in enumerate(lengths):
-        npt.assert_array_equal(got.h[: steps + 1, b], want.h[: steps + 1, b])
-        npt.assert_array_equal(got.c[: steps + 1, b], want.c[: steps + 1, b])
-        assert np.isnan(got.h[steps + 1 :, b]).all() and np.isnan(got.c[steps + 1 :, b]).all()
-    with pytest.raises(DimensionError, match="states"):
-        Tape(gates, lengths, np.zeros((2, 5, 3, 4)))
+        want = forward(Tape(gates[:steps, b].copy()), *cell(params))
+        npt.assert_array_equal(got.h[: steps + 1, b], want.h)
+        npt.assert_array_equal(got.c[: steps + 1, b], want.c)
+        assert not got.h[steps + 1 :, b].any() and not got.c[steps + 1 :, b].any()
 
 
 def test_batch_lengths_checked():

@@ -66,10 +66,7 @@ EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
 DEFAULT_HIDDEN = 100
-DEFAULT_LR = 0.3
-DEFAULT_EPOCHS = 500
 DEFAULT_DSA_DENOISE = 0.3
-DEFAULT_CLIP = 5.0
 
 
 def _bounded(kind, test, bound):
@@ -290,10 +287,7 @@ def cmd_analyze_diff_vectors(args, parser) -> int:
     pairs = _parse_pairs(args.pairs, parser)
     archive = load_archive(args.archive)
     diffs = word_difference_vectors(archive, pairs)
-    if len(diffs) >= 2:
-        projections = project_2d(diffs)
-    else:
-        projections = np.zeros((1, 2))  # a single centered vector projects to the origin
+    projections = project_2d(diffs)
     if args.out:
         write_diff_vectors(pairs, diffs, projections, args.out)
         print(f"wrote difference vectors to {args.out}")
@@ -338,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denoise", type=PROBABILITY, default=None,
                    help="override the corruption probability for the chosen mode")
     p.add_argument("--hidden", type=POSITIVE_INT, default=DEFAULT_HIDDEN)
-    p.add_argument("--lr", type=NON_NEGATIVE_FLOAT, default=DEFAULT_LR)
-    p.add_argument("--epochs", type=NON_NEGATIVE_INT, default=DEFAULT_EPOCHS)
-    p.add_argument("--clip", type=POSITIVE_FLOAT, default=DEFAULT_CLIP)
+    p.add_argument("--lr", type=NON_NEGATIVE_FLOAT, default=TrainConfig.lr)
+    p.add_argument("--epochs", type=NON_NEGATIVE_INT, default=TrainConfig.epochs)
+    p.add_argument("--clip", type=POSITIVE_FLOAT, default=TrainConfig.clip_norm)
     p.add_argument("--no-clip", action="store_true", help="disable gradient clipping")
     p.add_argument("--loss-log", default=None)
     p.set_defaults(func=cmd_train, parser=p)

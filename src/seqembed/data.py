@@ -250,7 +250,7 @@ def load_feature_file(path: str | Path) -> np.ndarray:
 
 def write_feature_csv(path: str | Path, frames: np.ndarray) -> None:
     frames = validate_frames(frames)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path), open(path, "w", encoding="utf-8") as fh:
         for row in frames:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
@@ -259,7 +259,7 @@ def write_feature_csv(path: str | Path, frames: np.ndarray) -> None:
 def write_feature_bin(path: str | Path, frames: np.ndarray) -> None:
     frames = validate_frames(frames)
     t, d = frames.shape
-    with open(path, "wb") as fh:
+    with _output(path), open(path, "wb") as fh:
         fh.write(struct.pack("<ii", t, d))
         fh.write(frames.astype("<f4").tobytes())
 
@@ -345,9 +345,16 @@ def write_manifest(
     manifest_path: str | Path,
     fmt: str = "csv",
 ) -> Path:
-    """Write the manifest and one feature file per record next to it."""
+    """Write the manifest and one feature file per record next to it, in
+    ``features/<id><suffix>``; an id with a ``/``, ``\\`` or NUL, which
+    would not name one file there, is refused before anything is written."""
     if fmt not in ("csv", "bin"):
         raise ValueError(f"unknown feature format '{fmt}'")
+    for rec in dataset:
+        if any(c in rec.id for c in "/\\\0"):
+            raise DataError(
+                f"record {rec.id!r}: an id with '/', '\\' or NUL cannot name a feature file"
+            )
     manifest_path = Path(manifest_path)
     output_dir(manifest_path.parent / FEATURES_DIRNAME)
     suffix = ".csv" if fmt == "csv" else BINARY_SUFFIX

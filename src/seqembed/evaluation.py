@@ -1,5 +1,6 @@
 """Measurement tools: edit distance, similarity-by-distance tables,
-average precision / MAP, word difference vectors and 2-D projection.
+average precision / MAP, word difference vectors and their 2-D PCA
+projection (exact principal axes from one symmetric eigendecomposition).
 
 Word labels are compared case-folded everywhere (relevance judgments,
 per-word means, similarity grouping).
@@ -157,28 +158,15 @@ def mean_average_precision(
     return MapReport(mean_ap=mean, rows=rows, num_excluded=excluded)
 
 
-@dataclass
-class WordMeanEmbedding:
-    word: str
-    mean: np.ndarray
-    token_count: int
-
-
-def word_mean_embeddings(archive: EmbeddingArchive) -> dict[str, WordMeanEmbedding]:
-    """Mean embedding per case-folded word label."""
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
+def word_mean_embeddings(archive: EmbeddingArchive) -> dict[str, np.ndarray]:
+    """Mean embedding per case-folded word label, each summed from zero in
+    archive order."""
+    sums: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(archive.dim))
+    counts: dict[str, int] = defaultdict(int)
     for _seg_id, word, vec in archive.entries:
-        folded = word.casefold()
-        if folded not in sums:
-            sums[folded] = np.zeros(archive.dim)
-            counts[folded] = 0
-        sums[folded] += vec
-        counts[folded] += 1
-    return {
-        w: WordMeanEmbedding(word=w, mean=sums[w] / counts[w], token_count=counts[w])
-        for w in sums
-    }
+        sums[word.casefold()] += vec
+        counts[word.casefold()] += 1
+    return {w: total / counts[w] for w, total in sums.items()}
 
 
 def word_difference_vectors(
@@ -191,63 +179,36 @@ def word_difference_vectors(
         for w in (w1, w2):
             if w.casefold() not in means:
                 raise DataError(f"word '{w}' not present in the archive")
-        diffs.append(means[w1.casefold()].mean - means[w2.casefold()].mean)
+        diffs.append(means[w1.casefold()] - means[w2.casefold()])
     return diffs
 
 
-_POWER_ITER_CAP = 1000
-_POWER_ITER_TOL = 1e-10
-_POWER_ITER_SEED = 7
-
-
-def _dominant_eigenvector(cov: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    d = cov.shape[0]
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    for _ in range(_POWER_ITER_CAP):
-        w = cov @ v
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-300:
-            break  # (near-)zero matrix: any direction works, data projects to 0
-        w /= norm
-        if float(np.linalg.norm(w - v)) < _POWER_ITER_TOL:
-            v = w
-            break
-        v = w
-    lam = float(v @ cov @ v)
-    return v, lam
-
-
 def project_2d(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Center and project onto the top-2 principal components.
+    """Center one or more vectors and project them onto the top-2 principal
+    components, one row per vector.
 
-    Power iteration with deflation (cap 1000 iterations, tolerance 1e-10,
-    seeded start).  Component signs are fixed so each component's
-    largest-magnitude loading is positive.
+    The components are the eigenvectors of the two largest eigenvalues of
+    the scatter matrix ``xc.T @ xc`` (one ``np.linalg.eigh`` call); with a
+    width of 1 the second is zero.  Each component's sign is fixed so that
+    its largest-magnitude loading is positive.  A single vector centers to
+    zero and projects to the origin.  The scatter matrix squares the data,
+    so centered entries beyond about 1e150 in magnitude overflow it, and
+    data whose entries are all below about 1e-150 underflow it.
     """
     vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if len(vecs) < 2:
-        raise ValueError("projection needs at least 2 vectors")
+    if not vecs:
+        raise ValueError("projection needs at least 1 vector")
     width = vecs[0].shape
     for v in vecs:
         if v.shape != width or v.ndim != 1:
             raise DimensionError("all vectors must share one width")
     x = np.stack(vecs)
     xc = x - x.mean(axis=0)
-    cov = xc.T @ xc
-    rng = np.random.default_rng(_POWER_ITER_SEED)
-
-    v1, lam1 = _dominant_eigenvector(cov, rng)
-    v2, _ = _dominant_eigenvector(cov - lam1 * np.outer(v1, v1), rng)
-    # orthogonalize; degenerate spectra leave a zero second component
-    v2 = v2 - (v1 @ v2) * v1
-    n2 = float(np.linalg.norm(v2))
-    v2 = v2 / n2 if n2 > 1e-12 else np.zeros_like(v2)
-
-    comps = []
-    for v in (v1, v2):
+    _, eigenvectors = np.linalg.eigh(xc.T @ xc)  # eigenvalues ascending
+    comps = [np.zeros(width), np.zeros(width)]
+    for k, v in enumerate(eigenvectors.T[::-1][:2]):
         j = int(np.argmax(np.abs(v)))
-        comps.append(-v if v[j] < 0 else v)
+        comps[k] = -v if v[j] < 0 else v
     return xc @ np.column_stack(comps)
 
 

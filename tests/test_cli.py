@@ -1,6 +1,7 @@
 """CLI surface tests: every subcommand, exit codes, determinism."""
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqembed.autoencoder import encode_batch, init_params, load_checkpoint, save_checkpoint
+from seqembed.autoencoder import (
+    TrainConfig,
+    encode_batch,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from seqembed.baselines import naive_encode
 from seqembed.cli import build_parser, main
 from seqembed.data import (
@@ -239,6 +246,23 @@ def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
     assert not list(tmp_path.rglob("*.tmp"))
     if case == "train --loss-log":  # checked before training, so nothing was written
         assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_unwritable_feature_file_exit_code(tmp_path, capsys, fmt):
+    target = tmp_path / "out" / "features" / f"w000_t00.{fmt}"
+    target.mkdir(parents=True)  # a directory where the first feature file goes
+    code, _, err = run(capsys, "synth", "--out-dir", str(tmp_path / "out"), "--seed", "0",
+                       "--format", fmt)
+    assert code == 3 and f"cannot write {target}: " in err and "Traceback" not in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["features"]
+
+
+def test_train_defaults_are_the_train_config_defaults():
+    args = build_parser().parse_args(["train", "--manifest", "m", "--out", "o", "--seed", "0"])
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    assert (args.lr, args.epochs, args.clip) == (
+        defaults["lr"], defaults["epochs"], defaults["clip_norm"])
 
 
 @pytest.fixture

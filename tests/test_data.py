@@ -306,11 +306,22 @@ class TestOutputFiles:
         good = Dataset.from_records([SegmentRecord("a", "w", None, "train", np.ones((2, 3)))])
         manifest = write_manifest(good, tmp_path / "m.jsonl")
         before = manifest.read_bytes()
-        bad = Dataset.from_records([SegmentRecord("b/c", "w", None, "train", np.ones((2, 3)))])
-        with pytest.raises(FileNotFoundError):
-            write_manifest(bad, manifest)  # features/b/ does not exist
+        (tmp_path / "features" / "b.csv").mkdir()  # where b's feature file would go
+        bad = Dataset.from_records([SegmentRecord("b", "w", None, "train", np.ones((2, 3)))])
+        with pytest.raises(DataError, match="cannot write .*b.csv"):
+            write_manifest(bad, manifest)
         assert manifest.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "m.jsonl"]
+
+    @pytest.mark.parametrize("seg_id", ["a/b", "../x", "a\\b", "a\x00b"])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_id_that_is_no_file_name_is_refused(self, tmp_path, seg_id, fmt):
+        ok = SegmentRecord("a", "w", None, "train", np.ones((2, 3)))
+        bad = SegmentRecord(seg_id, "w", None, "train", np.ones((2, 3)))
+        with pytest.raises(DataError) as exc:
+            write_manifest(Dataset.from_records([ok, bad]), tmp_path / "out" / "m.jsonl", fmt=fmt)
+        assert repr(seg_id) in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_dataset_iterates_its_records(self):
         records = [SegmentRecord(f"s{i}", "w", None, "test", np.ones((1, 2))) for i in range(3)]

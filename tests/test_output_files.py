@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import seqembed
+import seqembed.data
 from seqembed.autoencoder import init_params, save_checkpoint, write_loss_log
 from seqembed.cli import main
 from seqembed.data import Dataset, SegmentRecord, write_manifest
@@ -174,6 +175,32 @@ def test_only_the_data_module_opens_files_for_writing():
     }
     assert writers["data.py"], "the guard no longer sees data.py's writes"
     assert {name: lines for name, lines in writers.items() if lines and name != "data.py"} == {}
+
+
+def _calls_under_output(tree: ast.AST) -> set[int]:
+    """Line numbers of the calls that run inside a ``with _output(...)``: in
+    the with-items after it, or in the block's body."""
+    lines = set()
+    for block in ast.walk(tree):
+        if not isinstance(block, ast.With):
+            continue
+        for i, item in enumerate(block.items):
+            call = item.context_expr
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_output":
+                inner = [later.context_expr for later in block.items[i + 1:]] + block.body
+                lines |= {node.lineno for part in inner for node in ast.walk(part)
+                          if isinstance(node, ast.Call)}
+                break
+    return lines
+
+
+def test_every_write_in_the_data_module_maps_its_errors():
+    """Each write-mode open in data.py runs inside ``_output``, so an OSError
+    there exits 3 with ``cannot write <path>``."""
+    tree = ast.parse(Path(seqembed.data.__file__).read_text(encoding="utf-8"))
+    writes = _opens_for_writing(tree)
+    assert writes, "the guard no longer sees data.py's writes"
+    assert [line for line in writes if line not in _calls_under_output(tree)] == []
 
 
 def _opens_or_reads(tree: ast.AST) -> list[int]:

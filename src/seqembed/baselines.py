@@ -8,23 +8,25 @@ Segments left empty when T < m contribute zero vectors.
 DTW uses the classic three-direction step set (up, left, diagonal) with
 unit weights, Euclidean frame distance, no band and, by default, no
 path-length normalization.  One kernel, ``_dtw_tables``, aligns a block of
-pairs of equal lengths at once, one anti-diagonal at a time; every block
-of a call is laid in one workspace, sized to the call's largest block, of
-which only the border slots are set per block.
+pairs of equal lengths at once, one anti-diagonal at a time, in a compact
+table: one row per bordered cell, diagonal by diagonal, and one column per
+pair.  Its frame costs are made in chunks of the block's pairs.  One byte
+budget, ``_BLOCK_BYTES``, bounds a block's tables and one cost chunk
+together.  Every block of a call is laid in one workspace, sized to the
+call's largest block, of which only the border rows are set per block.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .data import validate_frames
 from .errors import DimensionError
 
-# Byte budget of one block's DTW table; it bounds the memory that aligning
-# many pairs at once adds (each frame-cost term is smaller than the table).
-_BLOCK_BYTES = 1 << 18
+# Byte budget of one DTW block's working set (its tables and one chunk of
+# frame costs); it bounds the memory that aligning many pairs at once adds.
+_BLOCK_BYTES = 1 << 20
 
 
 def naive_encode(x: np.ndarray, m: int) -> np.ndarray:
@@ -49,108 +51,143 @@ def _added(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add(x, y, out=x)
 
 
-def _left_to_right(term, ks: range, total: np.ndarray | None = None) -> np.ndarray:
-    """``total + term(k0) + term(k1) + ...``, added in that order."""
-    for k in ks:
-        total = term(k) if total is None else _added(total, term(k))
+def _left_to_right(terms, total: np.ndarray | None = None) -> np.ndarray:
+    """``total + terms[0] + terms[1] + ...``, added in that order."""
+    for term in terms:
+        total = term if total is None else _added(total, term)
     return total
 
 
-def _pairwise_sum(term, ks: range) -> np.ndarray:
-    """The sum of the arrays ``term(k)``, k in ``ks`` (each a fresh array the
-    sum may overwrite), added in the order of numpy's pairwise summation,
-    so it is bit-identical to ``np.stack(terms, axis=-1).sum(axis=-1)``.
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum of the rows of ``terms``, added into them in the order of
+    numpy's pairwise summation, so it is bit-identical to
+    ``np.stack(list(terms), axis=-1).sum(axis=-1)``, a sum over a
+    contiguous last axis.
 
-    Below 8 terms numpy adds left to right.  Up to 128 it sums eight
-    columns, r_j = term(j) + term(j+8) + ... over the largest multiple of
+    Below 8 rows numpy adds left to right.  Up to 128 it sums eight
+    columns, r_j = terms[j] + terms[j+8] + ... over the largest multiple of
     8, adds them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the rest
     left to right.  Above 128 it splits at a multiple of 8 below the middle
-    and adds the two halves' sums.  Terms are made as the order reaches
-    them, so only a few are alive at once.
+    and adds the two halves' sums.  The eight columns are summed eight rows
+    at a time, and each level of their tree is one call.
     """
-    n = len(ks)
+    n = len(terms)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _added(_pairwise_sum(term, ks[:half]), _pairwise_sum(term, ks[half:]))
+        return _added(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]))
     if n < 8:
-        return _left_to_right(term, ks)
+        return _left_to_right(terms)
     body = n - n % 8
-
-    def r(j):
-        return _left_to_right(term, ks[j:body:8])
-
-    total = _added(_added(_added(r(0), r(1)), _added(r(2), r(3))),
-                   _added(_added(r(4), r(5)), _added(r(6), r(7))))
-    return _left_to_right(term, ks[body:], total)
+    r = _left_to_right(terms[k : k + 8] for k in range(0, body, 8))
+    _added(r[0::2], r[1::2])  # r0+r1, r2+r3, r4+r5 and r6+r7, in rows 0, 2, 4 and 6
+    _added(r[0::4], r[2::4])  # (r0+r1)+(r2+r3) and (r4+r5)+(r6+r7), in rows 0 and 4
+    return _left_to_right(terms[body:], _added(r[0], r[4]))
 
 
-def _dtw_tables(a: np.ndarray, b: np.ndarray, table: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Accumulated-cost tables of m pairs of validated sequences at once,
-    stacked feature-major: ``a`` is (D, T_a, m) and ``b`` is (D, T_b, m).
-    ``table`` and ``best`` are flat workspaces of at least
-    (T_a+T_b+1)(T_a+1)m and T_a·m floats; the tables are laid in ``table``.
+def _block_sizes(ta: int, tb: int, d: int) -> tuple[int, int]:
+    """(pairs per block, pairs per cost chunk) of length pair (ta, tb) at
+    width d, each at least one.  A block's working set is its tables and
+    ``best`` rows plus one cost chunk's gathered frames and differences; the
+    chunk takes at most half of ``_BLOCK_BYTES`` and the tables the rest."""
+    table = 8 * ((ta + 1) * (tb + 1) + min(ta, tb))
+    costs = 8 * d * (ta + tb + ta * tb)
+    chunk = max(1, _BLOCK_BYTES // 2 // costs)
+    return max(1, (_BLOCK_BYTES - chunk * costs) // table), chunk
 
-    The result, a view of ``table``, is skewed by anti-diagonal: slot
-    ``[s, i, p]`` of the (T_a+T_b+1, T_a+1, m) array holds pair p's bordered
-    cell ``acc[i][s-i]``, which aligns a[:, :i, p] with b[:, :s-i, p].  Only
-    the border slots are set, to inf except ``acc[0][0] = 0``; the costs
-    overwrite the cell slots, and slots outside the grid keep whatever the
-    workspace held, since they are never read.  Each cell is
-    ``cost + min(diag, up, left)`` on the same floats as a per-pair loop,
-    because the minimum of three non-NaN floats does not depend on their
-    order, so the tables are bit-identical to one.  A frame cost is
-    ``sqrt(sum(diff**2))`` with the D squares added in ``_pairwise_sum``'s
-    order, the order of numpy's ``sum`` over a contiguous last axis.  One
-    feature's differences repeat a's frames along the table columns (a
-    chunk copy) and subtract b's frames as one row, T_b·m long.
+
+def _frame_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frame costs of k pairs stacked feature-major, ``a`` (D, T_a, k) and
+    ``b`` (D, T_b, k): a (T_a·T_b, k) array whose row i·T_b + j holds
+    ``sqrt(sum(diff**2))`` of frames (i, j), the D squares added in
+    ``_pairwise_sum``'s order, the order of numpy's ``sum`` over a
+    contiguous last axis.  The differences of all D features are one array:
+    a's frames repeated along the columns, less b's frames as one row per
+    feature, T_b·k long."""
+    d, ta, k = a.shape
+    diff = np.repeat(a, b.shape[1], axis=1).reshape(d, ta, -1)
+    diff -= b.reshape(d, 1, -1)
+    np.multiply(diff, diff, out=diff)
+    total = _pairwise_sum(diff)
+    return np.sqrt(total, out=total).reshape(-1, k)
+
+
+def _compact_layout(ta: int, tb: int) -> tuple[list[int], np.ndarray, np.ndarray, list]:
+    """Where a compact table of length pair (T_a, T_b) keeps its cells:
+    ``base``, such that row ``base[i+j] + i`` holds the bordered cell
+    ``acc[i][j]``; the rows of the border cells; the rows of the frame-cost
+    cells, in frame-pair order (i, j) -> i·T_b + j; and the steps, one per
+    anti-diagonal s = 2 .. T_a+T_b: the first rows of its in-grid cells'
+    diagonal and up neighbours and of those cells, and their count.
+
+    The (T_a+1)(T_b+1) cells are laid anti-diagonal by anti-diagonal, each
+    diagonal s = i+j in order of i, from its first row max(0, s-T_b).  So a
+    diagonal, and each of its neighbour runs (diagonal s-2 at rows i-1,
+    s-1 at rows i-1 and at rows i), is one contiguous run of rows.
     """
-    d, ta, m = a.shape
-    tb = b.shape[1]
-    table = table[: (ta + tb + 1) * (ta + 1) * m].reshape(ta + tb + 1, ta + 1, m)
-    slots = table.reshape(-1, m)  # slot [s, i] is row s*(T_a+1) + i
-    slots[: (tb + 1) * (ta + 1) : ta + 1] = np.inf  # acc[0][j], slot [j, 0]
-    slots[: (ta + 1) * (ta + 2) : ta + 2] = np.inf  # acc[i][0], slot [i, i]
-    table[0, 0] = 0.0
-    s_step, i_step, p_step = table.strides
-    # cells[i, j] is frame pair (i, j)'s slot [i+j+2, i+1], the bordered cell (i+1, j+1)
-    cells = as_strided(table[2, 1:], shape=(ta, tb, m), strides=(s_step + i_step, s_step, p_step))
-    b_rows = b.reshape(d, tb * m)
-
-    def square(k):
-        diff = np.repeat(a[k], tb, axis=0).reshape(ta, tb * m)
-        diff -= b_rows[k]
-        return np.multiply(diff, diff, out=diff)
-
-    np.sqrt(_pairwise_sum(square, range(d)).reshape(ta, tb, m), out=cells)
-    best = best[: ta * m].reshape(ta, m)
+    diagonal = np.arange(ta + tb + 1)
+    first = np.maximum(diagonal - tb, 0)
+    size = np.minimum(diagonal, ta) - first + 1
+    base = np.cumsum(size) - size - first
+    i, j = diagonal[1 : ta + 1, None], diagonal[1 : tb + 1]
+    border = np.concatenate((base[: tb + 1], base[i[:, 0]] + i[:, 0]))
+    cells = base[i + j] + i  # frame pair (i-1, j-1) is bordered cell (i, j)
+    base = base.tolist()
+    steps = []
     for s in range(2, ta + tb + 1):
         lo, hi = max(1, s - tb), min(ta, s - 1) + 1  # the rows i of diagonal s inside the grid
-        step = best[: hi - lo]
-        np.minimum(table[s - 2, lo - 1 : hi - 1], table[s - 1, lo - 1 : hi - 1], out=step)
-        np.minimum(step, table[s - 1, lo:hi], out=step)
-        table[s, lo:hi] += step
+        steps.append((base[s - 2] + lo - 1, base[s - 1] + lo - 1, base[s] + lo, hi - lo))
+    return base, border, cells.ravel(), steps
+
+
+def _dtw_tables(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray, layout,
+                work: np.ndarray) -> np.ndarray:
+    """Accumulated-cost tables of the m pairs (a[:, :, p[k]], b[:, :, q[k]]),
+    from sequences stacked feature-major, ``a`` (D, T_a, n_a) and ``b``
+    (D, T_b, n_b), laid out by ``layout``, ``_compact_layout(T_a, T_b)``.
+    ``work`` is a flat buffer of at least ((T_a+1)(T_b+1) + min(T_a, T_b))·m
+    floats; the tables are laid in it, followed by a ``best`` row of one
+    diagonal's step minima per pair.
+
+    The result, a view of ``work``, is ((T_a+1)(T_b+1), m): one row
+    per cell, pairs on the contiguous last axis, so each anti-diagonal step
+    is three numpy calls over contiguous slices whatever m is.  Only the
+    border rows are set, to inf except ``acc[0][0] = 0``.  The frame costs
+    are made in chunks of ``_block_sizes`` pairs, each gathered with one
+    index per side and placed in the cell rows by one row-permuting
+    assignment.  Each cell is ``cost + min(diag, up, left)`` on the same
+    floats as a per-pair loop, because the minimum of three non-NaN floats
+    does not depend on their order, so the tables are bit-identical to one.
+    """
+    d, ta, tb, m = a.shape[0], a.shape[1], b.shape[1], len(p)
+    chunk = _block_sizes(ta, tb, d)[1]
+    _, border, cells, steps = layout
+    size = (ta + 1) * (tb + 1) * m
+    table, best = work[:size].reshape(-1, m), work[size : size + min(ta, tb) * m].reshape(-1, m)
+    table[border] = np.inf
+    table[0] = 0.0
+    for lo in range(0, m, chunk):
+        pairs = slice(lo, lo + chunk)
+        table[cells, pairs] = _frame_costs(a[:, :, p[pairs]], b[:, :, q[pairs]])
+    for diag, up, cell, n in steps:
+        step = best[:n]
+        np.minimum(table[diag : diag + n], table[up : up + n], out=step)
+        np.minimum(step, table[up + 1 : up + 1 + n], out=step)  # the left neighbours
+        table[cell : cell + n] += step
     return table
 
 
-def _block_pairs(ta: int, tb: int) -> int:
-    """Pairs per block of length pair (ta, tb): as many tables as fit in
-    ``_BLOCK_BYTES``, at least one."""
-    return max(1, _BLOCK_BYTES // ((ta + tb + 1) * (ta + 1) * 8))
-
-
-def _workspace(groups) -> tuple[np.ndarray, np.ndarray]:
-    """Flat table and best-row buffers that fit the largest block of the
-    groups (T_a, T_b, pairs) that a call aligns, so that every block of the
-    call is laid in them."""
-    blocks = [(ta, tb, min(n, _block_pairs(ta, tb))) for ta, tb, n in groups]
-    return (np.empty(max([(ta + tb + 1) * (ta + 1) * m for ta, tb, m in blocks], default=0)),
-            np.empty(max([ta * m for ta, _, m in blocks], default=0)))
+def _workspace(d: int, groups) -> np.ndarray:
+    """A flat buffer that fits the tables and best rows of the largest block
+    of the groups (T_a, T_b, pairs) that a call aligns at width d, so that
+    every block of the call is laid in it."""
+    return np.empty(max([((ta + 1) * (tb + 1) + min(ta, tb)) * min(n, _block_sizes(ta, tb, d)[0])
+                         for ta, tb, n in groups], default=0))
 
 
 def _length_runs(seqs: list[np.ndarray]) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(length, indices, stacked frames) of the sequences of each distinct
-    length, the frames feature-major (D, T, n), so that a block gathers its
-    pairs with one ``np.take`` per side."""
+    length, the frames feature-major (D, T, n), so that a cost chunk gathers
+    its pairs with one index per side."""
     members: dict[int, list[int]] = {}
     for k, x in enumerate(seqs):
         members.setdefault(len(x), []).append(k)
@@ -158,17 +195,15 @@ def _length_runs(seqs: list[np.ndarray]) -> list[tuple[int, np.ndarray, np.ndarr
             for t, ks in sorted(members.items())]
 
 
-def _aligned(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray,
-             table: np.ndarray, best: np.ndarray) -> np.ndarray:
+def _aligned(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray, work: np.ndarray) -> np.ndarray:
     """DTW distances of the pairs (a[:, :, p[k]], b[:, :, q[k]]), in blocks
-    of ``_block_pairs`` pairs laid in the workspace ``table`` and ``best``."""
-    ta, tb = a.shape[1], b.shape[1]
-    block = _block_pairs(ta, tb)
+    of ``_block_sizes`` pairs laid in the workspace ``work``."""
+    block = _block_sizes(a.shape[1], b.shape[1], a.shape[0])[0]
+    layout = _compact_layout(a.shape[1], b.shape[1])
     dist = np.empty(len(p))
     for lo in range(0, len(p), block):
         pairs = slice(lo, lo + block)
-        tables = _dtw_tables(np.take(a, p[pairs], axis=2), np.take(b, q[pairs], axis=2), table, best)
-        dist[pairs] = tables[ta + tb, ta]
+        dist[pairs] = _dtw_tables(a, p[pairs], b, q[pairs], layout, work)[-1]
     return dist
 
 
@@ -197,14 +232,15 @@ def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | Non
     def pair_count(x, y):  # a run against itself: its unordered pairs
         return len(x[1]) * (len(x[1]) - 1) // 2 if y is x else len(x[1]) * len(y[1])
 
-    work = _workspace((*sorted((x[0], y[0])), pair_count(x, y)) for x, y in groups)
+    work = _workspace(widths[0] if widths else 0,
+                      ((*sorted((x[0], y[0])), pair_count(x, y)) for x, y in groups))
     for (ta, rows, a), (tb, cols, b) in groups:
         if b is a:
             p, q = np.triu_indices(len(rows), 1)
         else:
             p, q = np.indices((len(rows), len(cols))).reshape(2, -1)
         if len(p):
-            dist = _aligned(a, p, b, q, *work) if ta <= tb else _aligned(b, q, a, p, *work)
+            dist = _aligned(a, p, b, q, work) if ta <= tb else _aligned(b, q, a, p, work)
             out[rows[p], cols[q]] = dist
             if mirror:
                 out[cols[q], rows[p]] = dist
@@ -231,11 +267,13 @@ def dtw_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list[tuple[int, int]]
         raise DimensionError(
             f"feature widths differ: {a.shape[1]} vs {b.shape[1]}"
         )
-    work = _workspace([(len(a), len(b), 1)])
-    skewed = _dtw_tables(a.T[..., None], b.T[..., None], *work)[:, :, 0].tolist()
+    layout, pair = _compact_layout(len(a), len(b)), np.zeros(1, dtype=np.intp)
+    table = _dtw_tables(a.T[..., None], pair, b.T[..., None], pair, layout,
+                        _workspace(a.shape[1], [(len(a), len(b), 1)]))[:, 0].tolist()
+    base = layout[0]
 
     def acc(i, j):  # the bordered cell acc[i][j]
-        return skewed[i + j][i]
+        return table[base[i + j] + i]
 
     i, j = len(a), len(b)
     path = [(i - 1, j - 1)]

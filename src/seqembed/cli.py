@@ -116,6 +116,14 @@ def cmd_train(args, parser) -> int:
     return EXIT_OK
 
 
+def _reject_ignored(parser, args, what, *names):
+    """A usage error naming each option of ``names`` that ``args`` holds,
+    since ``what`` would ignore it."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        parser.error(f"{what} takes no {' or '.join(given)}")
+
+
 def _segment_encoder(checkpoint=None, m=None):
     """The batch encoder (a list of feature arrays in, one vector per row out)
     of the naive encoder with ``m`` segments, or else of the model loaded
@@ -130,6 +138,8 @@ def cmd_encode(args, parser) -> int:
     naive = args.encoder == "ne"
     if naive and args.m is None:
         parser.error("--encoder ne requires --m")
+    if naive:
+        _reject_ignored(parser, args, "--encoder ne", "checkpoint")
     if not naive and not args.checkpoint:
         parser.error("model encoding requires --checkpoint")
     start = time.perf_counter()
@@ -150,6 +160,7 @@ def cmd_search(args, parser) -> int:
         parser.error("provide exactly one of --query-id and --query-features")
 
     if args.method == "dtw":
+        _reject_ignored(parser, args, "--method dtw", "archive", "checkpoint")
         if not args.manifest:
             parser.error("--method dtw requires --manifest")
         records = parse_manifest(args.manifest, args.split).records
@@ -164,6 +175,7 @@ def cmd_search(args, parser) -> int:
         ranked = rank_dtw(query, records, exclude_id=args.query_id, top_k=args.top)
     else:
         if args.archive:
+            _reject_ignored(parser, args, "searching a prebuilt archive", "checkpoint", "manifest")
             if args.query_id is None:
                 parser.error("searching a prebuilt archive requires --query-id")
             archive = load_archive(args.archive)

@@ -191,9 +191,10 @@ def project_2d(vectors: Sequence[np.ndarray]) -> np.ndarray:
     the scatter matrix ``xc.T @ xc`` (one ``np.linalg.eigh`` call); with a
     width of 1 the second is zero.  Each component's sign is fixed so that
     its largest-magnitude loading is positive.  A single vector centers to
-    zero and projects to the origin.  The scatter matrix squares the data,
-    so centered entries beyond about 1e150 in magnitude overflow it, and
-    data whose entries are all below about 1e-150 underflow it.
+    zero and projects to the origin.  The scatter matrix is formed from the
+    centered data scaled by a power of two that brings its largest entry
+    into [0.5, 1), an exact scaling that keeps it from overflowing or
+    underflowing; the unscaled data is projected.
     """
     vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
     if not vecs:
@@ -204,7 +205,8 @@ def project_2d(vectors: Sequence[np.ndarray]) -> np.ndarray:
             raise DimensionError("all vectors must share one width")
     x = np.stack(vecs)
     xc = x - x.mean(axis=0)
-    _, eigenvectors = np.linalg.eigh(xc.T @ xc)  # eigenvalues ascending
+    scaled = np.ldexp(xc, -np.frexp(np.abs(xc).max())[1])
+    _, eigenvectors = np.linalg.eigh(scaled.T @ scaled)  # eigenvalues ascending
     comps = [np.zeros(width), np.zeros(width)]
     for k, v in enumerate(eigenvectors.T[::-1][:2]):
         j = int(np.argmax(np.abs(v)))

@@ -2,6 +2,8 @@
 import gc
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +25,24 @@ def grid_pair(draw):
     frames = st.lists(GRID, min_size=d, max_size=d)
     a, b = (draw(st.lists(frames, min_size=1, max_size=6)) for _ in range(2))
     return np.array(a), np.array(b)
+
+
+@st.composite
+def kernel_case(draw):
+    """Sequences of lengths 1-12 drawn from a pool of up to three, so that
+    a length pair holds several pairs, at D = 1, 8 or 9 (numpy sums 8 or
+    more squares in eight columns), some with a +-1e200 frame (costs that
+    overflow to inf), and a byte budget: 1 puts each pair in its own block,
+    6000 splits blocks and, at D >= 8, cost chunks inside a block, and 40000
+    splits cost chunks inside one block per length pair at D >= 8."""
+    d = draw(st.sampled_from([1, 8, 9]))
+    pool = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seqs = [rng.standard_normal((t, d)) for t in lengths]
+    for k in draw(st.sets(st.integers(0, len(seqs) - 1), max_size=3)):
+        seqs[k][rng.integers(len(seqs[k]))] = 1e200 * rng.choice([-1.0, 1.0], d)
+    return seqs, draw(st.sampled_from([1, 6000, 40000]))
 
 
 def frame_costs(a, b):
@@ -210,6 +230,34 @@ class TestDtw:
         finally:
             gc.enable()
 
+    def test_call_keeps_nothing_and_stays_within_its_budget(self):
+        # numpy's data buffers allocated from this module: after the call only
+        # the result may be alive (no per-shape cache), and at its peak the
+        # call holds little beyond the result, the sequences' feature-major
+        # copy and one block's working set
+        rng = np.random.default_rng(10)
+        seqs = [rng.standard_normal((10 + k % 4 * 5, 8)) for k in range(60)]
+        dtw_distances(seqs[:3])  # numpy's own first-use allocations
+
+        def numpy_data(snapshot):
+            return (snapshot.filter_traces([tracemalloc.Filter(True, baselines.__file__)])
+                    .filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]))
+
+        tracemalloc.start()
+        try:
+            before = numpy_data(tracemalloc.take_snapshot())
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = dtw_distances(seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+            after = numpy_data(tracemalloc.take_snapshot())
+        finally:
+            tracemalloc.stop()
+        alive = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert alive == out.nbytes
+        held = peak - start - out.nbytes - sum(x.nbytes for x in seqs)
+        assert 0 < held <= 2 * baselines._BLOCK_BYTES
+
     @pytest.mark.parametrize("budget", [1, 2000])
     @pytest.mark.parametrize("d", [1, 8, 17, 129])
     def test_one_workspace_serves_every_block(self, d, budget, monkeypatch):
@@ -230,6 +278,18 @@ class TestDtw:
             assert mirrored.tobytes() == np.array(want).tobytes()
             assert crossed.tobytes() == np.array(want)[:, ::-2].tobytes()
             assert dtw_path(seqs[5], seqs[2]) == dtw_oracle.dtw_path(seqs[5], seqs[2])
+
+    @given(kernel_case(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_compact_kernel_matches_bordered_oracle(self, case, data):
+        seqs, budget = case
+        others = seqs[::-2]
+        i, j = (data.draw(st.integers(0, len(seqs) - 1)) for _ in range(2))
+        with np.errstate(over="ignore"), mock.patch.object(baselines, "_BLOCK_BYTES", budget):
+            want = np.array([[dtw_oracle.bordered_table(a, b)[-1][-1] for b in seqs] for a in seqs])
+            assert dtw_distances(seqs).tobytes() == want.tobytes()
+            assert dtw_distances(seqs, others).tobytes() == want[:, ::-2].tobytes()
+            assert dtw_path(seqs[i], seqs[j]) == dtw_oracle.dtw_path(seqs[i], seqs[j])
 
     def test_overflowing_costs_keep_a_grid_path(self):
         a = np.array([[1e200], [-1e200], [1e200]])

@@ -757,6 +757,29 @@ def test_every_numeric_option_is_range_checked():
     assert sorted(numeric) == sorted((c, o) for c, o, _ in BOUNDED_OPTIONS)
 
 
+@pytest.mark.parametrize("argv, ignored", [
+    (["search", "--method", "dtw", "--manifest", "MANIFEST", "--query-id", "QUERY"], "--archive"),
+    (["search", "--method", "dtw", "--manifest", "MANIFEST", "--query-id", "QUERY"], "--checkpoint"),
+    (["search", "--archive", "ARCHIVE", "--query-id", "QUERY"], "--checkpoint"),
+    (["search", "--archive", "ARCHIVE", "--query-id", "QUERY"], "--manifest"),
+    (["encode", "--manifest", "MANIFEST", "--encoder", "ne", "--m", "2", "--out", "OUT"],
+     "--checkpoint"),
+])
+def test_option_the_command_would_ignore_is_usage_error(corpus_dir, tmp_path, capsys, argv, ignored):
+    manifest = corpus_dir / "manifest.jsonl"
+    archive = tmp_path / "arch.csv"
+    assert main(["encode", "--manifest", str(manifest), "--encoder", "ne", "--m", "1",
+                 "--out", str(archive)]) == 0
+    paths = {"MANIFEST": str(manifest), "ARCHIVE": str(archive), "OUT": str(tmp_path / "x.csv"),
+             "QUERY": parse_manifest(manifest, "test").records[0].id}
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert main(argv) == 0  # the command itself is valid
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, ignored, str(tmp_path / "unused")])
+    assert exc.value.code == 2
+    assert f"takes no {ignored}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, command", [
     (["search", "--top", "3"], "search"),
     (["encode", "--manifest", "missing.jsonl", "--out", "x.csv", "--encoder", "ne"], "encode"),

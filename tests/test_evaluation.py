@@ -395,8 +395,7 @@ class TestProject2d:
         ``np.linalg.svd``, signed so its largest-magnitude entry is positive,
         wherever singular value k is separated from its neighbours, and zero
         wherever that singular value is zero.  Entries are rounded to 6
-        decimals so the scatter matrix, which squares them, neither overflows
-        nor underflows (see ``project_2d``)."""
+        decimals; extreme magnitudes have their own test below."""
         n, d = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 6))
         entry = st.floats(-100, 100).map(lambda v: round(v, 6))
         x = np.array(data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
@@ -420,6 +419,22 @@ class TestProject2d:
             if len(top) > 1 and top[0] - top[1] <= 1e-6:  # two loadings tie: no sign to pin
                 want *= np.sign(want @ proj[:, k]) or 1.0
             npt.assert_allclose(proj[:, k], want, rtol=0, atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_match_svd_reference(self, scale):
+        # unscaled, the scatter matrix of such data overflows to inf or
+        # underflows to zero, and the axes come out wrong without an error
+        rng = np.random.default_rng(3)
+        for x in (rng.standard_normal((10, 4)) * np.array([8.0, 4.0, 1.0, 0.5]) * scale,
+                  np.array([[scale, 0.0], [-scale, scale * 1e-3]])):
+            proj = project_2d(list(x))
+            xc = x - x.mean(axis=0)
+            _, sv, vt = np.linalg.svd(xc)
+            for k, v in enumerate(vt[:2]):
+                want = xc @ (-v if v[np.argmax(np.abs(v))] < 0 else v)
+                npt.assert_allclose(proj[:, k], want, rtol=0, atol=1e-9 * sv[0])
+        proj = project_2d([np.array([1e200, 0.0]), np.array([-1e200, 1.0])])
+        assert abs(proj[0, 0]) == 1e200 and np.abs(proj[:, 1]).max() <= 1.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

@@ -294,9 +294,9 @@ class TestDtwMatrix:
         calls = []
         kernel = baselines._dtw_tables
 
-        def counting(a, b, table, best):
-            calls.extend([(a.shape[1], b.shape[1])] * a.shape[2])  # one entry per pair in the block
-            return kernel(a, b, table, best)
+        def counting(a, p, b, q, layout, work):
+            calls.extend([(a.shape[1], b.shape[1])] * len(p))  # one entry per pair in the block
+            return kernel(a, p, b, q, layout, work)
 
         monkeypatch.setattr(baselines, "_dtw_tables", counting)
         records = make_records([np.ones((2, 2))] * 5)

@@ -12,8 +12,7 @@ pairs of equal lengths at once, one anti-diagonal at a time, in a compact
 table: one row per bordered cell, diagonal by diagonal, and one column per
 pair.  Its frame costs are made in chunks of the block's pairs.  One byte
 budget, ``_BLOCK_BYTES``, bounds a block's tables and one cost chunk
-together.  Every block of a call is laid in one workspace, sized to the
-call's largest block, of which only the border rows are set per block.
+together.
 """
 from __future__ import annotations
 
@@ -139,30 +138,27 @@ def _compact_layout(ta: int, tb: int) -> tuple[list[int], np.ndarray, np.ndarray
     return base, border, cells.ravel(), steps
 
 
-def _dtw_tables(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray, layout,
-                work: np.ndarray) -> np.ndarray:
+def _dtw_tables(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray, layout) -> np.ndarray:
     """Accumulated-cost tables of the m pairs (a[:, :, p[k]], b[:, :, q[k]]),
     from sequences stacked feature-major, ``a`` (D, T_a, n_a) and ``b``
     (D, T_b, n_b), laid out by ``layout``, ``_compact_layout(T_a, T_b)``.
-    ``work`` is a flat buffer of at least ((T_a+1)(T_b+1) + min(T_a, T_b))·m
-    floats; the tables are laid in it, followed by a ``best`` row of one
-    diagonal's step minima per pair.
 
-    The result, a view of ``work``, is ((T_a+1)(T_b+1), m): one row
-    per cell, pairs on the contiguous last axis, so each anti-diagonal step
-    is three numpy calls over contiguous slices whatever m is.  Only the
-    border rows are set, to inf except ``acc[0][0] = 0``.  The frame costs
-    are made in chunks of ``_block_sizes`` pairs, each gathered with one
-    index per side and placed in the cell rows by one row-permuting
-    assignment.  Each cell is ``cost + min(diag, up, left)`` on the same
-    floats as a per-pair loop, because the minimum of three non-NaN floats
-    does not depend on their order, so the tables are bit-identical to one.
+    The result is ((T_a+1)(T_b+1), m): one row per cell, pairs on the
+    contiguous last axis, so each anti-diagonal step is three numpy calls
+    over contiguous slices whatever m is.  The table, and a ``best`` row of
+    one diagonal's step minima per pair, are left uninitialized: every row is
+    a border row, set to inf except ``acc[0][0] = 0``, or a cell row, set to
+    its frame cost, before any step reads it.  The frame costs are made in
+    chunks of ``_block_sizes`` pairs, each gathered with one index per side
+    and placed in the cell rows by one row-permuting assignment.  Each cell
+    is ``cost + min(diag, up, left)`` on the same floats as a per-pair loop,
+    because the minimum of three non-NaN floats does not depend on their
+    order, so the tables are bit-identical to one.
     """
     d, ta, tb, m = a.shape[0], a.shape[1], b.shape[1], len(p)
     chunk = _block_sizes(ta, tb, d)[1]
     _, border, cells, steps = layout
-    size = (ta + 1) * (tb + 1) * m
-    table, best = work[:size].reshape(-1, m), work[size : size + min(ta, tb) * m].reshape(-1, m)
+    table, best = np.empty(((ta + 1) * (tb + 1), m)), np.empty((min(ta, tb), m))
     table[border] = np.inf
     table[0] = 0.0
     for lo in range(0, m, chunk):
@@ -176,14 +172,6 @@ def _dtw_tables(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray, layo
     return table
 
 
-def _workspace(d: int, groups) -> np.ndarray:
-    """A flat buffer that fits the tables and best rows of the largest block
-    of the groups (T_a, T_b, pairs) that a call aligns at width d, so that
-    every block of the call is laid in it."""
-    return np.empty(max([((ta + 1) * (tb + 1) + min(ta, tb)) * min(n, _block_sizes(ta, tb, d)[0])
-                         for ta, tb, n in groups], default=0))
-
-
 def _length_runs(seqs: list[np.ndarray]) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(length, indices, stacked frames) of the sequences of each distinct
     length, the frames feature-major (D, T, n), so that a cost chunk gathers
@@ -195,15 +183,15 @@ def _length_runs(seqs: list[np.ndarray]) -> list[tuple[int, np.ndarray, np.ndarr
             for t, ks in sorted(members.items())]
 
 
-def _aligned(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _aligned(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     """DTW distances of the pairs (a[:, :, p[k]], b[:, :, q[k]]), in blocks
-    of ``_block_sizes`` pairs laid in the workspace ``work``."""
+    of ``_block_sizes`` pairs."""
     block = _block_sizes(a.shape[1], b.shape[1], a.shape[0])[0]
     layout = _compact_layout(a.shape[1], b.shape[1])
     dist = np.empty(len(p))
     for lo in range(0, len(p), block):
         pairs = slice(lo, lo + block)
-        dist[pairs] = _dtw_tables(a, p[pairs], b, q[pairs], layout, work)[-1]
+        dist[pairs] = _dtw_tables(a, p[pairs], b, q[pairs], layout)[-1]
     return dist
 
 
@@ -216,7 +204,6 @@ def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | Non
     length pair, shorter sequence first: unnormalized DTW is exactly
     symmetric (the frame costs transpose bit for bit and the step minimum
     ignores direction), and the shorter side gives the table fewer rows.
-    One workspace, sized to the largest block, serves every group.
     """
     mirror = others is None
     seqs = [validate_frames(x, f"sequence {k}") for k, x in enumerate(seqs)]
@@ -228,19 +215,13 @@ def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | Non
     runs = _length_runs(seqs)
     other_runs = None if mirror else _length_runs(others)
     groups = [(x, y) for k, x in enumerate(runs) for y in (runs[k:] if mirror else other_runs)]
-
-    def pair_count(x, y):  # a run against itself: its unordered pairs
-        return len(x[1]) * (len(x[1]) - 1) // 2 if y is x else len(x[1]) * len(y[1])
-
-    work = _workspace(widths[0] if widths else 0,
-                      ((*sorted((x[0], y[0])), pair_count(x, y)) for x, y in groups))
     for (ta, rows, a), (tb, cols, b) in groups:
         if b is a:
             p, q = np.triu_indices(len(rows), 1)
         else:
             p, q = np.indices((len(rows), len(cols))).reshape(2, -1)
         if len(p):
-            dist = _aligned(a, p, b, q, work) if ta <= tb else _aligned(b, q, a, p, work)
+            dist = _aligned(a, p, b, q) if ta <= tb else _aligned(b, q, a, p)
             out[rows[p], cols[q]] = dist
             if mirror:
                 out[cols[q], rows[p]] = dist
@@ -268,8 +249,7 @@ def dtw_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list[tuple[int, int]]
             f"feature widths differ: {a.shape[1]} vs {b.shape[1]}"
         )
     layout, pair = _compact_layout(len(a), len(b)), np.zeros(1, dtype=np.intp)
-    table = _dtw_tables(a.T[..., None], pair, b.T[..., None], pair, layout,
-                        _workspace(a.shape[1], [(len(a), len(b), 1)]))[:, 0].tolist()
+    table = _dtw_tables(a.T[..., None], pair, b.T[..., None], pair, layout)[:, 0].tolist()
     base = layout[0]
 
     def acc(i, j):  # the bordered cell acc[i][j]

@@ -140,10 +140,12 @@ def cmd_encode(args, parser) -> int:
         parser.error("--encoder ne requires --m")
     if naive:
         _reject_ignored(parser, args, "--encoder ne", "checkpoint")
+    else:
+        _reject_ignored(parser, args, "--encoder model", "m")
     if not naive and not args.checkpoint:
         parser.error("model encoding requires --checkpoint")
     start = time.perf_counter()
-    segment_encoder = _segment_encoder(args.checkpoint, args.m if naive else None)
+    segment_encoder = _segment_encoder(args.checkpoint, args.m)
     records = parse_manifest(args.manifest, args.split).records
     read = time.perf_counter()
     archive = build_archive(segment_encoder, records)
@@ -163,7 +165,7 @@ def cmd_search(args, parser) -> int:
         _reject_ignored(parser, args, "--method dtw", "archive", "checkpoint")
         if not args.manifest:
             parser.error("--method dtw requires --manifest")
-        records = parse_manifest(args.manifest, args.split).records
+        records = parse_manifest(args.manifest, args.split or "test").records
         words = {rec.id: rec.word for rec in records}
         if args.query_id is not None:
             by_id = {rec.id: rec for rec in records}
@@ -175,7 +177,8 @@ def cmd_search(args, parser) -> int:
         ranked = rank_dtw(query, records, exclude_id=args.query_id, top_k=args.top)
     else:
         if args.archive:
-            _reject_ignored(parser, args, "searching a prebuilt archive", "checkpoint", "manifest")
+            _reject_ignored(parser, args, "searching a prebuilt archive", "checkpoint", "manifest",
+                            "split")
             if args.query_id is None:
                 parser.error("searching a prebuilt archive requires --query-id")
             archive = load_archive(args.archive)
@@ -183,7 +186,7 @@ def cmd_search(args, parser) -> int:
             if not (args.checkpoint and args.manifest):
                 parser.error("search requires --archive, or --checkpoint with --manifest")
             segment_encoder = _segment_encoder(args.checkpoint)
-            records = parse_manifest(args.manifest, args.split).records
+            records = parse_manifest(args.manifest, args.split or "test").records
             archive = build_archive(segment_encoder, records)
         if args.query_id is not None:
             query_vec = archive.vector(args.query_id)
@@ -236,6 +239,8 @@ def cmd_evaluate(args, parser) -> int:
     records = parse_manifest(args.manifest, args.split).records
     print(f"evaluate: read {time.perf_counter() - start:.3f} s", file=sys.stderr)
     report_dir = output_dir(args.report_dir)
+    if args.out:
+        check_output_dirs(args.out)  # so a missing one does not cost the scoring
 
     results = []
     for label, segment_encoder in methods:
@@ -364,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archive", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--split", choices=["train", "test", "all"], default="test")
+    p.add_argument("--split", choices=["train", "test", "all"], default=None)  # read as "test"
     p.add_argument("--method", choices=["cosine", "dtw"], default="cosine")
     p.add_argument("--query-id", default=None)
     p.add_argument("--query-features", default=None)

@@ -260,16 +260,17 @@ class TestDtw:
 
     @pytest.mark.parametrize("budget", [1, 2000])
     @pytest.mark.parametrize("d", [1, 8, 17, 129])
-    def test_one_workspace_serves_every_block(self, d, budget, monkeypatch):
-        # every block of a call is laid in one buffer, so a block of another
-        # shape, or one whose costs overflow to inf, leaves its values in
-        # slots that the next block must border or overwrite
+    def test_every_table_cell_is_written_before_it_is_read(self, d, budget, monkeypatch):
+        # each block's tables are made by np.empty and never cleared; filled
+        # with NaN here, a cell read before it is written turns a distance NaN
+        # (blocks of several shapes, and costs that overflow to inf)
         rng = np.random.default_rng(d)
         seqs = [rng.standard_normal((t, d)) for t in (1, 2, 3, 3, 4, 6, 6)]
         for k in (1, 5):  # runs aligned before and after finite-cost blocks
             seqs[k][0] = 1e200 * (-1.0) ** np.arange(d)
         others = seqs[::-2]
         monkeypatch.setattr(baselines, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(np, "empty", lambda shape: np.full(shape, np.nan))
         with np.errstate(over="ignore"):
             want = [[dtw_oracle.bordered_table(a, b)[-1][-1] for b in seqs] for a in seqs]
             mirrored, crossed = dtw_distances(seqs), dtw_distances(seqs, others)

@@ -223,7 +223,8 @@ class TestTrain:
 
 
 @pytest.mark.parametrize("case", ["train --out", "train --loss-log", "train --out dir",
-                                  "encode --out", "evaluate --report-dir", "synth --out-dir"])
+                                  "encode --out", "evaluate --report-dir", "evaluate --out",
+                                  "synth --out-dir"])
 def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
     manifest, nodir, afile = str(corpus_dir / "manifest.jsonl"), tmp_path / "nodir", tmp_path / "f"
     afile.write_text("kept\n")
@@ -238,6 +239,9 @@ def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
                                            "--m", "2", "--out", str(nodir / "a.csv")]),
         "evaluate --report-dir": (afile, ["evaluate", "--manifest", manifest, "--method", "ne2",
                                           "--report-dir", str(afile)]),
+        "evaluate --out": (nodir / "cmp.csv", ["evaluate", "--manifest", manifest, "--method", "ne2",
+                                               "--method", "dtw", "--report-dir", str(tmp_path),
+                                               "--out", str(nodir / "cmp.csv")]),
         "synth --out-dir": (afile / "x", ["synth", "--out-dir", str(afile / "x"), "--seed", "0"]),
     }[case]
     code, _, err = run(capsys, *argv)
@@ -246,6 +250,8 @@ def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
     assert not list(tmp_path.rglob("*.tmp"))
     if case == "train --loss-log":  # checked before training, so nothing was written
         assert not (tmp_path / "m.json").exists()
+    if case == "evaluate --out":  # checked before scoring, so no report was written
+        assert not list(tmp_path.glob("per_query_*.csv"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
@@ -764,18 +770,24 @@ def test_every_numeric_option_is_range_checked():
     (["search", "--archive", "ARCHIVE", "--query-id", "QUERY"], "--manifest"),
     (["encode", "--manifest", "MANIFEST", "--encoder", "ne", "--m", "2", "--out", "OUT"],
      "--checkpoint"),
+    (["encode", "--manifest", "MANIFEST", "--checkpoint", "CHECKPOINT", "--out", "OUT"],
+     ("--m", "4")),
+    (["search", "--archive", "ARCHIVE", "--query-id", "QUERY"], ("--split", "train")),
 ])
 def test_option_the_command_would_ignore_is_usage_error(corpus_dir, tmp_path, capsys, argv, ignored):
     manifest = corpus_dir / "manifest.jsonl"
-    archive = tmp_path / "arch.csv"
+    archive, checkpoint = tmp_path / "arch.csv", tmp_path / "model.json"
     assert main(["encode", "--manifest", str(manifest), "--encoder", "ne", "--m", "1",
                  "--out", str(archive)]) == 0
-    paths = {"MANIFEST": str(manifest), "ARCHIVE": str(archive), "OUT": str(tmp_path / "x.csv"),
-             "QUERY": parse_manifest(manifest, "test").records[0].id}
+    assert main(["train", "--manifest", str(manifest), "--out", str(checkpoint), "--seed", "0",
+                 "--hidden", "2", "--epochs", "0"]) == 0
+    paths = {"MANIFEST": str(manifest), "ARCHIVE": str(archive), "CHECKPOINT": str(checkpoint),
+             "OUT": str(tmp_path / "x.csv"), "QUERY": parse_manifest(manifest, "test").records[0].id}
     argv = [paths.get(arg, arg) for arg in argv]
     assert main(argv) == 0  # the command itself is valid
+    ignored, value = ignored if isinstance(ignored, tuple) else (ignored, str(tmp_path / "unused"))
     with pytest.raises(SystemExit) as exc:
-        main([*argv, ignored, str(tmp_path / "unused")])
+        main([*argv, ignored, value])
     assert exc.value.code == 2
     assert f"takes no {ignored}" in capsys.readouterr().err
 

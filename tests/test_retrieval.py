@@ -294,9 +294,9 @@ class TestDtwMatrix:
         calls = []
         kernel = baselines._dtw_tables
 
-        def counting(a, p, b, q, layout, work):
+        def counting(a, p, b, q, layout):
             calls.extend([(a.shape[1], b.shape[1])] * len(p))  # one entry per pair in the block
-            return kernel(a, p, b, q, layout, work)
+            return kernel(a, p, b, q, layout)
 
         monkeypatch.setattr(baselines, "_dtw_tables", counting)
         records = make_records([np.ones((2, 2))] * 5)

@@ -38,8 +38,9 @@ INIT_SCALE = 0.08
 CHECKPOINT_VERSION = 1
 
 # Byte budget of the tape of one block of sequences that ``encode_batch``
-# runs at once; it bounds the memory that encoding many sequences adds.
-_TAPE_BYTES = 1 << 18
+# runs at once; it bounds the memory that encoding many sequences adds.  At
+# H=32 a block holds 12 columns of 28 steps, or 19 of 17.
+_TAPE_BYTES = 1 << 19
 
 # Every weight block, in checkpoint order: (name, shape, gate letters).
 # Shapes are written in D (input width), H (hidden units) and G (one per gate
@@ -140,20 +141,23 @@ def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, np.ndarra
 def _encode(views: dict[str, np.ndarray], xs: Sequence[np.ndarray]) -> Tape:
     """Encoder tape of ``xs``, sorted longest first: a one-sequence tape for
     one, as training backpropagates through, else one column per sequence.
-    The gate inputs fill a zeroed (T, B, 4H) array; a column's rows past its
-    length stay zero."""
-    W_x = views["encoder.W_x"]
+    The gate inputs fill a zeroed gate-major (T, 4, B, H) array, each
+    sequence its own (len, 4, H) column; a column's rows past its length
+    stay zero.  For one sequence it is the same memory as (T, 4H)."""
+    W_x, b = views["encoder.W_x"], views["encoder.b_"]
     for x in xs:
         if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
             raise DimensionError(f"input width mismatch: shape {x.shape}, input_dim {W_x.shape[1]}")
     lengths = [x.shape[0] for x in xs]
-    gates = np.zeros((lengths[0], len(xs), W_x.shape[0]))
-    for column, x in zip(gates.swapaxes(0, 1), xs):
+    hidden = W_x.shape[0] // 4
+    gates = np.zeros((lengths[0], 4, len(xs), hidden))
+    for k, x in enumerate(xs):
         # one product per sequence: BLAS sums a one-frame product in another
         # order than the same frame inside a longer one
-        np.add(x @ W_x.T, views["encoder.b_"], out=column[: len(x)])
-    return forward(Tape(gates[:, 0] if len(xs) == 1 else gates, lengths),
-                   *_cell(views, "encoder"))
+        np.add((x @ W_x.T).reshape(len(x), 4, hidden), b.reshape(4, hidden),
+               out=gates[: len(x), :, k])
+    tape = Tape(gates if len(xs) > 1 else gates.reshape(lengths[0], 4 * hidden), lengths)
+    return forward(tape, *_cell(views, "encoder"))
 
 
 def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -186,14 +190,15 @@ def encode_batch(params: ModelParams, xs: Sequence[np.ndarray]) -> np.ndarray:
 
     Every sequence is checked before it enters a block.  The sequences run
     longest first, in blocks of as many as fit a tape of ``_TAPE_BYTES``
-    (at least one), and each step advances its whole block.
+    (at least one), and each step advances the block's running columns,
+    whose gates ``forward`` reads as contiguous slabs.
     """
     xs = [validate_frames(x) for x in xs]
     order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
     hidden = params.hidden_dim
     blocks, start = [], 0
     while start < len(order):
-        # bytes of one column's tape: gates (T, 4H), then h and c (T+1, H)
+        # bytes of one column's tape: gates (T, 4, H), then h and c (T+1, H)
         column = 8 * hidden * (6 * len(xs[order[start]]) + 2)
         blocks.append(order[start : start + max(1, _TAPE_BYTES // column)])
         start += len(blocks[-1])
@@ -203,6 +208,7 @@ def encode_batch(params: ModelParams, xs: Sequence[np.ndarray]) -> np.ndarray:
         tape = _encode(views, [xs[i] for i in block])
         h = tape.h.reshape(tape.h.shape[0], len(block), -1)
         out[block] = h[tape.lengths, range(len(block))]
+        del tape, h  # so the next block's tape is not made beside this one
     return out
 
 

@@ -100,7 +100,7 @@ def cmd_train(args, parser) -> int:
     settings = {"denoise_p": denoise, "lr": args.lr, "clip_norm": clip}  # checkpoint records it too
 
     loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
-    check_output_dirs(args.out, loss_log)  # so a missing one does not cost the trained model
+    check_output_dirs(args.out, loss_log)  # so a bad one does not cost the trained model
 
     dataset = parse_manifest(args.manifest, "train")
     records = dataset.records
@@ -144,6 +144,7 @@ def cmd_encode(args, parser) -> int:
         _reject_ignored(parser, args, "--encoder model", "m")
     if not naive and not args.checkpoint:
         parser.error("model encoding requires --checkpoint")
+    check_output_dirs(args.out)  # so a bad one does not cost the encoding
     start = time.perf_counter()
     segment_encoder = _segment_encoder(args.checkpoint, args.m)
     records = parse_manifest(args.manifest, args.split).records
@@ -240,7 +241,7 @@ def cmd_evaluate(args, parser) -> int:
     print(f"evaluate: read {time.perf_counter() - start:.3f} s", file=sys.stderr)
     report_dir = output_dir(args.report_dir)
     if args.out:
-        check_output_dirs(args.out)  # so a missing one does not cost the scoring
+        check_output_dirs(args.out)  # so a bad one does not cost the scoring
 
     results = []
     for label, segment_encoder in methods:

@@ -9,13 +9,16 @@ reads the freshly updated one.
 
 One sequence of T steps lives in a ``Tape``: the activated gates (T, 4H)
 and the hidden and cell states (T+1, H), row 0 holding the start state.
-A batch tape of B sequences adds a column axis, gates (T, B, 4H) and states
-(T+1, B, H), with its columns sorted longest first; step t advances only
-the columns still running, so no padding step is computed (the batch axis
-of Appleyard et al., arXiv 1604.01946).  ``forward``, the one function that
-advances a tape, takes each step's gate input W_x x_t + b, so it serves any
-network whose inputs are known up front; the autoencoder's decoder is one
-once its output feedback is folded into the recurrent matrix.
+A batch tape of B sequences lays its gates out gate-major, (T, 4, B, H),
+and its states (T+1, B, H), with its columns sorted longest first; step t
+advances only the columns still running, so no padding step is computed,
+and each gate of those columns is one contiguous slab (the batch axis and
+the layout of Appleyard et al., arXiv 1604.01946).  A one-sequence tape is
+the same memory as a batch of one, (T, 4, 1, H).  ``forward``, the one
+function that advances a tape, takes each step's gate input W_x x_t + b,
+so it serves any network whose inputs are known up front; the
+autoencoder's decoder is one once its output feedback is folded into the
+recurrent matrix.
 
 The backward pass, for one sequence, computes every step's local
 derivatives over the whole tape at once, then runs the reverse recurrence,
@@ -38,7 +41,7 @@ GATE_ORDER = ("i", "f", "c", "o")
 
 class Tape:
     """Activations through H units of one sequence, gates (T, 4H), or of a
-    batch, gates (T, B, 4H) with ``lengths`` giving each column's steps,
+    batch, gates (T, 4, B, H) with ``lengths`` giving each column's steps,
     longest first.  ``gates`` holds each step's input projection plus bias;
     it is taken over, not copied.  The hidden and cell states h and c,
     (T+1, [B,] H), start as zeros; ``forward`` leaves a column's state rows
@@ -47,9 +50,14 @@ class Tape:
     __slots__ = ("gates", "h", "c", "lengths")
 
     def __init__(self, gates: np.ndarray, lengths=None):
-        if gates.ndim not in (2, 3) or gates.shape[0] < 1:
-            raise DimensionError(f"gate inputs {gates.shape}, expected (T, [B,] 4H) with T >= 1")
-        steps, columns, hidden = gates.shape[0], gates.shape[1:-1], gates.shape[-1] // 4
+        shape = gates.shape
+        one = len(shape) == 2 and shape[1] % 4 == 0
+        # three axes are refused: a batch laid out token-major fails here
+        if not (one or len(shape) == 4 and shape[1] == 4) or shape[0] < 1:
+            raise DimensionError(f"gate inputs {shape}, expected (T, 4H) or (T, 4, B, H)"
+                                 " with T >= 1")
+        steps, columns = shape[0], shape[2:3]
+        hidden = shape[1] // 4 if one else shape[3]
         count = columns[0] if columns else 1
         if lengths is None:
             lengths = [steps] * count
@@ -57,7 +65,7 @@ class Tape:
             a >= b for a, b in zip([steps, *lengths], [*lengths, 0])
         ):
             raise DimensionError(
-                f"lengths {lengths} of gate inputs {gates.shape}: expected {count}"
+                f"lengths {lengths} of gate inputs {shape}: expected {count}"
                 f" non-increasing lengths from 0 to {steps}"
             )
         self.gates = gates
@@ -83,39 +91,42 @@ def forward(tape: Tape, W_h: np.ndarray, w_c: np.ndarray) -> Tape:
 
     with sig(a) = 0.5*tanh(a/2) + 0.5, which cannot overflow.  The i, f and
     o rows of the gate inputs, W_h and w_c are halved once per call (exactly),
-    so one tanh covers the contiguous i, f and g rows of each step.
+    so one tanh covers the i, f and g gates of each step.
 
-    A step advances the first n columns, those still running.  Their
-    recurrent term is one matrix-vector product per column, W_h broadcast
-    over the columns: one matrix product for all n would sum in another
-    order and change the last bits, so every column keeps the bits of its
-    sequence run alone.
+    A step advances the first n columns, those still running; each of
+    their gates is one contiguous (n, H) slab of the step's (4, B, H)
+    gates.  Their recurrent term is one matrix-vector product per column,
+    W_h broadcast over the columns into (n, 4H, 1), added to the gates
+    through one (4, n, H) view: one matrix product for all n would sum in
+    another order and change the last bits, so every column keeps the bits
+    of its sequence run alone.
     """
     h = W_h.shape[1]
     if W_h.shape != (4 * h, h):
         raise DimensionError(f"recurrent weights {W_h.shape}, expected ({4 * h}, {h})")
-    if tape.gates.shape[-1] != 4 * h:
-        raise DimensionError(f"gate inputs {tape.gates.shape}, expected (..., {4 * h})")
-    half = np.full(4 * h, 0.5)
-    half[2 * h : 3 * h] = 1.0
-    tape.gates *= half
-    W_h = W_h * half[:, None]
-    w_i, w_f, w_o = w_c[:, None] * 0.5  # (1, H) rows, the shape of one running column
-    # one sequence is a batch of one: (T, B, ...) views of every array
+    if tape.h.shape[-1] != h:
+        raise DimensionError(f"gate inputs {tape.gates.shape} of {tape.h.shape[-1]} units,"
+                             f" recurrent weights of {h}")
+    # one sequence is a batch of one: (T, 4, B, ...) views of every array
     steps = tape.gates.shape[0]
-    gates = tape.gates.reshape(steps, -1, 4, h)
+    gates = tape.gates.reshape(steps, 4, -1, h)
     h_col = tape.h.reshape(steps + 1, -1, h, 1)
     c_all = tape.c.reshape(steps + 1, -1, h)
-    batch = gates.shape[1]
+    half = np.full((4, 1, h), 0.5)
+    half[2] = 1.0
+    gates *= half
+    W_h = W_h * half.reshape(4 * h, 1)
+    w_i, w_f, w_o = w_c[:, None] * 0.5  # (1, H) rows, the shape of one running column
+    batch = gates.shape[2]
     rec = np.empty((batch, 4 * h, 1))  # the recurrent term, reused by every step
     # the steps from bounds[k] to bounds[k + 1] run the first batch - k columns
     bounds = [0, *reversed(tape.lengths)]
     for n, start, stop in zip(range(batch, 0, -1), bounds, bounds[1:]):
-        a = gates[start:stop, :n]
+        a = gates[start:stop, :, :n]
         rec_n = rec[:n]
-        rec_gates = rec_n.reshape(n, 4, h)
+        rec_gates = rec_n.reshape(n, 4, h).transpose(1, 0, 2)
         for a_t, i_f, i_f_g, i, f, g, o, h_t, h_new, c_t, c_new in zip(
-            a, a[:, :, :2], a[:, :, :3], a[:, :, 0], a[:, :, 1], a[:, :, 2], a[:, :, 3],
+            a, a[:, :2], a[:, :3], a[:, 0], a[:, 1], a[:, 2], a[:, 3],
             h_col[start:stop, :n], h_col[start + 1 : stop + 1, :n, :, 0],
             c_all[start:stop, :n], c_all[start + 1 : stop + 1, :n],
         ):

@@ -8,6 +8,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 import lstm_oracle as oracle
 import seqembed
-from seqembed import autoencoder
+from seqembed import autoencoder, lstm
 from conftest import assert_grads_close, finite_difference, make_records
 from seqembed.autoencoder import (
     ModelParams,
@@ -38,6 +39,7 @@ from seqembed.autoencoder import (
     train,
     unpack,
 )
+from seqembed.data import generate_synthetic
 from seqembed.errors import CheckpointError, DimensionError, DivergenceError
 from seqembed.lstm import Tape, forward
 
@@ -122,6 +124,8 @@ class TestEncode:
     )
     @example(input_dim=8, hidden=32, lengths=[17, 30, 9, 17, 12, 30], block_columns=2, seed=0)
     @example(input_dim=8, hidden=100, lengths=[3, 25, 25, 1, 14], block_columns=3, seed=1)
+    @example(input_dim=8, hidden=32, lengths=[9 + k * 7 % 20 for k in range(40)],
+             block_columns=40, seed=2)  # one block of 40 columns
     def test_batch_equals_per_sequence_oracle_bit_for_bit(
         self, input_dim, hidden, lengths, block_columns, seed
     ):
@@ -144,6 +148,36 @@ class TestEncode:
 
     def test_batch_of_none(self):
         assert encode_batch(init_params(3, 4, seed=0), []).shape == (0, 4)
+
+    def test_batch_keeps_nothing_and_stays_within_its_budget(self):
+        # numpy's data buffers allocated from the autoencoder and the LSTM
+        # kernel: after the call only the result may be alive (no tape kept
+        # or cached), and at its peak the call holds little beyond the result
+        # and one block's tape
+        corpus = generate_synthetic(10, 40, 15, (3, 6), 8, (3, 5), 0.1, seed=11)
+        xs = [rec.features for rec in corpus.subset("test")]
+        params = init_params(8, 32, seed=0)
+        encode_batch(params, xs[:3])  # numpy's own first-use allocations
+
+        def numpy_data(snapshot):
+            files = [tracemalloc.Filter(True, module.__file__) for module in (autoencoder, lstm)]
+            return (snapshot.filter_traces(files)
+                    .filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]))
+
+        tracemalloc.start()
+        try:
+            before = numpy_data(tracemalloc.take_snapshot())
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = encode_batch(params, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+            after = numpy_data(tracemalloc.take_snapshot())
+        finally:
+            tracemalloc.stop()
+        alive = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert alive == out.nbytes
+        held = peak - start - out.nbytes - sum(x.nbytes for x in xs)
+        assert 0 < held <= 2 * autoencoder._TAPE_BYTES
 
 
 class TestDecode:
@@ -426,8 +460,6 @@ class TestTrain:
         # needs a desk-scale corpus: per-epoch means over few records are too
         # noisy, and a fully converged run oscillates around its plateau, so
         # the window covers the descent phase
-        from seqembed.data import generate_synthetic
-
         ds = generate_synthetic(10, 40, 15, (3, 6), 8, (2, 4), 0.1, seed=11)
         params = init_params(8, 32, seed=5)
         _, losses = train(

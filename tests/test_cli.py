@@ -223,8 +223,8 @@ class TestTrain:
 
 
 @pytest.mark.parametrize("case", ["train --out", "train --loss-log", "train --out dir",
-                                  "encode --out", "evaluate --report-dir", "evaluate --out",
-                                  "synth --out-dir"])
+                                  "encode --out", "encode --out dir", "evaluate --report-dir",
+                                  "evaluate --out", "evaluate --out dir", "synth --out-dir"])
 def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
     manifest, nodir, afile = str(corpus_dir / "manifest.jsonl"), tmp_path / "nodir", tmp_path / "f"
     afile.write_text("kept\n")
@@ -237,11 +237,18 @@ def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
         "train --out dir": (tmp_path / "adir", [*train, "--out", str(tmp_path / "adir")]),
         "encode --out": (nodir / "a.csv", ["encode", "--manifest", manifest, "--encoder", "ne",
                                            "--m", "2", "--out", str(nodir / "a.csv")]),
+        # checked before the manifest is read, so its absence is never found
+        "encode --out dir": (tmp_path / "adir", ["encode", "--manifest", str(nodir / "m.jsonl"),
+                                                 "--encoder", "ne", "--m", "2",
+                                                 "--out", str(tmp_path / "adir")]),
         "evaluate --report-dir": (afile, ["evaluate", "--manifest", manifest, "--method", "ne2",
                                           "--report-dir", str(afile)]),
         "evaluate --out": (nodir / "cmp.csv", ["evaluate", "--manifest", manifest, "--method", "ne2",
                                                "--method", "dtw", "--report-dir", str(tmp_path),
                                                "--out", str(nodir / "cmp.csv")]),
+        "evaluate --out dir": (tmp_path / "adir", ["evaluate", "--manifest", manifest,
+                                                   "--method", "ne2", "--report-dir",
+                                                   str(tmp_path), "--out", str(tmp_path / "adir")]),
         "synth --out-dir": (afile / "x", ["synth", "--out-dir", str(afile / "x"), "--seed", "0"]),
     }[case]
     code, _, err = run(capsys, *argv)
@@ -252,6 +259,10 @@ def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
         assert not (tmp_path / "m.json").exists()
     if case == "evaluate --out":  # checked before scoring, so no report was written
         assert not list(tmp_path.glob("per_query_*.csv"))
+    if case.endswith(" dir"):  # checked before any work, so nothing was written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "corpus", "f"]
+        assert not list((tmp_path / "adir").iterdir())
+        assert f"cannot write {path}: Is a directory" in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])

@@ -56,6 +56,13 @@ def cell(params):
     return params["W_h"], params["w_c"]
 
 
+def gate_major(gates):
+    """A copy of (T, B, 4H) gate inputs, one row of 4H per column, laid out
+    as a batch tape's gate-major (T, 4, B, H) array."""
+    steps, batch, width = gates.shape
+    return gates.reshape(steps, batch, 4, width // 4).swapaxes(1, 2).copy()
+
+
 def single_step(params, x, h_prev, c_prev):
     """One kernel step from an arbitrary state."""
     tape = Tape((params["W_x"] @ x + params["b"])[None])
@@ -165,9 +172,9 @@ def test_forward_is_pure():
 
 def test_shape_mismatch_raises():
     params = zero_params(3, 4)
-    # not (T, [B,] 4H), or no step
+    # not (T, 4H) or (T, 4, B, H), or no step
     for gates in (np.zeros((1, 15)), np.zeros((1, 20)), np.zeros(16), np.zeros((0, 16)),
-                  np.zeros((0, 2, 16))):
+                  np.zeros((0, 4, 2, 4))):
         with pytest.raises(DimensionError):
             forward(Tape(gates), *cell(params))
     bad = dict(params, W_h=np.zeros((16, 5)))  # recurrent weights of a 5-unit state
@@ -345,7 +352,7 @@ def test_batch_forward_equals_per_sequence_oracle_bit_for_bit(
     gates = rng.standard_normal((lengths[0], batch, input_dim)) @ params["W_x"].T
     gates += rng.uniform(-scale, scale, size=4 * hidden)
     h0, c0 = rng.standard_normal((batch, hidden)), rng.standard_normal((batch, hidden))
-    got = Tape(gates.copy(), lengths)
+    got = Tape(gate_major(gates), lengths)
     got.h[0], got.c[0] = h0, c0
     forward(got, *cell(params))
     for b, steps in enumerate(lengths):
@@ -353,7 +360,8 @@ def test_batch_forward_equals_per_sequence_oracle_bit_for_bit(
         want.h[0], want.c[0] = h0[b], c0[b]
         for t in range(steps):
             oracle.step(want, t, *cell(params))
-        npt.assert_array_equal(got.gates[:steps, b], want.gates, err_msg=f"gates {b}")
+        npt.assert_array_equal(got.gates[:steps, :, b].reshape(steps, -1), want.gates,
+                               err_msg=f"gates {b}")
         npt.assert_array_equal(got.h[: steps + 1, b], want.h, err_msg=f"h {b}")
         npt.assert_array_equal(got.c[: steps + 1, b], want.c, err_msg=f"c {b}")
         assert not got.h[steps + 1 :, b].any() and not got.c[steps + 1 :, b].any()
@@ -367,7 +375,7 @@ def test_batch_tape_states_start_at_zero():
     params = uniform_params(rng, 3, 4, 0.5)
     lengths = [5, 3, 1]
     gates = rng.standard_normal((5, 3, 3)) @ params["W_x"].T
-    got = forward(Tape(gates.copy(), lengths), *cell(params))
+    got = forward(Tape(gate_major(gates), lengths), *cell(params))
     for b, steps in enumerate(lengths):
         want = forward(Tape(gates[:steps, b].copy()), *cell(params))
         npt.assert_array_equal(got.h[: steps + 1, b], want.h)
@@ -376,10 +384,20 @@ def test_batch_tape_states_start_at_zero():
 
 
 def test_batch_lengths_checked():
-    gates = np.zeros((3, 2, 8))
+    gates = np.zeros((3, 4, 2, 2))
     for lengths in ([3], [2, 3], [4, 1], [3, -1]):
         with pytest.raises(DimensionError, match="lengths"):
             Tape(gates, lengths)
+
+
+def test_token_major_batch_layout_refused():
+    """A batch of gate inputs laid out (T, B, 4H), one row of 4H per column,
+    is refused rather than read as a gate-major tape; so is a 4-D array
+    whose second axis is not the four gates."""
+    for gates in (np.zeros((3, 2, 16)), np.zeros((3, 1, 16)), np.zeros((3, 4, 16)),
+                  np.zeros((3, 2, 4, 4))):
+        with pytest.raises(DimensionError, match=r"expected \(T, 4H\) or \(T, 4, B, H\)"):
+            Tape(gates)
 
 
 @settings(max_examples=60, deadline=None)

@@ -139,11 +139,10 @@ def _cell(views: dict[str, np.ndarray], net: str) -> tuple[np.ndarray, np.ndarra
 
 
 def _encode(views: dict[str, np.ndarray], xs: Sequence[np.ndarray]) -> Tape:
-    """Encoder tape of ``xs``, sorted longest first: a one-sequence tape for
-    one, as training backpropagates through, else one column per sequence.
-    The gate inputs fill a zeroed gate-major (T, 4, B, H) array, each
-    sequence its own (len, 4, H) column; a column's rows past its length
-    stay zero.  For one sequence it is the same memory as (T, 4H)."""
+    """Encoder tape of ``xs``, sorted longest first, one column per
+    sequence.  The gate inputs fill a zeroed gate-major (T, 4, B, H) array,
+    each sequence its own (len, 4, H) column; a column's rows past its
+    length stay zero."""
     W_x, b = views["encoder.W_x"], views["encoder.b_"]
     for x in xs:
         if x.ndim != 2 or x.shape[1] != W_x.shape[1]:
@@ -156,8 +155,7 @@ def _encode(views: dict[str, np.ndarray], xs: Sequence[np.ndarray]) -> Tape:
         # order than the same frame inside a longer one
         np.add((x @ W_x.T).reshape(len(x), 4, hidden), b.reshape(4, hidden),
                out=gates[: len(x), :, k])
-    tape = Tape(gates if len(xs) > 1 else gates.reshape(lengths[0], 4 * hidden), lengths)
-    return forward(tape, *_cell(views, "encoder"))
+    return forward(Tape(gates, lengths), *_cell(views, "encoder"))
 
 
 def _decoder_cell(views: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -172,16 +170,16 @@ def _decode(views: dict[str, np.ndarray], cell, z: np.ndarray, length: int) -> t
     previous frame.  ``cell`` is ``_decoder_cell(views)``."""
     W_z, W_y, b = views["decoder.W_z.W_x"], views["decoder.W_y.W_x"], views["decoder.b_"]
     W_out, b_out = views["output.W"], views["output.b"]
-    gates = np.empty((length, W_z.shape[0]))
-    gates[0] = W_z @ z + b
-    gates[1:] = W_y @ b_out + b
+    gates = np.empty((length, 4, 1, len(z)))
+    gates[0] = (W_z @ z + b).reshape(4, 1, -1)
+    gates[1:] = (W_y @ b_out + b).reshape(4, 1, -1)
     tape = forward(Tape(gates), *cell)
-    return tape, tape.h[1:] @ W_out.T + b_out
+    return tape, tape.h[1:, 0] @ W_out.T + b_out
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Run the encoder over x_1..x_T from a zero state; return h_T."""
-    return _encode(params.views(), [validate_frames(x)]).h[-1].copy()
+    return _encode(params.views(), [validate_frames(x)]).h[-1, 0].copy()
 
 
 def encode_batch(params: ModelParams, xs: Sequence[np.ndarray]) -> np.ndarray:
@@ -206,9 +204,8 @@ def encode_batch(params: ModelParams, xs: Sequence[np.ndarray]) -> np.ndarray:
     out = np.empty((len(xs), hidden))
     for block in blocks:
         tape = _encode(views, [xs[i] for i in block])
-        h = tape.h.reshape(tape.h.shape[0], len(block), -1)
-        out[block] = h[tape.lengths, range(len(block))]
-        del tape, h  # so the next block's tape is not made beside this one
+        out[block] = tape.h[tape.lengths, range(len(block))]
+        del tape  # so the next block's tape is not made beside this one
     return out
 
 
@@ -259,7 +256,7 @@ def loss_and_gradients(
         x_in = np.asarray(x_in, dtype=np.float64)
     views = params.views()
     enc = _encode(views, [x_in])
-    z = enc.h[-1]
+    z = enc.h[-1, 0]
     dec_cell = _decoder_cell(views)
     dec, ys = _decode(views, dec_cell, z, x.shape[0])
     loss = reconstruction_loss(x, ys)
@@ -270,13 +267,13 @@ def loss_and_gradients(
     dY = 2.0 * (ys - x)
     dA = backward(dec, dY @ W_out, *dec_cell)
     dY[:-1] += dA[1:] @ W_y  # the feedback edge y_t -> step t+1
-    np.matmul(dY.T, dec.h[1:], out=g["output.W"])
+    np.matmul(dY.T, dec.h[1:, 0], out=g["output.W"])
     np.sum(dY, axis=0, out=g["output.b"])
     np.outer(dA[0], z, out=g["decoder.W_z.W_x"])
     np.matmul(dA[1:].T, ys[:-1], out=g["decoder.W_y.W_x"])
     weight_grads(dec, dA, *_cell(g, "decoder"), g["decoder.b_"])
 
-    dH = np.zeros_like(enc.h[1:])
+    dH = np.zeros((len(x_in), params.hidden_dim))
     dH[-1] = views["decoder.W_z.W_x"].T @ dA[0]  # the z handoff
     dA = backward(enc, dH, *_cell(views, "encoder"))
     np.matmul(dA.T, x_in, out=g["encoder.W_x"])

@@ -92,6 +92,22 @@ PROBABILITY = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 ALPHABET_SIZE = _bounded(int, lambda v: v >= 2, "an integer >= 2")
 
 
+def _check_distinct(parser, outputs, inputs):
+    """A usage error when an output path names an input or another output.
+    ``outputs`` and ``inputs`` are (option, path) pairs, the path None when
+    not given; paths are compared after ``Path.resolve()``."""
+    named = {}
+    for option, path in inputs:
+        if path is not None:
+            named.setdefault(Path(path).resolve(), option)
+    for option, path in outputs:
+        if path is not None:
+            key = Path(path).resolve()
+            if key in named:
+                parser.error(f"{option} and {named[key]} name the same file {path}")
+            named[key] = option
+
+
 def cmd_train(args, parser) -> int:
     denoise = args.denoise
     if denoise is None:
@@ -100,6 +116,8 @@ def cmd_train(args, parser) -> int:
     settings = {"denoise_p": denoise, "lr": args.lr, "clip_norm": clip}  # checkpoint records it too
 
     loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
+    _check_distinct(parser, [("--out", args.out), ("--loss-log", loss_log)],
+                    [("--manifest", args.manifest)])
     check_output_dirs(args.out, loss_log)  # so a bad one does not cost the trained model
 
     dataset = parse_manifest(args.manifest, "train")
@@ -144,6 +162,8 @@ def cmd_encode(args, parser) -> int:
         _reject_ignored(parser, args, "--encoder model", "m")
     if not naive and not args.checkpoint:
         parser.error("model encoding requires --checkpoint")
+    _check_distinct(parser, [("--out", args.out)],
+                    [("--manifest", args.manifest), ("--checkpoint", args.checkpoint)])
     check_output_dirs(args.out)  # so a bad one does not cost the encoding
     start = time.perf_counter()
     segment_encoder = _segment_encoder(args.checkpoint, args.m)
@@ -156,6 +176,15 @@ def cmd_encode(args, parser) -> int:
           f" write {time.perf_counter() - encoded:.3f} s", file=sys.stderr)
     print(f"wrote {len(archive)} embeddings of width {archive.dim} to {args.out}")
     return EXIT_OK
+
+
+def _query_features(path, records):
+    """The frames of ``--query-features``, checked against the records' width."""
+    query = load_feature_file(path)
+    if query.shape[1] != records[0].dim:
+        raise DataError(f"{path}: query frames of width {query.shape[1]},"
+                        f" the records' width is {records[0].dim}")
+    return query
 
 
 def cmd_search(args, parser) -> int:
@@ -174,7 +203,7 @@ def cmd_search(args, parser) -> int:
                 raise DataError(f"unknown query id '{args.query_id}'")
             query = by_id[args.query_id].features
         else:
-            query = load_feature_file(args.query_features)
+            query = _query_features(args.query_features, records)
         ranked = rank_dtw(query, records, exclude_id=args.query_id, top_k=args.top)
     else:
         if args.archive:
@@ -192,7 +221,7 @@ def cmd_search(args, parser) -> int:
         if args.query_id is not None:
             query_vec = archive.vector(args.query_id)
         else:
-            query_vec = segment_encoder([load_feature_file(args.query_features)])[0]
+            query_vec = segment_encoder([_query_features(args.query_features, records)])[0]
         words = {seg_id: word for seg_id, word, _vec in archive.entries}
         ranked = rank(query_vec, archive, exclude_id=args.query_id, top_k=args.top)
 
@@ -205,8 +234,8 @@ _NE_METHOD = re.compile(r"ne(\d+)$")
 
 
 def _parse_methods(tokens, parser):
-    """(label, segment encoder, or None for DTW) per --method token; every
-    token is checked before any checkpoint is loaded."""
+    """(label, source) per --method token: None for DTW, else the keyword
+    arguments of its ``_segment_encoder``.  Loads nothing."""
     methods = []
     seen = set()
     for token in tokens:
@@ -231,11 +260,19 @@ def _parse_methods(tokens, parser):
             parser.error(f"duplicate method label '{label}'")
         seen.add(label)
         methods.append((label, source))
-    return [(label, _segment_encoder(**source) if source else None) for label, source in methods]
+    return methods
 
 
 def cmd_evaluate(args, parser) -> int:
     methods = _parse_methods(args.method, parser)
+    reports = [("--report-dir", Path(args.report_dir, f"per_query_{label}.csv"))
+               for label, _ in methods]
+    checkpoints = [(f"--method {label}", source.get("checkpoint"))
+                   for label, source in methods if source]
+    _check_distinct(parser, [("--out", args.out), *reports],
+                    [("--manifest", args.manifest), *checkpoints])
+    # every token is checked before any checkpoint is loaded
+    methods = [(label, _segment_encoder(**source) if source else None) for label, source in methods]
     start = time.perf_counter()
     records = parse_manifest(args.manifest, args.split).records
     print(f"evaluate: read {time.perf_counter() - start:.3f} s", file=sys.stderr)
@@ -272,6 +309,8 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_analyze_edit_distance(args, parser) -> int:
+    _check_distinct(parser, [("--out", args.out)],
+                    [("--archive", args.archive), ("--manifest", args.manifest)])
     archive = load_archive(args.archive)
     rows = similarity_table(archive, read_manifest(args.manifest), max_bucket=args.max_bucket)
     if args.out:
@@ -303,6 +342,7 @@ def _parse_pairs(spec, parser):
 
 def cmd_analyze_diff_vectors(args, parser) -> int:
     pairs = _parse_pairs(args.pairs, parser)
+    _check_distinct(parser, [("--out", args.out)], [("--archive", args.archive)])
     archive = load_archive(args.archive)
     diffs = word_difference_vectors(archive, pairs)
     projections = project_2d(diffs)

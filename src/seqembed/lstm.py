@@ -7,20 +7,19 @@ weights are one (3, H) block ``w_c`` whose rows i, f and o act elementwise:
 the input and forget gates read the previous cell state, the output gate
 reads the freshly updated one.
 
-One sequence of T steps lives in a ``Tape``: the activated gates (T, 4H)
-and the hidden and cell states (T+1, H), row 0 holding the start state.
-A batch tape of B sequences lays its gates out gate-major, (T, 4, B, H),
-and its states (T+1, B, H), with its columns sorted longest first; step t
-advances only the columns still running, so no padding step is computed,
-and each gate of those columns is one contiguous slab (the batch axis and
-the layout of Appleyard et al., arXiv 1604.01946).  A one-sequence tape is
-the same memory as a batch of one, (T, 4, 1, H).  ``forward``, the one
+A batch of B sequences of up to T steps lives in a ``Tape``: the
+activated gates laid out gate-major, (T, 4, B, H), and the hidden and cell
+states (T+1, B, H), row 0 holding the start state; a single sequence is the
+batch of one, B = 1.  The columns are sorted longest first; step t advances
+only the columns still running, so no padding step is computed, and each
+gate of those columns is one contiguous slab (the batch axis and the
+layout of Appleyard et al., arXiv 1604.01946).  ``forward``, the one
 function that advances a tape, takes each step's gate input W_x x_t + b,
 so it serves any network whose inputs are known up front; the
 autoencoder's decoder is one once its output feedback is folded into the
 recurrent matrix.
 
-The backward pass, for one sequence, computes every step's local
+The backward pass, for a batch of one, computes every step's local
 derivatives over the whole tape at once, then runs the reverse recurrence,
 writing one row per step of dA, the gradient of the gate pre-activations
 (T, 4H); every weight gradient is then one matrix product or column sum
@@ -40,25 +39,21 @@ GATE_ORDER = ("i", "f", "c", "o")
 
 
 class Tape:
-    """Activations through H units of one sequence, gates (T, 4H), or of a
-    batch, gates (T, 4, B, H) with ``lengths`` giving each column's steps,
-    longest first.  ``gates`` holds each step's input projection plus bias;
-    it is taken over, not copied.  The hidden and cell states h and c,
-    (T+1, [B,] H), start as zeros; ``forward`` leaves a column's state rows
-    past its length as they are."""
+    """Activations through H units of a batch of B sequences: gates (T, 4,
+    B, H), with ``lengths`` giving each column's steps, longest first; one
+    sequence is the batch of one.  ``gates`` holds each step's input
+    projection plus bias; it is taken over, not copied.  The hidden and cell
+    states h and c, (T+1, B, H), start as zeros; ``forward`` leaves a
+    column's state rows past its length as they are."""
 
     __slots__ = ("gates", "h", "c", "lengths")
 
     def __init__(self, gates: np.ndarray, lengths=None):
         shape = gates.shape
-        one = len(shape) == 2 and shape[1] % 4 == 0
-        # three axes are refused: a batch laid out token-major fails here
-        if not (one or len(shape) == 4 and shape[1] == 4) or shape[0] < 1:
-            raise DimensionError(f"gate inputs {shape}, expected (T, 4H) or (T, 4, B, H)"
-                                 " with T >= 1")
-        steps, columns = shape[0], shape[2:3]
-        hidden = shape[1] // 4 if one else shape[3]
-        count = columns[0] if columns else 1
+        # a batch laid out token-major, (T, B, 4H), or one sequence as (T, 4H) fails here
+        if len(shape) != 4 or shape[1] != 4 or shape[0] < 1:
+            raise DimensionError(f"gate inputs {shape}, expected (T, 4, B, H) with T >= 1")
+        steps, _, count, hidden = shape
         if lengths is None:
             lengths = [steps] * count
         elif len(lengths) != count or not all(
@@ -69,7 +64,7 @@ class Tape:
                 f" non-increasing lengths from 0 to {steps}"
             )
         self.gates = gates
-        self.h, self.c = np.zeros((2, steps + 1, *columns, hidden))
+        self.h, self.c = np.zeros((2, steps + 1, count, hidden))
         self.lengths = lengths
 
 
@@ -107,28 +102,23 @@ def forward(tape: Tape, W_h: np.ndarray, w_c: np.ndarray) -> Tape:
     if tape.h.shape[-1] != h:
         raise DimensionError(f"gate inputs {tape.gates.shape} of {tape.h.shape[-1]} units,"
                              f" recurrent weights of {h}")
-    # one sequence is a batch of one: (T, 4, B, ...) views of every array
-    steps = tape.gates.shape[0]
-    gates = tape.gates.reshape(steps, 4, -1, h)
-    h_col = tape.h.reshape(steps + 1, -1, h, 1)
-    c_all = tape.c.reshape(steps + 1, -1, h)
     half = np.full((4, 1, h), 0.5)
     half[2] = 1.0
-    gates *= half
+    tape.gates *= half
     W_h = W_h * half.reshape(4 * h, 1)
     w_i, w_f, w_o = w_c[:, None] * 0.5  # (1, H) rows, the shape of one running column
-    batch = gates.shape[2]
+    batch = tape.gates.shape[2]
     rec = np.empty((batch, 4 * h, 1))  # the recurrent term, reused by every step
     # the steps from bounds[k] to bounds[k + 1] run the first batch - k columns
     bounds = [0, *reversed(tape.lengths)]
     for n, start, stop in zip(range(batch, 0, -1), bounds, bounds[1:]):
-        a = gates[start:stop, :, :n]
+        a = tape.gates[start:stop, :, :n]
         rec_n = rec[:n]
         rec_gates = rec_n.reshape(n, 4, h).transpose(1, 0, 2)
         for a_t, i_f, i_f_g, i, f, g, o, h_t, h_new, c_t, c_new in zip(
             a, a[:, :2], a[:, :3], a[:, 0], a[:, 1], a[:, 2], a[:, 3],
-            h_col[start:stop, :n], h_col[start + 1 : stop + 1, :n, :, 0],
-            c_all[start:stop, :n], c_all[start + 1 : stop + 1, :n],
+            tape.h[start:stop, :n, :, None], tape.h[start + 1 : stop + 1, :n],
+            tape.c[start:stop, :n], tape.c[start + 1 : stop + 1, :n],
         ):
             np.matmul(W_h, h_t, out=rec_n)
             a_t += rec_gates
@@ -149,20 +139,20 @@ def forward(tape: Tape, W_h: np.ndarray, w_c: np.ndarray) -> Tape:
 
 
 def backward(tape: Tape, dH: np.ndarray, W_h: np.ndarray, w_c: np.ndarray) -> np.ndarray:
-    """dA (T, 4H) of a whole sequence, given the loss gradient dH (T, H)
+    """dA (T, 4H) of a batch of one, given the loss gradient dH (T, H)
     reaching each step's output h[1..T].  ``W_h`` is the matrix through which
     h[t] reaches the gates of step t; it need not be the forward one.  The
     input gradient is ``dA @ W_x``."""
-    if tape.gates.ndim != 2:
-        raise DimensionError(f"gate inputs {tape.gates.shape}: backward takes one sequence")
-    steps, h = tape.h.shape[0] - 1, tape.h.shape[1]
+    steps, _, batch, h = tape.gates.shape
+    if batch != 1:
+        raise DimensionError(f"gate inputs {tape.gates.shape}: backward takes a batch of one")
     if dH.shape != (steps, h):
         raise DimensionError(f"upstream gradient shape {dH.shape}, expected ({steps}, {h})")
     w_i, w_f, w_o = w_c
-    gates = tape.gates.reshape(steps, 4, h)
+    gates, c = tape.gates[:, :, 0], tape.c[:, 0]
     i, f, g, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
-    c_prev = tape.c[:-1]
-    tanh_c = np.tanh(tape.c[1:])
+    c_prev = c[:-1]
+    tanh_c = np.tanh(c[1:])
     # per step: dA_o = dh*local_o, dc = dh*local_c + dc' (the output-gate
     # peephole reads the updated cell state, so dA_o feeds dc too),
     # dA_{i,f,g} = dc*local_ifg, and dc*carry reaches step t-1
@@ -170,7 +160,7 @@ def backward(tape: Tape, dH: np.ndarray, W_h: np.ndarray, w_c: np.ndarray) -> np
     local_c = o * (1.0 - tanh_c**2) + local_o * w_o
     local_ifg = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=1)
     carry = f + local_ifg[:, 0] * w_i + local_ifg[:, 1] * w_f
-    dA = np.empty_like(tape.gates)
+    dA = np.empty((steps, 4 * h))
     dA_gates = dA.reshape(steps, 4, h)
     dh_rec = np.zeros(h)
     dc_rec = np.zeros(h)
@@ -187,14 +177,17 @@ def backward(tape: Tape, dH: np.ndarray, W_h: np.ndarray, w_c: np.ndarray) -> np
 def weight_grads(
     tape: Tape, dA: np.ndarray, g_W_h: np.ndarray, g_w_c: np.ndarray, g_b: np.ndarray
 ) -> None:
-    """Write the recurrent, peephole and bias gradients of one sequence.
+    """Write the recurrent, peephole and bias gradients of a batch of one.
 
     The input-weight gradient depends on what was fed in; for inputs X
     (T, I) it is ``dA.T @ X``.
     """
-    h = tape.h.shape[1]
-    np.matmul(dA.T, tape.h[:-1], out=g_W_h)
-    np.einsum("ti,ti->i", dA[:, :h], tape.c[:-1], out=g_w_c[0])
-    np.einsum("ti,ti->i", dA[:, h : 2 * h], tape.c[:-1], out=g_w_c[1])
-    np.einsum("ti,ti->i", dA[:, 3 * h :], tape.c[1:], out=g_w_c[2])
+    _, _, batch, h = tape.gates.shape
+    if batch != 1:
+        raise DimensionError(f"gate inputs {tape.gates.shape}: weight_grads takes a batch of one")
+    c = tape.c[:, 0]
+    np.matmul(dA.T, tape.h[:-1, 0], out=g_W_h)
+    np.einsum("ti,ti->i", dA[:, :h], c[:-1], out=g_w_c[0])
+    np.einsum("ti,ti->i", dA[:, h : 2 * h], c[:-1], out=g_w_c[1])
+    np.einsum("ti,ti->i", dA[:, 3 * h :], c[1:], out=g_w_c[2])
     np.sum(dA, axis=0, out=g_b)

@@ -5,8 +5,8 @@ This is the cell-at-a-time formulation the sequence kernel in
 and tape objects step by step, and weight gradients accumulate one outer
 product per step.  Tests compare the kernel, ``decode`` and
 ``loss_and_gradients`` against it.  ``sigmoid``/``step`` are the kernel's
-earlier forward step over a ``seqembed.lstm.Tape``, the reference that
-``seqembed.lstm.forward`` must match bit for bit; ``backward_step``/
+earlier forward step over a one-sequence ``SequenceTape``, the reference
+that ``seqembed.lstm.forward`` must match bit for bit; ``backward_step``/
 ``backward`` are its earlier reverse pass, one step's local derivatives at
 a time.
 """
@@ -17,7 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from seqembed.errors import DimensionError
-from seqembed.lstm import Tape
+
+
+@dataclass
+class SequenceTape:
+    """One sequence's activations as the per-step oracle reads them: the
+    gates (T, 4H), one row per step, and the hidden and cell states h and c
+    (T+1, H), row 0 holding the start state."""
+
+    gates: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def start(cls, gates: np.ndarray) -> "SequenceTape":
+        """A tape of the gate inputs ``gates``, taken over, from a zero state."""
+        steps, width = gates.shape
+        return cls(gates, *np.zeros((2, steps + 1, width // 4)))
 
 
 def logistic(a):
@@ -246,7 +262,7 @@ def backward_step(tape, t, dh, dc, W_h, w_ci, w_cf, w_co, dA):
 
 
 def backward(tape, dH, W_h, w_ci, w_cf, w_co):
-    """dA (T, 4H) of a kernel tape by ``backward_step`` from the last step down."""
+    """dA (T, 4H) of a ``SequenceTape`` by ``backward_step`` from the last step down."""
     steps, h = tape.h.shape[0] - 1, tape.h.shape[1]
     dA = np.empty_like(tape.gates)
     dh_rec = np.zeros(h)
@@ -269,7 +285,7 @@ def sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return r
 
 
-def step(tape: Tape, t: int, W_h: np.ndarray, w_c: np.ndarray) -> None:
+def step(tape: SequenceTape, t: int, W_h: np.ndarray, w_c: np.ndarray) -> None:
     """Advance step t in place.
 
     On entry ``tape.gates[t]`` holds the input projection plus bias,

@@ -141,7 +141,7 @@ class TestEncode:
             got = encode_batch(params, xs)
         views = params.views()
         for x, row in zip(xs, got):
-            tape = Tape(x @ views["encoder.W_x"].T + views["encoder.b_"])
+            tape = oracle.SequenceTape.start(x @ views["encoder.W_x"].T + views["encoder.b_"])
             for t in range(len(x)):
                 oracle.step(tape, t, views["encoder.W_h"], views["encoder.w_c"])
             npt.assert_array_equal(row, tape.h[-1])
@@ -208,8 +208,9 @@ class TestDecode:
         b = v["decoder.b_"]
         cell = (v["decoder.W_h"] + v["decoder.W_y.W_x"] @ W_out, v["decoder.w_c"])
         fed_back = v["decoder.W_y.W_x"] @ b_out + b
-        tape = forward(Tape(np.stack([v["decoder.W_z.W_x"] @ z + b, fed_back, fed_back])), *cell)
-        npt.assert_array_equal(y, tape.h[1:] @ W_out.T + b_out)
+        gates = np.stack([v["decoder.W_z.W_x"] @ z + b, fed_back, fed_back]).reshape(3, 4, 1, 4)
+        tape = forward(Tape(gates), *cell)
+        npt.assert_array_equal(y, tape.h[1:, 0] @ W_out.T + b_out)
 
         # the per-step oracle
         state, _ = oracle.cell_forward(oracle.decoder_layer(v, True), z, oracle.zero_state(4))

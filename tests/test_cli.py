@@ -28,6 +28,7 @@ from seqembed.data import (
     load_feature_file,
     parse_manifest,
     read_manifest,
+    write_feature_csv,
     write_manifest,
 )
 from seqembed.evaluation import mean_average_precision, write_comparison, write_map_report
@@ -265,6 +266,45 @@ def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
         assert f"cannot write {path}: Is a directory" in err
 
 
+@pytest.mark.parametrize("case", ["train --out", "train --loss-log", "encode --out",
+                                  "encode --checkpoint", "evaluate --out", "evaluate --report-dir",
+                                  "evaluate --method", "edit-distance --out", "diff-vectors --out"])
+def test_output_that_names_an_input_or_output_is_usage_error(corpus_dir, trained, tmp_path,
+                                                             capsys, case):
+    manifest, ckpt = str(corpus_dir / "manifest.jsonl"), str(trained)
+    same = str(corpus_dir / ".." / "corpus" / "manifest.jsonl")  # the manifest, spelled apart
+    archive = str(tmp_path / "arch.csv")
+    assert main(["encode", "--manifest", manifest, "--encoder", "ne", "--m", "1",
+                 "--out", archive]) == 0
+    report_ckpt = shutil.copy(trained, tmp_path / "per_query_sa.csv")
+    train = ["train", "--manifest", manifest, "--seed", "0", "--hidden", "3", "--epochs", "1"]
+    evaluate = ["evaluate", "--manifest", manifest, "--report-dir", str(tmp_path)]
+    argv, options = {
+        "train --out": ([*train, "--out", same], "--out and --manifest"),
+        "train --loss-log": ([*train, "--out", ckpt, "--loss-log", ckpt], "--loss-log and --out"),
+        "encode --out": (["encode", "--manifest", manifest, "--encoder", "ne", "--m", "2",
+                          "--out", same], "--out and --manifest"),
+        "encode --checkpoint": (["encode", "--manifest", manifest, "--checkpoint", ckpt,
+                                 "--out", ckpt], "--out and --checkpoint"),
+        "evaluate --out": ([*evaluate, "--method", "ne2", "--out", same], "--out and --manifest"),
+        "evaluate --report-dir": ([*evaluate, "--method", "ne2",
+                                   "--out", str(tmp_path / "per_query_ne2.csv")],
+                                  "--report-dir and --out"),
+        "evaluate --method": ([*evaluate, "--method", f"sa={report_ckpt}"],
+                              "--report-dir and --method sa"),
+        "edit-distance --out": (["analyze", "edit-distance", "--archive", archive,
+                                 "--manifest", manifest, "--out", archive], "--out and --archive"),
+        "diff-vectors --out": (["analyze", "diff-vectors", "--archive", archive,
+                                "--pairs", "w000:w001", "--out", archive], "--out and --archive"),
+    }[case]
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{options} name the same file" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
 def test_unwritable_feature_file_exit_code(tmp_path, capsys, fmt):
     target = tmp_path / "out" / "features" / f"w000_t00.{fmt}"
@@ -470,6 +510,18 @@ def test_missing_query_features_exit_code(corpus_dir, trained, tmp_path, capsys,
                          "--query-features", str(query))
     assert code == 3 and out == ""
     assert f"feature file not found: {query}" in err
+
+
+@pytest.mark.parametrize("method", ["cosine", "dtw"])
+def test_query_features_of_another_width_exit_code(corpus_dir, trained, tmp_path, capsys, method):
+    query = tmp_path / "narrow.csv"
+    write_feature_csv(query, np.ones((2, 3)))  # the corpus is 5 wide
+    source = ["--checkpoint", str(trained)] if method == "cosine" else []
+    code, out, err = run(capsys, "search", "--method", method, *source,
+                         "--manifest", str(corpus_dir / "manifest.jsonl"),
+                         "--query-features", str(query))
+    assert code == 3 and out == ""
+    assert f"{query}: query frames of width 3, the records' width is 5" in err
 
 
 class TestEvaluate:

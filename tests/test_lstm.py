@@ -48,8 +48,10 @@ def scalar_params(p):
 
 
 def run(params, xs):
+    """The kernel tape of one sequence, the batch of one."""
     xs = np.asarray(xs, dtype=np.float64)
-    return forward(Tape(xs @ params["W_x"].T + params["b"]), *cell(params))
+    return forward(Tape(gate_major((xs @ params["W_x"].T + params["b"])[:, None])),
+                   *cell(params))
 
 
 def cell(params):
@@ -63,9 +65,16 @@ def gate_major(gates):
     return gates.reshape(steps, batch, 4, width // 4).swapaxes(1, 2).copy()
 
 
+def column(tape, b=0):
+    """Column b of a kernel tape as the oracle's one-sequence tape: its
+    gates reshaped to (T, 4H) and views of its states, (T+1, H)."""
+    steps = tape.gates.shape[0]
+    return oracle.SequenceTape(tape.gates[:, :, b].reshape(steps, -1), tape.h[:, b], tape.c[:, b])
+
+
 def single_step(params, x, h_prev, c_prev):
     """One kernel step from an arbitrary state."""
-    tape = Tape((params["W_x"] @ x + params["b"])[None])
+    tape = Tape(gate_major((params["W_x"] @ x + params["b"])[None, None]))
     tape.h[0], tape.c[0] = h_prev, c_prev
     return forward(tape, *cell(params))
 
@@ -100,26 +109,26 @@ def test_sigmoid_stable_at_extremes():
     # gate inputs +1000, -1000 and 0 on the i, f and o rows; with zero
     # recurrent and peephole weights nothing else reaches them
     params = zero_params(1, 1)
-    gates = np.zeros((3, 4))
-    gates[:, [0, 1, 3]] = np.array([1000.0, -1000.0, 0.0])[:, None]
+    gates = np.zeros((3, 4, 1, 1))
+    gates[:, [0, 1, 3]] = np.array([1000.0, -1000.0, 0.0])[:, None, None, None]
     tape = forward(Tape(gates), *cell(params))
-    for row, want in zip(tape.gates, (1.0, 0.0, 0.5)):
+    for row, want in zip(tape.gates[:, :, 0, 0], (1.0, 0.0, 0.5)):
         assert row[0] == row[1] == row[3] == want
 
 
 def test_zero_params_zero_state_gives_zero_outputs():
     tape = run(zero_params(3, 4), [[5.0, -2.0, 1.0]])
-    npt.assert_array_equal(tape.h[1], np.zeros(4))
-    npt.assert_array_equal(tape.c[1], np.zeros(4))
+    npt.assert_array_equal(tape.h[1, 0], np.zeros(4))
+    npt.assert_array_equal(tape.c[1, 0], np.zeros(4))
 
 
 def test_zero_params_unit_cell_state():
     # all gates sit at 0.5, candidate at 0: c becomes 0.5, h = 0.5*tanh(0.5)
     tape = single_step(zero_params(2, 3), np.array([1.0, 2.0]), np.zeros(3), np.ones(3))
-    npt.assert_allclose(tape.c[1], 0.5, rtol=0, atol=1e-15)
-    npt.assert_allclose(tape.gates[0, 9:], 0.5, rtol=0, atol=1e-15)  # output gate
-    npt.assert_allclose(tape.h[1], 0.5 * np.tanh(0.5), rtol=0, atol=1e-15)
-    assert abs(tape.h[1, 0] - 0.231059) < 1e-6
+    npt.assert_allclose(tape.c[1, 0], 0.5, rtol=0, atol=1e-15)
+    npt.assert_allclose(tape.gates[0, 3, 0], 0.5, rtol=0, atol=1e-15)  # output gate
+    npt.assert_allclose(tape.h[1, 0], 0.5 * np.tanh(0.5), rtol=0, atol=1e-15)
+    assert abs(tape.h[1, 0, 0] - 0.231059) < 1e-6
 
 
 def test_matches_scalar_reference():
@@ -172,9 +181,9 @@ def test_forward_is_pure():
 
 def test_shape_mismatch_raises():
     params = zero_params(3, 4)
-    # not (T, 4H) or (T, 4, B, H), or no step
+    # not (T, 4, B, H) of 4 units, or no step
     for gates in (np.zeros((1, 15)), np.zeros((1, 20)), np.zeros(16), np.zeros((0, 16)),
-                  np.zeros((0, 4, 2, 4))):
+                  np.zeros((0, 4, 2, 4)), np.zeros((1, 4, 1, 5))):
         with pytest.raises(DimensionError):
             forward(Tape(gates), *cell(params))
     bad = dict(params, W_h=np.zeros((16, 5)))  # recurrent weights of a 5-unit state
@@ -183,6 +192,13 @@ def test_shape_mismatch_raises():
     tape = run(params, np.zeros((1, 3)))
     with pytest.raises(DimensionError):
         backward(tape, np.zeros((1, 3)), *cell(params))
+    # a tape of two columns is refused, not read through its first
+    wide = forward(Tape(np.zeros((1, 4, 2, 4))), *cell(params))
+    grads = {n: np.empty_like(arr) for n, arr in params.items()}
+    with pytest.raises(DimensionError, match="batch of one"):
+        backward(wide, np.zeros((1, 4)), *cell(params))
+    with pytest.raises(DimensionError, match="batch of one"):
+        weight_grads(wide, np.zeros((1, 16)), *cell(grads), grads["b"])
 
 
 def test_zero_upstream_gradients_give_zero_gradients():
@@ -200,7 +216,7 @@ def test_zero_upstream_gradients_give_zero_gradients():
 
 def sequence_loss(params, xs, weights):
     """Scalar loss sum_t w_t . h_t for FD checking."""
-    return float((weights * run(params, xs).h[1:]).sum())
+    return float((weights * run(params, xs).h[1:, 0]).sum())
 
 
 def sequence_grads(params, xs, weights):
@@ -284,8 +300,8 @@ def test_kernel_matches_per_step_oracle(input_dim, hidden, steps, seed):
     state = oracle.zero_state(hidden)
     for t in range(steps):
         state, _ = oracle.cell_forward(oracle_layer(params), xs[t], state)
-        npt.assert_allclose(tape.h[t + 1], state.h, rtol=0, atol=1e-14)
-        npt.assert_allclose(tape.c[t + 1], state.c, rtol=0, atol=1e-14)
+        npt.assert_allclose(tape.h[t + 1, 0], state.h, rtol=0, atol=1e-14)
+        npt.assert_allclose(tape.c[t + 1, 0], state.c, rtol=0, atol=1e-14)
 
     got = sequence_grads(params, xs, weights)
     want = oracle_sequence_grads(params, xs, weights)
@@ -318,14 +334,14 @@ def test_forward_equals_per_step_oracle_bit_for_bit(input_dim, hidden, steps, sc
         W_h = W_h + W_y @ rng.uniform(-scale, scale, size=(input_dim, hidden))
     gates = rng.standard_normal((steps, input_dim)) @ params["W_x"].T + params["b"]
     h0, c0 = rng.standard_normal(hidden), rng.standard_normal(hidden)
-    got, want = Tape(gates.copy()), Tape(gates.copy())
+    got, want = Tape(gate_major(gates[:, None])), oracle.SequenceTape.start(gates.copy())
     for tape in (got, want):
         tape.h[0], tape.c[0] = h0, c0
     forward(got, W_h, params["w_c"])
     for t in range(steps):
         oracle.step(want, t, W_h, params["w_c"])
     for name in ("gates", "h", "c"):
-        npt.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        npt.assert_array_equal(getattr(column(got), name), getattr(want, name), err_msg=name)
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,7 +372,7 @@ def test_batch_forward_equals_per_sequence_oracle_bit_for_bit(
     got.h[0], got.c[0] = h0, c0
     forward(got, *cell(params))
     for b, steps in enumerate(lengths):
-        want = Tape(gates[:steps, b].copy())
+        want = oracle.SequenceTape.start(gates[:steps, b].copy())
         want.h[0], want.c[0] = h0[b], c0[b]
         for t in range(steps):
             oracle.step(want, t, *cell(params))
@@ -377,7 +393,7 @@ def test_batch_tape_states_start_at_zero():
     gates = rng.standard_normal((5, 3, 3)) @ params["W_x"].T
     got = forward(Tape(gate_major(gates), lengths), *cell(params))
     for b, steps in enumerate(lengths):
-        want = forward(Tape(gates[:steps, b].copy()), *cell(params))
+        want = column(forward(Tape(gate_major(gates[:steps, b : b + 1])), *cell(params)))
         npt.assert_array_equal(got.h[: steps + 1, b], want.h)
         npt.assert_array_equal(got.c[: steps + 1, b], want.c)
         assert not got.h[steps + 1 :, b].any() and not got.c[steps + 1 :, b].any()
@@ -392,11 +408,11 @@ def test_batch_lengths_checked():
 
 def test_token_major_batch_layout_refused():
     """A batch of gate inputs laid out (T, B, 4H), one row of 4H per column,
-    is refused rather than read as a gate-major tape; so is a 4-D array
-    whose second axis is not the four gates."""
+    is refused rather than read as a gate-major tape; so are one sequence's
+    (T, 4H) and a 4-D array whose second axis is not the four gates."""
     for gates in (np.zeros((3, 2, 16)), np.zeros((3, 1, 16)), np.zeros((3, 4, 16)),
-                  np.zeros((3, 2, 4, 4))):
-        with pytest.raises(DimensionError, match=r"expected \(T, 4H\) or \(T, 4, B, H\)"):
+                  np.zeros((3, 2, 4, 4)), np.zeros((3, 16))):
+        with pytest.raises(DimensionError, match=r"expected \(T, 4, B, H\)"):
             Tape(gates)
 
 
@@ -418,7 +434,7 @@ def test_backward_matches_per_step_loop(input_dim, hidden, steps, seed):
     W_rec = rng.uniform(-1.5, 1.5, size=(4 * hidden, hidden))
     dH = rng.standard_normal((steps, hidden))
     got = backward(tape, dH, W_rec, params["w_c"])
-    want = oracle.backward(tape, dH, W_rec, *params["w_c"])
+    want = oracle.backward(column(tape), dH, W_rec, *params["w_c"])
     scale = max(1.0, float(np.abs(want).max()))
     npt.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 

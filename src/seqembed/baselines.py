@@ -16,6 +16,10 @@ together.
 """
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +30,12 @@ from .errors import DimensionError
 # Byte budget of one DTW block's working set (its tables and one chunk of
 # frame costs); it bounds the memory that aligning many pairs at once adds.
 _BLOCK_BYTES = 1 << 20
+
+# Table cells (T_a·T_b per pair) that each process must have to align
+# before ``dtw_distances`` forks a worker: about ten times the 2.3 ms that
+# forking and reaping one costs, at the 25-60 ns a cell takes on a 2-core
+# Xeon host.
+_SHARE_CELLS = 1 << 19
 
 
 def naive_encode(x: np.ndarray, m: int) -> np.ndarray:
@@ -195,6 +205,100 @@ def _aligned(a: np.ndarray, p: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.n
     return dist
 
 
+def _pairs(group) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) of a group (x, y) of two length runs: its k-th pair is x's
+    p[k]-th sequence with y's q[k]-th; if x is y, each unordered pair once."""
+    x, y = group
+    if x is y:
+        return np.triu_indices(len(x[1]), 1)
+    return np.indices((len(x[1]), len(y[1]))).reshape(2, -1)
+
+
+def _pair_count(group) -> int:
+    """len(_pairs(group)[0]), from the two runs' sizes."""
+    x, y = group
+    return len(x[1]) * (len(x[1]) - 1) // 2 if x is y else len(x[1]) * len(y[1])
+
+
+def _cells(group) -> int:
+    """Table cells of a group: T_a·T_b per pair."""
+    return group[0][0] * group[1][0] * _pair_count(group)
+
+
+def _align_share(groups, dist: np.ndarray) -> np.ndarray:
+    """``dist`` holding the distances of ``groups``' pairs, group after
+    group, each pair aligned shorter sequence first."""
+    lo = 0
+    for group in groups:
+        (ta, _, a), (tb, _, b) = group
+        p, q = _pairs(group)
+        dist[lo : lo + len(p)] = _aligned(a, p, b, q) if ta <= tb else _aligned(b, q, a, p)
+        lo += len(p)
+    return dist
+
+
+def _shares(groups, n: int) -> list[list]:
+    """``groups`` dealt into at most n shares of about equal cell count:
+    largest group first, each to the share with the fewest cells so far."""
+    shares, load = [[] for _ in range(n)], [0] * n
+    for group in sorted(groups, key=_cells, reverse=True):
+        k = load.index(min(load))
+        shares[k].append(group)
+        load[k] += _cells(group)
+    return [share for share in shares if share]
+
+
+def _split_count(cells: int) -> int:
+    """How many processes align ``cells`` table cells: one per CPU this
+    process may run on, but none with fewer than ``_SHARE_CELLS``, and only
+    one while a second thread runs, since a forked child would hold a copy
+    of that thread's locks but not the thread."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cells // _SHARE_CELLS))
+
+
+def _align_shares(shares) -> list[np.ndarray]:
+    """The distances of each share: share 0 aligned here, every other one in
+    a forked worker process.  A worker writes its distances into an
+    anonymous shared map made before the fork and leaves by ``os._exit``,
+    so it runs no exit handler and flushes no inherited buffer.  Every
+    worker is reaped, and killed first if this process raises before it
+    has reaped it.  The share of a worker that could not be forked, or did
+    not exit 0, is aligned here."""
+    sizes = [sum(map(_pair_count, share)) for share in shares]
+    dists = [np.frombuffer(mmap.mmap(-1, 8 * n)) if k else np.empty(n) for k, n in enumerate(sizes)]
+    workers, failed = {}, []
+    try:
+        for k in range(1, len(shares)):
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    _align_share(shares[k], dists[k])
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers[k] = pid
+        for k in range(len(shares)):
+            if k not in workers:
+                _align_share(shares[k], dists[k])
+        for k in list(workers):
+            if os.waitstatus_to_exitcode(os.waitpid(workers[k], 0)[1]) != 0:
+                failed.append(k)
+            del workers[k]
+    finally:
+        for pid in workers.values():  # left only when this process raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for k in failed:
+        _align_share(shares[k], dists[k])
+    return dists
+
+
 def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """DTW distances from every sequence of ``seqs`` to every one of
     ``others``, or, without ``others``, between the sequences of ``seqs``:
@@ -204,6 +308,13 @@ def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | Non
     length pair, shorter sequence first: unnormalized DTW is exactly
     symmetric (the frame costs transpose bit for bit and the step minimum
     ignores direction), and the shorter side gives the table fewer rows.
+
+    A call of at least twice ``_SHARE_CELLS`` table cells, in a process
+    that may run on several CPUs and runs no second thread, deals its groups
+    into shares of about equal cells, one per CPU, and aligns all but the
+    first in forked worker processes (``_align_shares``).  Each pair's
+    arithmetic is the same wherever it runs, so the result does not depend
+    on the split, bit for bit.
     """
     mirror = others is None
     seqs = [validate_frames(x, f"sequence {k}") for k, x in enumerate(seqs)]
@@ -215,16 +326,17 @@ def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | Non
     runs = _length_runs(seqs)
     other_runs = None if mirror else _length_runs(others)
     groups = [(x, y) for k, x in enumerate(runs) for y in (runs[k:] if mirror else other_runs)]
-    for (ta, rows, a), (tb, cols, b) in groups:
-        if b is a:
-            p, q = np.triu_indices(len(rows), 1)
-        else:
-            p, q = np.indices((len(rows), len(cols))).reshape(2, -1)
-        if len(p):
-            dist = _aligned(a, p, b, q) if ta <= tb else _aligned(b, q, a, p)
-            out[rows[p], cols[q]] = dist
+    groups = [group for group in groups if _pair_count(group)]  # so no share is empty
+    shares = _shares(groups, _split_count(sum(map(_cells, groups))))
+    for share, dist in zip(shares, _align_shares(shares)):
+        lo = 0
+        for group in share:
+            p, q = _pairs(group)
+            rows, cols = group[0][1][p], group[1][1][q]
+            out[rows, cols] = dist[lo : lo + len(p)]
             if mirror:
-                out[cols[q], rows[p]] = dist
+                out[cols, rows] = dist[lo : lo + len(p)]
+            lo += len(p)
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import re
 import sys
 import time
@@ -108,6 +109,28 @@ def _check_distinct(parser, outputs, inputs):
             named[key] = option
 
 
+def _not_features(parser, outputs):
+    """The ``check`` of ``parse_manifest`` that makes an output path that is
+    the feature file of a manifest entry a usage error.  ``outputs`` are
+    (option, path) pairs as for ``_check_distinct``.  Only an output that
+    exists can be a feature file, so a run whose outputs are all new looks
+    at no entry."""
+    existing = {}
+    for option, path in outputs:
+        if path is not None and Path(path).is_file():
+            stat = os.stat(path)
+            existing[stat.st_dev, stat.st_ino] = option, path
+
+    def check(entries):
+        for entry in entries if existing else ():
+            stat = os.stat(entry.path)
+            if (stat.st_dev, stat.st_ino) in existing:
+                option, path = existing[stat.st_dev, stat.st_ino]
+                parser.error(f"{option} and --manifest record '{entry.id}' name the same file {path}")
+
+    return check
+
+
 def cmd_train(args, parser) -> int:
     denoise = args.denoise
     if denoise is None:
@@ -116,11 +139,11 @@ def cmd_train(args, parser) -> int:
     settings = {"denoise_p": denoise, "lr": args.lr, "clip_norm": clip}  # checkpoint records it too
 
     loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
-    _check_distinct(parser, [("--out", args.out), ("--loss-log", loss_log)],
-                    [("--manifest", args.manifest)])
+    outputs = [("--out", args.out), ("--loss-log", loss_log)]
+    _check_distinct(parser, outputs, [("--manifest", args.manifest)])
     check_output_dirs(args.out, loss_log)  # so a bad one does not cost the trained model
 
-    dataset = parse_manifest(args.manifest, "train")
+    dataset = parse_manifest(args.manifest, "train", check=_not_features(parser, outputs))
     records = dataset.records
     params = init_params(dataset.dim, args.hidden, args.seed)
     config = TrainConfig(seed=args.seed, epochs=args.epochs, **settings)
@@ -162,12 +185,13 @@ def cmd_encode(args, parser) -> int:
         _reject_ignored(parser, args, "--encoder model", "m")
     if not naive and not args.checkpoint:
         parser.error("model encoding requires --checkpoint")
-    _check_distinct(parser, [("--out", args.out)],
+    outputs = [("--out", args.out)]
+    _check_distinct(parser, outputs,
                     [("--manifest", args.manifest), ("--checkpoint", args.checkpoint)])
     check_output_dirs(args.out)  # so a bad one does not cost the encoding
     start = time.perf_counter()
     segment_encoder = _segment_encoder(args.checkpoint, args.m)
-    records = parse_manifest(args.manifest, args.split).records
+    records = parse_manifest(args.manifest, args.split, check=_not_features(parser, outputs)).records
     read = time.perf_counter()
     archive = build_archive(segment_encoder, records)
     encoded = time.perf_counter()
@@ -269,12 +293,12 @@ def cmd_evaluate(args, parser) -> int:
                for label, _ in methods]
     checkpoints = [(f"--method {label}", source.get("checkpoint"))
                    for label, source in methods if source]
-    _check_distinct(parser, [("--out", args.out), *reports],
-                    [("--manifest", args.manifest), *checkpoints])
+    outputs = [("--out", args.out), *reports]
+    _check_distinct(parser, outputs, [("--manifest", args.manifest), *checkpoints])
     # every token is checked before any checkpoint is loaded
     methods = [(label, _segment_encoder(**source) if source else None) for label, source in methods]
     start = time.perf_counter()
-    records = parse_manifest(args.manifest, args.split).records
+    records = parse_manifest(args.manifest, args.split, check=_not_features(parser, outputs)).records
     print(f"evaluate: read {time.perf_counter() - start:.3f} s", file=sys.stderr)
     report_dir = output_dir(args.report_dir)
     if args.out:
@@ -312,7 +336,9 @@ def cmd_analyze_edit_distance(args, parser) -> int:
     _check_distinct(parser, [("--out", args.out)],
                     [("--archive", args.archive), ("--manifest", args.manifest)])
     archive = load_archive(args.archive)
-    rows = similarity_table(archive, read_manifest(args.manifest), max_bucket=args.max_bucket)
+    entries = read_manifest(args.manifest)
+    _not_features(parser, [("--out", args.out)])(entries)
+    rows = similarity_table(archive, entries, max_bucket=args.max_bucket)
     if args.out:
         write_similarity_table(rows, args.out)
         print(f"wrote similarity table to {args.out}")

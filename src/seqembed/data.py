@@ -330,11 +330,15 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
-def parse_manifest(path: str | Path, split: str = "all") -> Dataset:
+def parse_manifest(path: str | Path, split: str = "all", check=None) -> Dataset:
     """The records of one split of a manifest ("all" for every record), in
     file order.  Every line is checked, but only that split's feature files
-    are read."""
-    entries = [e for e in read_manifest(path) if split in ("all", e.split)]
+    are read.  ``check``, when given, is called with every entry of the
+    manifest before any feature file is read."""
+    entries = read_manifest(path)
+    if check is not None:
+        check(entries)
+    entries = [e for e in entries if split in ("all", e.split)]
     if not entries:
         raise DataError(f"no records in split '{split}'")
     return Dataset.from_records([

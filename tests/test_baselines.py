@@ -1,14 +1,21 @@
 """Baseline tests: naive segment-average encoder and DTW with oracles."""
+import contextlib
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dtw_oracle
@@ -28,14 +35,14 @@ def grid_pair(draw):
 
 
 @st.composite
-def kernel_case(draw):
+def kernel_case(draw, dims=(1, 8, 9)):
     """Sequences of lengths 1-12 drawn from a pool of up to three, so that
-    a length pair holds several pairs, at D = 1, 8 or 9 (numpy sums 8 or
+    a length pair holds several pairs, at a D of ``dims`` (numpy sums 8 or
     more squares in eight columns), some with a +-1e200 frame (costs that
     overflow to inf), and a byte budget: 1 puts each pair in its own block,
     6000 splits blocks and, at D >= 8, cost chunks inside a block, and 40000
     splits cost chunks inside one block per length pair at D >= 8."""
-    d = draw(st.sampled_from([1, 8, 9]))
+    d = draw(st.sampled_from(dims))
     pool = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
     lengths = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -306,3 +313,143 @@ class TestDtw:
     def test_empty_sequence_rejected(self):
         with pytest.raises(DimensionError):
             dtw_distance(np.ones((0, 3)), np.ones((2, 3)))
+
+
+MULTI_CPU = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                               reason="on one CPU dtw_distances forks no worker")
+
+
+@contextlib.contextmanager
+def split_everything():
+    """No cell floor, so every dtw_distances call of two or more length pairs
+    forks workers; yields the list of the pids forked."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with mock.patch.object(baselines, "_SHARE_CELLS", 1), mock.patch.object(os, "fork", recording):
+        yield pids
+
+
+FRESH_PRELUDE = """
+import os, time
+import numpy as np
+from seqembed import baselines
+baselines._SHARE_CELLS = 1
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(os.getpid()) or fork()
+rng = np.random.default_rng(0)
+seqs = [rng.standard_normal((t, 3)) for t in (2, 3, 4, 5, 6, 7)]
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def run_fresh(script, **env):
+    """Run ``FRESH_PRELUDE`` and ``script`` in a fresh interpreter, which has
+    no other child and no second thread, with a timeout; its stdout."""
+    src = str(Path(baselines.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", FRESH_PRELUDE + textwrap.dedent(script)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+@MULTI_CPU
+class TestProcessSplit:
+    """dtw_distances dealt across forked worker processes (``_SHARE_CELLS``
+    patched so small inputs split too)."""
+
+    @given(kernel_case(dims=(1, 8, 129)))
+    @example(([np.array([[0.5]]), np.array([[-0.5], [1.0]])], 1))  # two groups without pairs
+    @settings(max_examples=100, deadline=None)
+    def test_split_matches_bordered_oracle_bit_for_bit(self, case):
+        seqs, budget = case
+        others = seqs[::-2]
+        with np.errstate(over="ignore"), mock.patch.object(baselines, "_BLOCK_BYTES", budget):
+            want = np.array([[dtw_oracle.bordered_table(a, b)[-1][-1] for b in seqs] for a in seqs])
+            with split_everything() as pids:
+                assert dtw_distances(seqs).tobytes() == want.tobytes()
+                assert dtw_distances(seqs, others).tobytes() == want[:, ::-2].tobytes()
+        assert pids or len({len(x) for x in seqs}) == 1  # two lengths make three length pairs
+
+    def test_call_reaps_every_worker(self):
+        assert run_fresh("""
+            baselines.dtw_distances(seqs)
+            print(len(forks), no_child_left())
+        """).split() == ["1", "True"]
+
+    def test_own_share_raising_kills_and_reaps_the_workers(self):
+        out = run_fresh("""
+            parent, align = os.getpid(), baselines._align_share
+            def share(groups, dist):
+                if os.getpid() == parent:
+                    raise RuntimeError("own share")
+                time.sleep(60)  # the worker outlives the call unless it is killed
+                return align(groups, dist)
+            baselines._align_share = share
+            start = time.monotonic()
+            try:
+                baselines.dtw_distances(seqs)
+            except RuntimeError as exc:
+                print(exc, len(forks), time.monotonic() - start < 30, no_child_left())
+        """)
+        assert out.split() == ["own", "share", "1", "True", "True"]
+
+    def test_share_of_a_dead_worker_is_aligned_here(self):
+        rng = np.random.default_rng(5)
+        seqs = [rng.standard_normal((t, 4)) for t in (1, 2, 3, 3, 5, 8, 8, 9)]
+        want = dtw_distances(seqs), dtw_distances(seqs, seqs[::2])
+        parent, align = os.getpid(), baselines._align_share
+
+        def share(groups, dist):
+            if os.getpid() != parent:
+                os._exit(3)
+            return align(groups, dist)
+
+        with split_everything() as pids, mock.patch.object(baselines, "_align_share", share):
+            got = dtw_distances(seqs), dtw_distances(seqs, seqs[::2])
+        assert len(pids) == 2
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_no_fork_while_a_second_thread_runs(self):
+        rng = np.random.default_rng(6)
+        seqs = [rng.standard_normal((t, 4)) for t in (1, 2, 3, 5, 8)]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with split_everything() as pids:
+                got = dtw_distances(seqs)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert pids == []
+        with split_everything() as pids:
+            assert dtw_distances(seqs).tobytes() == got.tobytes()
+        assert len(pids) == 1
+
+    def test_split_between_threaded_gemms(self):
+        # OpenBLAS runs a 400x400 product on two threads; a fork must neither
+        # hang on them nor leave the next product without them
+        out = run_fresh("""
+            m = rng.standard_normal((400, 400))
+            first = m @ m
+            split = baselines.dtw_distances(seqs)
+            second = m @ m
+            baselines._SHARE_CELLS = 1 << 60
+            print(len(forks), np.array_equal(first, second),
+                  split.tobytes() == baselines.dtw_distances(seqs).tobytes(), no_child_left())
+        """, OPENBLAS_NUM_THREADS="2")
+        assert out.split() == ["1", "True", "True", "True"]

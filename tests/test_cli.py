@@ -305,6 +305,46 @@ def test_output_that_names_an_input_or_output_is_usage_error(corpus_dir, trained
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
+@pytest.mark.parametrize("case", ["train --out", "train --loss-log", "encode --out",
+                                  "evaluate --out", "evaluate --report-dir",
+                                  "edit-distance --out"])
+def test_output_that_is_a_feature_file_of_the_manifest_is_usage_error(corpus_dir, tmp_path,
+                                                                      capsys, case):
+    manifest = str(corpus_dir / "manifest.jsonl")
+    entries = read_manifest(manifest)
+    train, test = (next(e for e in entries if e.split == split) for split in ("train", "test"))
+    archive = str(tmp_path / "arch.csv")
+    assert main(["encode", "--manifest", manifest, "--encoder", "ne", "--m", "1",
+                 "--out", archive]) == 0
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "per_query_ne2.csv").symlink_to(train.path)  # resolves to a feature file
+    spelled_apart = str(corpus_dir / ".." / "corpus" / "features" / train.path.name)
+    training = ["train", "--manifest", manifest, "--seed", "0", "--hidden", "3", "--epochs", "1"]
+    evaluate = ["evaluate", "--manifest", manifest, "--method", "ne2", "--split", "test"]
+    argv, option, entry = {
+        # the train split reads no test file, yet may not write one
+        "train --out": ([*training, "--out", str(test.path)], "--out", test),
+        "train --loss-log": ([*training, "--out", str(tmp_path / "m.json"),
+                              "--loss-log", spelled_apart], "--loss-log", train),
+        "encode --out": (["encode", "--manifest", manifest, "--encoder", "ne", "--m", "2",
+                          "--out", str(train.path)], "--out", train),
+        "evaluate --out": ([*evaluate, "--report-dir", str(tmp_path), "--out", str(test.path)],
+                           "--out", test),
+        "evaluate --report-dir": ([*evaluate, "--report-dir", str(reports)], "--report-dir",
+                                  train),
+        "edit-distance --out": (["analyze", "edit-distance", "--archive", archive,
+                                 "--manifest", manifest, "--out", str(test.path)], "--out", test),
+    }[case]
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert (f"{option} and --manifest record '{entry.id}' name the same file"
+            in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
 def test_unwritable_feature_file_exit_code(tmp_path, capsys, fmt):
     target = tmp_path / "out" / "features" / f"w000_t00.{fmt}"
@@ -1012,3 +1052,20 @@ class TestFeatureFilesRead:
             assert code == 3 and out == ""
             assert err == "error: no records in split 'test'\n", argv
         assert list(tmp_path.iterdir()) == [corpus_dir]
+
+
+def test_dtw_workers_do_not_repeat_buffered_output(acceptance_corpus, tmp_path):
+    # with stdout a block-buffered pipe, ne2's MAP line is still in the
+    # buffer when DTW forks its workers (the test split has about 11.5 M
+    # table cells); a worker that flushed the copy it inherited would print
+    # it twice
+    src = str(Path(__import__("seqembed").__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-m", "seqembed.cli", "evaluate", "--split", "test",
+         "--manifest", str(acceptance_corpus / "corpus" / "manifest.jsonl"),
+         "--method", "ne2", "--method", "dtw", "--report-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert [line.split(": MAP = ")[0] for line in child.stdout.splitlines()] == ["ne2", "dtw"]

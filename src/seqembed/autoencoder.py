@@ -381,7 +381,7 @@ def save_checkpoint(
         payload["train"] = train_meta
     payload["params"] = {key: arr.tolist() for key, arr in checkpoint_blocks(params)}
     with replace_on_close(path) as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # json.dump never uses the C encoder; the bytes are the same
         fh.write("\n")
 
 

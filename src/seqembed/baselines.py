@@ -16,6 +16,8 @@ together.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import mmap
 import os
 import signal
@@ -24,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import blas
 from .data import validate_frames
 from .errors import DimensionError
 
@@ -32,7 +35,7 @@ from .errors import DimensionError
 _BLOCK_BYTES = 1 << 20
 
 # Table cells (T_a·T_b per pair) that each process must have to align
-# before ``dtw_distances`` forks a worker: about ten times the 2.3 ms that
+# before ``dtw_started`` forks a worker: about ten times the 2.3 ms that
 # forking and reaping one costs, at the 25-60 ns a cell takes on a 2-core
 # Xeon host.
 _SHARE_CELLS = 1 << 19
@@ -225,27 +228,29 @@ def _cells(group) -> int:
     return group[0][0] * group[1][0] * _pair_count(group)
 
 
-def _align_share(groups, dist: np.ndarray) -> np.ndarray:
-    """``dist`` holding the distances of ``groups``' pairs, group after
-    group, each pair aligned shorter sequence first."""
-    lo = 0
-    for group in groups:
-        (ta, _, a), (tb, _, b) = group
-        p, q = _pairs(group)
-        dist[lo : lo + len(p)] = _aligned(a, p, b, q) if ta <= tb else _aligned(b, q, a, p)
-        lo += len(p)
-    return dist
+# A group's state in the claim list is one byte of the shared map: 0, as the
+# map starts, until a process claims it, then _CLAIMED, and _DONE once its
+# distances are written.
+_CLAIMED, _DONE = 1, 2
 
 
-def _shares(groups, n: int) -> list[list]:
-    """``groups`` dealt into at most n shares of about equal cell count:
-    largest group first, each to the share with the fewest cells so far."""
-    shares, load = [[] for _ in range(n)], [0] * n
-    for group in sorted(groups, key=_cells, reverse=True):
-        k = load.index(min(load))
-        shares[k].append(group)
-        load[k] += _cells(group)
-    return [share for share in shares if share]
+def _claim(job, below: int) -> None:
+    """Align, in list order, each group of ``job`` whose state is below
+    ``below``: mark it claimed, write its pairs' distances, shorter sequence
+    first, into its span of ``dist`` and mark it done.  ``job`` is (groups,
+    spans, dist, state); group k's distances are dist[spans[k]:spans[k+1]].
+
+    With ``below`` = _CLAIMED a process takes only groups that no process
+    has claimed; two that race for one both write the same bytes.  With
+    _DONE it also takes those a process claimed but did not finish."""
+    groups, spans, dist, state = job
+    for k, group in enumerate(groups):
+        if state[k] < below:
+            state[k] = _CLAIMED
+            (ta, _, a), (tb, _, b) = group
+            p, q = _pairs(group)
+            dist[spans[k] : spans[k + 1]] = _aligned(a, p, b, q) if ta <= tb else _aligned(b, q, a, p)
+            state[k] = _DONE
 
 
 def _split_count(cells: int) -> int:
@@ -258,45 +263,80 @@ def _split_count(cells: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), cells // _SHARE_CELLS))
 
 
-def _align_shares(shares) -> list[np.ndarray]:
-    """The distances of each share: share 0 aligned here, every other one in
-    a forked worker process.  A worker writes its distances into an
-    anonymous shared map made before the fork and leaves by ``os._exit``,
-    so it runs no exit handler and flushes no inherited buffer.  Every
-    worker is reaped, and killed first if this process raises before it
-    has reaped it.  The share of a worker that could not be forked, or did
-    not exit 0, is aligned here."""
-    sizes = [sum(map(_pair_count, share)) for share in shares]
-    dists = [np.frombuffer(mmap.mmap(-1, 8 * n)) if k else np.empty(n) for k, n in enumerate(sizes)]
-    workers, failed = {}, []
-    try:
-        for k in range(1, len(shares)):
-            try:
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
-                code = 1
+@contextlib.contextmanager
+def dtw_started(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | None = None):
+    """Start aligning what ``dtw_distances(seqs, others)`` aligns, and yield
+    ``finish``, which returns its distances.  The caller may do other work
+    in between, while forked workers align.
+
+    The pairs' length-pair groups form one claim list, largest first, with
+    each group's state and distances in an anonymous map shared with the
+    workers.  A call of at least twice ``_SHARE_CELLS`` table cells, in a
+    process that may run on several CPUs and runs no second thread, forks
+    one worker per CPU but one on entry.  Each worker claims groups until
+    none is left and leaves by ``os._exit``, so it runs no exit handler and
+    flushes no inherited buffer.  ``finish`` claims groups too, reaps the
+    workers, and then aligns any group not done, such as one a dead worker
+    held.  From just before the first fork until the last worker is reaped
+    the process holds OpenBLAS at one thread, so that no BLAS thread spins
+    on the workers' cores.  On exit every worker still running is killed
+    and reaped, and the thread count is restored.
+    """
+    mirror = others is None
+    seqs = [validate_frames(x, f"sequence {k}") for k, x in enumerate(seqs)]
+    others = seqs if mirror else [validate_frames(x, f"other sequence {k}") for k, x in enumerate(others)]
+    widths = sorted({x.shape[1] for x in seqs + others})
+    if len(widths) > 1:
+        raise DimensionError(f"feature widths differ: {' vs '.join(map(str, widths))}")
+    runs = _length_runs(seqs)
+    other_runs = None if mirror else _length_runs(others)
+    groups = [(x, y) for k, x in enumerate(runs) for y in (runs[k:] if mirror else other_runs)]
+    groups = sorted((group for group in groups if _pair_count(group)), key=_cells, reverse=True)
+    spans = [0, *itertools.accumulate(map(_pair_count, groups))]
+    shared = mmap.mmap(-1, 8 * spans[-1] + len(groups) or 1)  # mmap refuses a 0-byte map
+    dist = np.frombuffer(shared, count=spans[-1])
+    job = groups, spans, dist, np.frombuffer(shared, np.uint8, len(groups), 8 * spans[-1])
+    workers = []
+    with contextlib.ExitStack() as held:
+
+        def finish() -> np.ndarray:
+            _claim(job, _CLAIMED)
+            while workers:
+                os.waitpid(workers[-1], 0)
+                workers.pop()
+            held.close()
+            _claim(job, _DONE)
+            out = np.zeros((len(seqs), len(others)))
+            for group, lo, hi in zip(groups, spans, spans[1:]):
+                p, q = _pairs(group)
+                rows, cols = group[0][1][p], group[1][1][q]
+                out[rows, cols] = dist[lo:hi]
+                if mirror:
+                    out[cols, rows] = dist[lo:hi]
+            return out
+
+        try:
+            processes = _split_count(sum(map(_cells, groups)))
+            if processes > 1:
+                held.enter_context(blas.one_thread())
+            for _ in range(processes - 1):
                 try:
-                    _align_share(shares[k], dists[k])
-                    code = 0
-                finally:
-                    os._exit(code)
-            workers[k] = pid
-        for k in range(len(shares)):
-            if k not in workers:
-                _align_share(shares[k], dists[k])
-        for k in list(workers):
-            if os.waitstatus_to_exitcode(os.waitpid(workers[k], 0)[1]) != 0:
-                failed.append(k)
-            del workers[k]
-    finally:
-        for pid in workers.values():  # left only when this process raised
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for k in failed:
-        _align_share(shares[k], dists[k])
-    return dists
+                    pid = os.fork()
+                except OSError:
+                    break
+                if pid == 0:
+                    code = 1
+                    try:
+                        _claim(job, _CLAIMED)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                workers.append(pid)
+            yield finish
+        finally:
+            for pid in workers:  # left only when ``finish`` was not called or raised
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | None = None) -> np.ndarray:
@@ -308,36 +348,12 @@ def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | Non
     length pair, shorter sequence first: unnormalized DTW is exactly
     symmetric (the frame costs transpose bit for bit and the step minimum
     ignores direction), and the shorter side gives the table fewer rows.
-
-    A call of at least twice ``_SHARE_CELLS`` table cells, in a process
-    that may run on several CPUs and runs no second thread, deals its groups
-    into shares of about equal cells, one per CPU, and aligns all but the
-    first in forked worker processes (``_align_shares``).  Each pair's
-    arithmetic is the same wherever it runs, so the result does not depend
-    on the split, bit for bit.
+    A large call splits its groups across forked worker processes
+    (``dtw_started``).  Each pair's arithmetic is the same wherever it
+    runs, so the result does not depend on the split, bit for bit.
     """
-    mirror = others is None
-    seqs = [validate_frames(x, f"sequence {k}") for k, x in enumerate(seqs)]
-    others = seqs if mirror else [validate_frames(x, f"other sequence {k}") for k, x in enumerate(others)]
-    widths = sorted({x.shape[1] for x in seqs + others})
-    if len(widths) > 1:
-        raise DimensionError(f"feature widths differ: {' vs '.join(map(str, widths))}")
-    out = np.zeros((len(seqs), len(others)))
-    runs = _length_runs(seqs)
-    other_runs = None if mirror else _length_runs(others)
-    groups = [(x, y) for k, x in enumerate(runs) for y in (runs[k:] if mirror else other_runs)]
-    groups = [group for group in groups if _pair_count(group)]  # so no share is empty
-    shares = _shares(groups, _split_count(sum(map(_cells, groups))))
-    for share, dist in zip(shares, _align_shares(shares)):
-        lo = 0
-        for group in share:
-            p, q = _pairs(group)
-            rows, cols = group[0][1][p], group[1][1][q]
-            out[rows, cols] = dist[lo : lo + len(p)]
-            if mirror:
-                out[cols, rows] = dist[lo : lo + len(p)]
-            lo += len(p)
-    return out
+    with dtw_started(seqs, others) as finish:
+        return finish()
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray, normalize: bool = False) -> float:

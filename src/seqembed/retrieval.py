@@ -155,10 +155,15 @@ def rank_dtw(
 def dtw_matrix(dataset: Dataset | Sequence[SegmentRecord]) -> np.ndarray:
     """N x N negated DTW distances, one alignment per unordered pair
     (``dtw_distances`` mirrors it: unnormalized DTW is exactly symmetric)."""
-    scores = dtw_distances([rec.features for rec in dataset])
-    np.negative(scores, out=scores)
-    np.fill_diagonal(scores, 0.0)  # a record's score against itself is +0.0
-    return scores
+    return dtw_scores(dtw_distances([rec.features for rec in dataset]))
+
+
+def dtw_scores(distances: np.ndarray) -> np.ndarray:
+    """The N x N DTW distances of N records to each other as scores, in
+    place: negated, with each record's score against itself +0.0."""
+    np.negative(distances, out=distances)
+    np.fill_diagonal(distances, 0.0)
+    return distances
 
 
 def save_archive(archive: EmbeddingArchive, path: str | Path) -> None:

@@ -2,6 +2,7 @@
 end-to-end gradients, training behavior, checkpoint round-trips."""
 import copy
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -517,6 +518,18 @@ class TestCheckpoints:
         assert hashlib.sha256(blob).hexdigest() == (
             "46b5785643184750f8489411f3f273749407c282cc25d9774982309a062d765f"
         )
+
+    def test_bytes_are_those_json_dump_writes(self, tmp_path):
+        path = tmp_path / "model.json"
+        meta = {"denoise_p": 0.3, "lr": 0.05, "clip_norm": None}
+        params = init_params(8, 32, seed=7)
+        params.flat[:3] = [0.1, -1e-300, 2.0 ** 60]
+        save_checkpoint(params, path, train_meta=meta)
+        payload = json.loads(path.read_bytes())
+        assert payload["train"] == meta
+        dumped = io.StringIO()
+        json.dump(payload, dumped)
+        assert path.read_bytes() == (dumped.getvalue() + "\n").encode()
 
     def test_gate_rows_are_views_into_flat(self):
         # at H=1 a "GH" gate part is one row, like a "G" part: only the shapes

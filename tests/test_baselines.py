@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import dtw_oracle
 from conftest import GRID, dtw_records
-from seqembed import baselines
+from seqembed import baselines, blas
 from seqembed.baselines import dtw_distance, dtw_distances, dtw_path, naive_encode
 from seqembed.errors import DimensionError
 
@@ -310,6 +310,13 @@ class TestDtw:
         with pytest.raises(DimensionError):
             dtw_distance(np.ones((2, 3)), np.ones((2, 4)))
 
+    def test_empty_inputs(self):
+        x = np.ones((2, 3))
+        assert dtw_distances([]).shape == (0, 0)
+        assert dtw_distances([x], []).shape == (1, 0)
+        assert dtw_distances([], [x]).shape == (0, 1)
+        assert dtw_distances([x]).tolist() == [[0.0]]  # a group without pairs
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(DimensionError):
             dtw_distance(np.ones((0, 3)), np.ones((2, 3)))
@@ -338,12 +345,14 @@ def split_everything():
 FRESH_PRELUDE = """
 import os, time
 import numpy as np
-from seqembed import baselines
+from seqembed import baselines, blas
 baselines._SHARE_CELLS = 1
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(os.getpid()) or fork()
 rng = np.random.default_rng(0)
 seqs = [rng.standard_normal((t, 3)) for t in (2, 3, 4, 5, 6, 7)]
+def blas_threads():
+    return blas._openblas()[0]()
 def no_child_left():
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -355,10 +364,12 @@ def no_child_left():
 
 def run_fresh(script, **env):
     """Run ``FRESH_PRELUDE`` and ``script`` in a fresh interpreter, which has
-    no other child and no second thread, with a timeout; its stdout."""
+    no other child and no second thread, with a timeout; its stdout, a pipe
+    that is block-buffered.  ``blas_threads()`` there reads OpenBLAS's
+    thread count."""
     src = str(Path(baselines.__file__).resolve().parents[1])
-    env = dict(os.environ, **env,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict({name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"},
+               **env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run([sys.executable, "-c", FRESH_PRELUDE + textwrap.dedent(script)],
                            env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
@@ -391,36 +402,99 @@ class TestProcessSplit:
 
     def test_own_share_raising_kills_and_reaps_the_workers(self):
         out = run_fresh("""
-            parent, align = os.getpid(), baselines._align_share
-            def share(groups, dist):
+            parent, claim = os.getpid(), baselines._claim
+            def claiming(job, below):
                 if os.getpid() == parent:
                     raise RuntimeError("own share")
                 time.sleep(60)  # the worker outlives the call unless it is killed
-                return align(groups, dist)
-            baselines._align_share = share
-            start = time.monotonic()
+                return claim(job, below)
+            baselines._claim = claiming
+            start, threads = time.monotonic(), blas_threads()
             try:
                 baselines.dtw_distances(seqs)
             except RuntimeError as exc:
-                print(exc, len(forks), time.monotonic() - start < 30, no_child_left())
-        """)
-        assert out.split() == ["own", "share", "1", "True", "True"]
+                print(exc, len(forks), time.monotonic() - start < 30, no_child_left(),
+                      blas_threads() == threads)
+        """, OPENBLAS_NUM_THREADS="2")
+        assert out.split() == ["own", "share", "1", "True", "True", "True"]
 
     def test_share_of_a_dead_worker_is_aligned_here(self):
+        # the worker claims every group and dies before aligning any; the
+        # caller, arriving late, finds none free and aligns them after reaping
         rng = np.random.default_rng(5)
         seqs = [rng.standard_normal((t, 4)) for t in (1, 2, 3, 3, 5, 8, 8, 9)]
         want = dtw_distances(seqs), dtw_distances(seqs, seqs[::2])
-        parent, align = os.getpid(), baselines._align_share
+        parent, claim = os.getpid(), baselines._claim
 
-        def share(groups, dist):
+        def claiming(job, below):
             if os.getpid() != parent:
+                job[3][:] = baselines._CLAIMED
                 os._exit(3)
-            return align(groups, dist)
+            if below == baselines._DONE:
+                claim(job, below)
 
-        with split_everything() as pids, mock.patch.object(baselines, "_align_share", share):
+        with split_everything() as pids, mock.patch.object(baselines, "_claim", claiming):
             got = dtw_distances(seqs), dtw_distances(seqs, seqs[::2])
         assert len(pids) == 2
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_every_process_aligning_every_group_gives_the_same_bits(self):
+        # claims that always race: each process aligns every group, writing
+        # the same bytes into the shared map
+        rng = np.random.default_rng(7)
+        seqs = [rng.standard_normal((t, 8)) for t in (1, 2, 3, 3, 5, 8, 8, 9, 12, 12)]
+        want = dtw_distances(seqs), dtw_distances(seqs, seqs[::3])
+        claim = baselines._claim
+        with split_everything() as pids, mock.patch.object(
+                baselines, "_claim", lambda job, below: claim(job, baselines._DONE + 1)):
+            got = dtw_distances(seqs), dtw_distances(seqs, seqs[::3])
+        assert len(pids) == 2
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_workers_do_not_repeat_buffered_output(self):
+        # the line is still in the pipe's buffer at the fork; a worker that
+        # flushed the copy it inherited would print it twice
+        out = run_fresh("""
+            print("buffered", os.isatty(1))
+            baselines.dtw_distances(seqs)
+            print(len(forks))
+        """)
+        assert out.split() == ["buffered", "False", "1"]
+
+    @pytest.mark.parametrize("ending", ["exit", "raise"])
+    def test_evaluate_leaving_before_dtw_kills_its_workers(self, ending, tmp_path):
+        # evaluate starts DTW before its first method; here that method ends
+        # the command, by exit 3 (one test token per word, so no query is
+        # scorable) or by an exception, while the worker is still aligning
+        out = run_fresh("""
+            from seqembed import cli
+            from seqembed.data import generate_synthetic, write_manifest
+            root = os.environ["ROOT"]
+            dataset = generate_synthetic(5, 8, 2, (2, 3), 3, (1, 3), 0.1, 0)
+            manifest = write_manifest(dataset, os.path.join(root, "manifest.jsonl"))
+            parent, claim = os.getpid(), baselines._claim
+            def claiming(job, below):
+                if os.getpid() != parent:
+                    time.sleep(60)  # the worker outlives the command unless it is killed
+                return claim(job, below)
+            baselines._claim = claiming
+            held, build = [], cli.build_archive
+            cli.build_archive = lambda *args: held.append(blas_threads()) or build(*args)
+            if os.environ["ENDING"] == "raise":
+                def failing(archive):
+                    raise RuntimeError("scoring")
+                cli.cosine_matrix = failing
+            start, threads = time.monotonic(), blas_threads()
+            try:
+                code = cli.main(["evaluate", "--manifest", str(manifest), "--method", "ne2",
+                                 "--method", "dtw", "--report-dir", root])
+            except RuntimeError as exc:
+                code = exc
+            print(code, len(forks), held, threads, blas_threads(), time.monotonic() - start < 30,
+                  no_child_left())
+        """, OPENBLAS_NUM_THREADS="2", ROOT=str(tmp_path), ENDING=ending)
+        code = {"exit": "3", "raise": "scoring"}[ending]
+        assert out.splitlines()[-1].split() == [code, "1", "[1]", "2", "2", "True", "True"]
 
     def test_no_fork_while_a_second_thread_runs(self):
         rng = np.random.default_rng(6)
@@ -450,6 +524,21 @@ class TestProcessSplit:
             second = m @ m
             baselines._SHARE_CELLS = 1 << 60
             print(len(forks), np.array_equal(first, second),
-                  split.tobytes() == baselines.dtw_distances(seqs).tobytes(), no_child_left())
+                  split.tobytes() == baselines.dtw_distances(seqs).tobytes(), no_child_left(),
+                  blas_threads())
         """, OPENBLAS_NUM_THREADS="2")
-        assert out.split() == ["1", "True", "True", "True"]
+        assert out.split() == ["1", "True", "True", "True", "2"]
+
+
+def test_one_blas_thread_holds_and_restores_the_count(monkeypatch):
+    if blas._openblas() is None:
+        pytest.skip("no loaded OpenBLAS exports its thread count")
+    get = blas._openblas()[0]
+    count = get()
+    with pytest.raises(RuntimeError), blas.one_thread():
+        assert get() == 1
+        raise RuntimeError
+    assert get() == count
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    with blas.one_thread():  # a missing library or symbol changes nothing
+        assert get() == count

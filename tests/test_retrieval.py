@@ -269,6 +269,10 @@ class TestRankDtw:
         ranked = rank_dtw(records[1].features, records, exclude_id="r1")
         assert "r1" not in {seg_id for seg_id, _ in ranked}
 
+    def test_only_the_excluded_record_ranks_nothing(self):
+        records = self.make_dataset()[:1]
+        assert rank_dtw(records[0].features, records, exclude_id="r0") == []
+
     def test_order_agrees_with_direct_dtw(self):
         records = self.make_dataset()
         query = np.random.default_rng(4).standard_normal((3, 2))

@@ -379,10 +379,14 @@ def save_checkpoint(
     }
     if train_meta is not None:
         payload["train"] = train_meta
-    payload["params"] = {key: arr.tolist() for key, arr in checkpoint_blocks(params)}
+    # the bytes of json.dumps of the payload with "params" last, written a
+    # block at a time so that only one block's text is alive at once
     with replace_on_close(path) as fh:
-        fh.write(json.dumps(payload))  # json.dump never uses the C encoder; the bytes are the same
-        fh.write("\n")
+        fh.write(json.dumps(payload)[:-1] + ', "params": {')
+        for k, (key, arr) in enumerate(checkpoint_blocks(params)):
+            fh.write(f'{", " if k else ""}{json.dumps(key)}: ')
+            fh.write(json.dumps(arr.tolist()))
+        fh.write("}}\n")
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

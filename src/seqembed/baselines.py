@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import blas
 from .data import validate_frames
 from .errors import DimensionError
 
@@ -277,10 +276,7 @@ def dtw_started(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | None 
     none is left and leaves by ``os._exit``, so it runs no exit handler and
     flushes no inherited buffer.  ``finish`` claims groups too, reaps the
     workers, and then aligns any group not done, such as one a dead worker
-    held.  From just before the first fork until the last worker is reaped
-    the process holds OpenBLAS at one thread, so that no BLAS thread spins
-    on the workers' cores.  On exit every worker still running is killed
-    and reaped, and the thread count is restored.
+    held.  On exit every worker still running is killed and reaped.
     """
     mirror = others is None
     seqs = [validate_frames(x, f"sequence {k}") for k, x in enumerate(seqs)]
@@ -297,46 +293,39 @@ def dtw_started(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | None 
     dist = np.frombuffer(shared, count=spans[-1])
     job = groups, spans, dist, np.frombuffer(shared, np.uint8, len(groups), 8 * spans[-1])
     workers = []
-    with contextlib.ExitStack() as held:
 
-        def finish() -> np.ndarray:
-            _claim(job, _CLAIMED)
-            while workers:
-                os.waitpid(workers[-1], 0)
-                workers.pop()
-            held.close()
-            _claim(job, _DONE)
-            out = np.zeros((len(seqs), len(others)))
-            for group, lo, hi in zip(groups, spans, spans[1:]):
-                p, q = _pairs(group)
-                rows, cols = group[0][1][p], group[1][1][q]
-                out[rows, cols] = dist[lo:hi]
-                if mirror:
-                    out[cols, rows] = dist[lo:hi]
-            return out
+    def finish() -> np.ndarray:
+        _claim(job, _CLAIMED)
+        while workers:
+            os.waitpid(workers[-1], 0)
+            workers.pop()
+        _claim(job, _DONE)
+        out = np.zeros((len(seqs), len(others)))
+        for group, lo, hi in zip(groups, spans, spans[1:]):
+            p, q = _pairs(group)
+            rows, cols = group[0][1][p], group[1][1][q]
+            out[rows, cols] = dist[lo:hi]
+            if mirror:
+                out[cols, rows] = dist[lo:hi]
+        return out
 
-        try:
-            processes = _split_count(sum(map(_cells, groups)))
-            if processes > 1:
-                held.enter_context(blas.one_thread())
-            for _ in range(processes - 1):
+    try:
+        for _ in range(_split_count(sum(map(_cells, groups))) - 1):
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
                 try:
-                    pid = os.fork()
-                except OSError:
-                    break
-                if pid == 0:
-                    code = 1
-                    try:
-                        _claim(job, _CLAIMED)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                workers.append(pid)
-            yield finish
-        finally:
-            for pid in workers:  # left only when ``finish`` was not called or raised
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                    _claim(job, _CLAIMED)
+                finally:
+                    os._exit(0)
+            workers.append(pid)
+        yield finish
+    finally:
+        for pid in workers:  # left only when ``finish`` was not called or raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def dtw_distances(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | None = None) -> np.ndarray:

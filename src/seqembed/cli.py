@@ -29,6 +29,7 @@ from .autoencoder import (
     write_loss_log,
 )
 from .baselines import dtw_started, naive_encode
+from .blas import one_thread
 from .data import (
     check_output_dirs,
     generate_synthetic,
@@ -148,7 +149,10 @@ def cmd_train(args, parser) -> int:
     records = dataset.records
     params = init_params(dataset.dim, args.hidden, args.seed)
     config = TrainConfig(seed=args.seed, epochs=args.epochs, **settings)
-    params, losses = train(params, records, config)
+    # a second BLAS thread doubles training's CPU and saves no time, and at
+    # D=39, H=100 it changes the last bits of the decoder's feedback product
+    with one_thread():
+        params, losses = train(params, records, config)
     write_loss_log(losses, loss_log)
     save_checkpoint(params, args.out, train_meta=settings)
     final = losses[-1] if losses else float("nan")
@@ -308,6 +312,7 @@ def cmd_evaluate(args, parser) -> int:
     results = []
     with contextlib.ExitStack() as pending:
         if any(encoder is None for _, encoder in methods):  # DTW aligns while the others score
+            pending.enter_context(one_thread())  # so no BLAS thread spins on a DTW worker's core
             finish_dtw = pending.enter_context(dtw_started([rec.features for rec in records]))
         for label, segment_encoder in methods:
             start = time.perf_counter()

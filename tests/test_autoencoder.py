@@ -472,25 +472,35 @@ class TestTrain:
 
     def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS reads its thread count when numpy is imported, so each count
-        # needs a fresh process; D=8, H=32 is 15048 parameters, enough for a
-        # threaded dot product to split and clipping to read its last bit
+        # needs a fresh process.  D=8, H=32 is 15048 parameters, enough for a
+        # threaded dot product to split and clipping to read its last bit.
+        # At H=100 a sequence of T >= 60 makes OpenBLAS split the
+        # weight-gradient products across threads, which at D=8 keeps every
+        # bit (at D=39 it does not: test_cli's TestBlasThreads)
         script = (
             "import sys\n"
             "from seqembed.autoencoder import TrainConfig, init_params, save_checkpoint, train\n"
             "from seqembed.data import generate_synthetic\n"
-            "ds = generate_synthetic(10, 20, 2, (3, 6), 8, (2, 4), 0.1, seed=11)\n"
-            "params, _ = train(init_params(8, 32, seed=5), ds.subset('train'),\n"
+            "hidden, frames, out = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]\n"
+            "ds = generate_synthetic(10, 20, 2, (3, 6), 8, (2, frames), 0.1, seed=11)\n"
+            "records = ds.subset('train')\n"
+            "if hidden > 32:  # the four longest, the first of T >= 60\n"
+            "    records = sorted(records, key=lambda rec: -len(rec.features))[:4]\n"
+            "    assert len(records[0].features) >= 60\n"
+            "params, _ = train(init_params(8, hidden, seed=5), records,\n"
             "                  TrainConfig(seed=17, lr=0.05, epochs=1, clip_norm=5.0))\n"
-            "save_checkpoint(params, sys.argv[1])\n"
+            "save_checkpoint(params, out)\n"
         )
         src = str(Path(seqembed.__file__).resolve().parents[1])
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            child = subprocess.run([sys.executable, "-c", script, str(tmp_path / f"{threads}.json")],
-                                   env=env, capture_output=True, text=True, timeout=120)
-            assert child.returncode == 0, child.stderr
-        assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
+        for hidden, frames in ((32, 4), (100, 15)):
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                out = tmp_path / f"{hidden}_{threads}.json"
+                child = subprocess.run([sys.executable, "-c", script, str(hidden), str(frames), str(out)],
+                                       env=env, capture_output=True, text=True, timeout=120)
+                assert child.returncode == 0, child.stderr
+            assert (tmp_path / f"{hidden}_1.json").read_bytes() == (tmp_path / f"{hidden}_2.json").read_bytes()
 
 
 CHECKPOINT_KEYS = [
@@ -530,6 +540,23 @@ class TestCheckpoints:
         dumped = io.StringIO()
         json.dump(payload, dumped)
         assert path.read_bytes() == (dumped.getvalue() + "\n").encode()
+
+    def test_writing_holds_less_than_one_copy_of_the_text(self, tmp_path):
+        # at the reference width (D=39, H=100, about 124 k floats) the text is
+        # about 3 MB; written a block at a time, the call's traced peak stays
+        # below its size (one payload of lists and its text would be about 4x it)
+        path = tmp_path / "model.json"
+        params = init_params(39, 100, seed=7)
+        params.flat += np.random.default_rng(7).standard_normal(params.flat.shape)
+        save_checkpoint(params, path)  # first-use allocations
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_checkpoint(params, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak - start < path.stat().st_size
 
     def test_gate_rows_are_views_into_flat(self):
         # at H=1 a "GH" gate part is one row, like a "G" part: only the shapes

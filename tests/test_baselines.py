@@ -529,6 +529,21 @@ class TestProcessSplit:
         """, OPENBLAS_NUM_THREADS="2")
         assert out.split() == ["1", "True", "True", "True", "2"]
 
+    def test_library_split_leaves_the_blas_count_alone(self):
+        # the hold is the commands' to take (evaluate's, train's): a library
+        # call forks and aligns at the count it finds
+        out = run_fresh("""
+            parent, claim, held = os.getpid(), baselines._claim, []
+            def claiming(job, below):
+                if os.getpid() == parent:
+                    held.append(blas_threads())
+                return claim(job, below)
+            baselines._claim = claiming
+            baselines.dtw_distances(seqs)
+            print(len(forks), held, blas_threads(), no_child_left())
+        """, OPENBLAS_NUM_THREADS="2")
+        assert out.split() == ["1", "[2,", "2]", "2", "True"]
+
 
 def test_one_blas_thread_holds_and_restores_the_count(monkeypatch):
     if blas._openblas() is None:
@@ -542,3 +557,16 @@ def test_one_blas_thread_holds_and_restores_the_count(monkeypatch):
     monkeypatch.setattr(blas, "_openblas", lambda: None)
     with blas.one_thread():  # a missing library or symbol changes nothing
         assert get() == count
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_lookup_reads_the_count_numpy_started_with(threads):
+    # the symbols are found through numpy's own extension, so they read the
+    # count its OpenBLAS took from the environment, which it caps at the
+    # CPUs this process may run on
+    if blas._openblas() is None:
+        pytest.skip("numpy's OpenBLAS exports no thread count")
+    out = run_fresh("print(blas_threads(), len(os.sched_getaffinity(0)))",
+                    OPENBLAS_NUM_THREADS=str(threads))
+    count, cpus = map(int, out.split())
+    assert count == min(threads, cpus)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqembed import blas
 from seqembed.autoencoder import (
     TrainConfig,
     encode_batch,
@@ -25,6 +26,7 @@ from seqembed.cli import build_parser, main
 from seqembed.data import (
     Dataset,
     SegmentRecord,
+    generate_synthetic,
     load_feature_file,
     parse_manifest,
     read_manifest,
@@ -1054,18 +1056,77 @@ class TestFeatureFilesRead:
         assert list(tmp_path.iterdir()) == [corpus_dir]
 
 
-def test_dtw_workers_do_not_repeat_buffered_output(acceptance_corpus, tmp_path):
-    # with stdout a block-buffered pipe, ne2's MAP line is still in the
-    # buffer when DTW forks its workers (the test split has about 11.5 M
-    # table cells); a worker that flushed the copy it inherited would print
-    # it twice
-    src = str(Path(__import__("seqembed").__file__).resolve().parents[1])
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    child = subprocess.run(
-        [sys.executable, "-m", "seqembed.cli", "evaluate", "--split", "test",
-         "--manifest", str(acceptance_corpus / "corpus" / "manifest.jsonl"),
-         "--method", "ne2", "--method", "dtw", "--report-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert child.returncode == 0, child.stderr
-    assert [line.split(": MAP = ")[0] for line in child.stdout.splitlines()] == ["ne2", "dtw"]
+FRESH_CLI = """
+import os, sys
+from seqembed import blas, cli
+from seqembed.autoencoder import init_params, save_checkpoint
+from seqembed.data import generate_synthetic, write_manifest
+root, names, argv = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
+dataset = generate_synthetic(5, 4, 3, (2, 3), 3, (1, 3), 0.1, 0)
+manifest = write_manifest(dataset, os.path.join(root, "manifest.jsonl"))
+save_checkpoint(init_params(3, 4, seed=0), os.path.join(root, "model.json"))
+held = []
+def holding(function):
+    def reading(*args, **kwargs):
+        held.append(blas._openblas()[0]())
+        return function(*args, **kwargs)
+    return reading
+for name in names:
+    setattr(cli, name, holding(getattr(cli, name)))
+os.chdir(root)
+code = cli.main(argv)
+print(code, held, blas._openblas()[0]())
+"""
+
+
+class TestBlasThreads:
+    """Which commands hold OpenBLAS at one thread, each run in fresh
+    processes, since OpenBLAS reads its thread count when numpy is imported."""
+
+    @staticmethod
+    def fresh(args, threads):
+        if blas._openblas() is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("no OpenBLAS thread count, or one CPU, which caps it at one")
+        src = str(Path(__import__("seqembed").__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+        return child.stdout
+
+    @pytest.mark.parametrize("names, argv, want", [
+        # a second thread doubles training's CPU time and saves no wall time
+        ("train", ["train", "--manifest", "manifest.jsonl", "--out", "out.json", "--seed", "1",
+                   "--hidden", "4", "--epochs", "2"], "0 [1] 2"),
+        ("train", ["train", "--manifest", "manifest.jsonl", "--out", "out.json", "--seed", "1",
+                   "--hidden", "4", "--epochs", "3", "--lr", "1e300", "--no-clip"], "4 [1] 2"),
+        # a large archive's cosine gemm gains from two
+        ("build_archive", ["encode", "--manifest", "manifest.jsonl", "--checkpoint", "model.json",
+                           "--out", "archive.csv"], "0 [2] 2"),
+        ("build_archive,rank", ["search", "--manifest", "manifest.jsonl", "--checkpoint",
+                                "model.json", "--query-id", "w000_t02"], "0 [2, 2] 2"),
+        ("rank_dtw", ["search", "--method", "dtw", "--manifest", "manifest.jsonl",
+                      "--query-id", "w000_t02"], "0 [2] 2"),
+    ], ids=["train", "train-diverging", "encode", "search", "search-dtw"])
+    def test_count_in_and_after_the_command(self, tmp_path, names, argv, want):
+        # started at two threads, ``names`` of ``cli`` record the count when
+        # called; the last line is the exit code, those counts and the count
+        # after the command
+        out = self.fresh(["-c", FRESH_CLI, str(tmp_path), names, *argv], "2")
+        assert out.splitlines()[-1] == want
+
+    def test_train_writes_the_same_bytes_at_any_count(self, tmp_path):
+        # at D=39, H=100 and T >= 60 the decoder's feedback product
+        # ``dA[1:] @ W_y`` rounds differently when OpenBLAS splits it across
+        # two threads, so an unheld run's checkpoint depends on the count
+        dataset = generate_synthetic(10, 20, 2, (3, 6), 39, (2, 15), 0.1, seed=11)
+        assert max(len(rec.features) for rec in dataset.subset("train")) >= 60
+        manifest = write_manifest(dataset, tmp_path / "manifest.jsonl")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            self.fresh(["-m", "seqembed.cli", "train", "--manifest", str(manifest), "--out", str(out),
+                        "--seed", "17", "--epochs", "1"], threads)
+            outputs.append([out.read_bytes(), Path(f"{out}.loss.csv").read_bytes()])
+        assert outputs[0] == outputs[1]

@@ -42,19 +42,31 @@ _SHARE_CELLS = 1 << 19
 
 def naive_encode(x: np.ndarray, m: int) -> np.ndarray:
     """Average m floor-partitioned segments and concatenate: a (D*m,) vector."""
-    x = validate_frames(x)
+    return naive_encode_batch([x], m)[0]
+
+
+def naive_encode_batch(xs: Sequence[np.ndarray], m: int) -> np.ndarray:
+    """``naive_encode`` of each sequence, one (D*m,) row each.  The sequences
+    of each length are stacked (n, T, D), and a segment of all of them is one
+    ``mean(axis=1)``, which adds its frames in order, as ``x[lo:hi].mean(axis=0)``
+    does for one sequence."""
+    xs = [validate_frames(x) for x in xs]
     if m < 1:
         raise ValueError(f"segment count must be >= 1, got {m}")
-    t, d = x.shape
-    parts = []
-    for i in range(m):
-        lo = (i * t) // m
-        hi = ((i + 1) * t) // m
-        if hi > lo:
-            parts.append(x[lo:hi].mean(axis=0))
-        else:
-            parts.append(np.zeros(d))
-    return np.concatenate(parts)
+    widths = sorted({x.shape[1] for x in xs})
+    if len(widths) > 1:
+        raise DimensionError(f"feature widths differ: {widths}")
+    out = np.zeros((len(xs), m, widths[0] if widths else 0))
+    members: dict[int, list[int]] = {}
+    for k, x in enumerate(xs):
+        members.setdefault(len(x), []).append(k)
+    for t, ks in members.items():
+        stacked = np.stack([xs[k] for k in ks])
+        for i in range(m):
+            lo, hi = (i * t) // m, ((i + 1) * t) // m
+            if hi > lo:
+                out[ks, i] = stacked[:, lo:hi].mean(axis=1)
+    return out.reshape(len(xs), -1)
 
 
 def _added(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .autoencoder import (
     TrainConfig,
     encode_batch,
@@ -28,7 +26,7 @@ from .autoencoder import (
     train,
     write_loss_log,
 )
-from .baselines import dtw_started, naive_encode
+from .baselines import dtw_started, naive_encode_batch
 from .blas import one_thread
 from .data import (
     check_output_dirs,
@@ -175,7 +173,7 @@ def _segment_encoder(checkpoint=None, m=None):
     of the naive encoder with ``m`` segments, or else of the model loaded
     from ``checkpoint``."""
     if m is not None:
-        return lambda batch: np.array([naive_encode(features, m) for features in batch])
+        return lambda batch: naive_encode_batch(batch, m)
     params = load_checkpoint(checkpoint)
     return lambda batch: encode_batch(params, batch)
 

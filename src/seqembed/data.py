@@ -207,27 +207,32 @@ def read_input(path: Path, what: str, unit: str | None = None, first: int = 1,
 
 
 def _read_csv_features(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
-    for lineno, line in enumerate(read_input(path, "feature file", "row", 0)):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise DataError(f"{path}: row {lineno}: non-numeric value") from exc
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise DimensionError(
-                f"{path}: row {lineno} has width {len(vals)}, expected {width}"
-            )
-        rows.append(vals)
+    """The frames of a CSV feature file, each field read by numpy's text
+    parser (``float()``'s grammar without ``_`` separators or non-ASCII
+    digits).  Blank lines are skipped; the first bad row is named."""
+    rows = [(n, line.strip()) for n, line in enumerate(read_input(path, "feature file", "row", 0))]
+    rows = [(n, line) for n, line in rows if line]
     if not rows:
         raise DataError(f"{path}: empty feature file")
-    return validate_frames(np.array(rows, dtype=np.float64), str(path))
+    try:
+        frames = _parsed([line for _, line in rows])
+    except ValueError:
+        width = None  # the first row that is non-numeric, or else not the first row's width
+        for lineno, line in rows:
+            try:
+                count = _parsed([line]).shape[1]
+            except ValueError as exc:
+                raise DataError(f"{path}: row {lineno}: non-numeric value") from exc
+            if width is None:
+                width = count
+            elif count != width:
+                raise DimensionError(f"{path}: row {lineno} has width {count}, expected {width}")
+        raise
+    return validate_frames(frames, str(path))
+
+
+def _parsed(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
 def _read_binary_features(path: Path) -> np.ndarray:
@@ -312,10 +317,10 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             )
         if phonemes is not None and not all(map(_is_utf8, phonemes)):
             raise DataError(f"{where}: record '{rec_id}': a phoneme holds a lone surrogate")
-        feat_rel = Path(obj["features"])
-        if feat_rel.is_absolute() or ".." in feat_rel.parts:
+        feat_rel = obj["features"]
+        if feat_rel.startswith("/") or ".." in feat_rel.split("/"):  # as POSIX Path.parts reads it
             raise DataError(
-                f"{where}: record '{rec_id}': features path {obj['features']!r} must be "
+                f"{where}: record '{rec_id}': features path {feat_rel!r} must be "
                 "relative to the manifest directory, with no '..' part"
             )
         feat_path = base / feat_rel

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -17,18 +16,50 @@ import numpy as np
 
 from .data import Dataset, ManifestEntry, SegmentRecord, write_csv
 from .errors import DataError, DimensionError
-from .retrieval import EmbeddingArchive, RankedResult, cosine_matrix
+from .retrieval import EmbeddingArchive, RankedResult, cosine_matrix, string_order
+
+# Booleans in one block of MAP comparisons (queries x relevant records x
+# records): the 1 MB a single query of a 1000-record word against 1000
+# records takes, so a large word is compared a few queries at a time.
+_MAP_BLOCK_CELLS = 1 << 20
 
 
 def phoneme_edit_distance(p: Sequence[str], q: Sequence[str]) -> int:
     """Levenshtein distance with unit insert/delete/substitute costs."""
-    prev = list(range(len(q) + 1))
-    for i, a in enumerate(p, start=1):
-        cur = [i] + [0] * len(q)
-        for j, b in enumerate(q, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (a != b))
-        prev = cur
-    return prev[len(q)]
+    codes, lengths = _symbol_codes([p, q])
+    return int(_edit_distances(codes[:1], lengths[:1], codes[1:], lengths[1:])[0])
+
+
+def _symbol_codes(seqs: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, lengths): each sequence as a row of integer symbol codes,
+    padded with -1 to the longest."""
+    symbols: dict[str, int] = {}
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    codes = np.full((len(seqs), lengths.max(initial=0)), -1, dtype=np.intp)
+    for row, seq in zip(codes, seqs):
+        row[:len(seq)] = [symbols.setdefault(symbol, len(symbols)) for symbol in seq]
+    return codes, lengths
+
+
+def _edit_distances(a: np.ndarray, la: np.ndarray, b: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """The Levenshtein distance of each pair (a[k, :la[k]], b[k, :lb[k]]) of
+    code rows, by one DP over all pairs: row i holds every pair's distances
+    from a's first i symbols to each prefix of b, and a pair's distance is
+    read from row la[k] at column lb[k]."""
+    steps = np.arange(b.shape[1] + 1)
+    row = np.broadcast_to(steps, (len(a), len(steps)))
+    pairs = np.arange(len(a))
+    out = row[pairs, lb]
+    for i in range(a.shape[1]):
+        # deletion or substitution, then the cheapest run of insertions:
+        # row[j] = min over k <= j of (cell[k] + j - k)
+        cell = np.empty_like(row)
+        cell[:, 0] = i + 1
+        np.minimum(row[:, 1:] + 1, row[:, :-1] + (a[:, i, None] != b), out=cell[:, 1:])
+        row = np.minimum.accumulate(cell - steps, axis=1) + steps
+        done = la == i + 1
+        out[done] = row[pairs[done], lb[done]]
+    return out
 
 
 @dataclass
@@ -64,9 +95,10 @@ def similarity_table(
     # one edit distance per unordered pair of distinct phoneme sequences
     code: dict[tuple[str, ...], int] = {}
     kinds = np.array([code.setdefault(seq, len(code)) for seq in seqs], dtype=np.intp)
+    codes, lengths = _symbol_codes(list(code))
+    u, v = np.triu_indices(len(code), 1)
     dist = np.zeros((len(code), len(code)), dtype=np.intp)
-    for (p, u), (q, v) in combinations(code.items(), 2):
-        dist[u, v] = dist[v, u] = phoneme_edit_distance(p, q)
+    dist[u, v] = dist[v, u] = _edit_distances(codes[u], lengths[u], codes[v], lengths[v])
     # bincount adds each bucket's cosines in row-major pair order, from 0.0
     i, j = np.triu_indices(len(seqs), 1)
     bucket = np.minimum(dist[kinds[i], kinds[j]], max_bucket)
@@ -128,34 +160,45 @@ def mean_average_precision(
     ids = [rec.id for rec in records]
     if len(set(ids)) != len(ids):
         raise DataError("MAP requires distinct record ids")
-    # id_order[i]: where ids[i] falls in string order, the tie break among equal scores
-    id_order = np.empty(len(ids), dtype=np.intp)
-    id_order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    scores = np.asarray(scores)
+    id_order = string_order(ids)  # the tie break among equal scores
     members: dict[str, list[int]] = defaultdict(list)
     for i, rec in enumerate(records):
         members[rec.word.casefold()].append(i)
-    rows: list[QueryResult] = []
-    aps: list[float] = []
-    excluded = 0
-    for q, (rec, row) in enumerate(zip(records, np.asarray(scores))):
-        relevant = np.array([i for i in members[rec.word.casefold()] if i != q], dtype=np.intp)
-        if not len(relevant):
-            excluded += 1
-            rows.append(QueryResult(rec.id, rec.word, 0, None))
-            continue
-        # a relevant id's rank under (-score, id), the query left out: 1 + the
-        # ids scored higher + the ids tied in score whose string sorts lower
-        score = row[relevant, None]
-        before = (row > score) | ((row == score) & (id_order < id_order[relevant, None]))
-        before[:, q] = False
-        total = 0.0
-        for hits, ahead in enumerate(sorted(before.sum(axis=1).tolist()), start=1):
-            total += hits / (ahead + 1)
-        ap = total / len(relevant)
-        rows.append(QueryResult(rec.id, rec.word, len(relevant), ap))
-        aps.append(ap)
-    mean = sum(aps) / len(aps) if aps else None
-    return MapReport(mean_ap=mean, rows=rows, num_excluded=excluded)
+    aps: list[float | None] = [None] * len(records)
+    for group in members.values():
+        if len(group) > 1:
+            _group_aps(scores, id_order, np.array(group), aps)
+    rows = [QueryResult(rec.id, rec.word,
+                        0 if ap is None else len(members[rec.word.casefold()]) - 1, ap)
+            for rec, ap in zip(records, aps)]
+    scored = [ap for ap in aps if ap is not None]
+    mean = sum(scored) / len(scored) if scored else None
+    return MapReport(mean_ap=mean, rows=rows, num_excluded=len(aps) - len(scored))
+
+
+def _group_aps(scores: np.ndarray, id_order: np.ndarray, group: np.ndarray, aps: list) -> None:
+    """Set ``aps[q]`` for each query q of one word's records ``group``, a
+    block of queries at a time.  A relevant record's rank under (-score, id),
+    the query left out, is 1 + the records scored higher + the records tied
+    in score whose id sorts lower."""
+    k, n = len(group), scores.shape[1]
+    block = max(1, _MAP_BLOCK_CELLS // (k * n))
+    for lo in range(0, k, block):
+        queries = group[lo:lo + block]
+        rows = scores[queries]  # (b, n)
+        score = rows[:, group, None]  # (b, k, 1): each query's score of each relevant record
+        ahead = rows[:, None, :] == score
+        ahead &= id_order < id_order[group, None]
+        ahead |= rows[:, None, :] > score
+        ahead[np.arange(len(queries)), :, queries] = False
+        counts = ahead.sum(axis=2).tolist()
+        for a, q in enumerate(queries.tolist()):
+            del counts[a][lo + a]  # the query is not relevant to itself
+            total = 0.0
+            for hits, before in enumerate(sorted(counts[a]), start=1):
+                total += hits / (before + 1)
+            aps[q] = total / (k - 1)
 
 
 def word_mean_embeddings(archive: EmbeddingArchive) -> dict[str, np.ndarray]:

@@ -45,7 +45,8 @@ def _unit_length(x: np.ndarray) -> np.ndarray:
 @dataclass
 class EmbeddingArchive:
     """Off-line encoded segments: (id, word, vector) entries of one width,
-    with their ``ids`` and ``unit``-length rows (a zero row stays zero)."""
+    with their ``ids``, the ids' ``string_order`` and ``unit``-length rows
+    (a zero row stays zero)."""
 
     entries: list[tuple[str, str, np.ndarray]]
     dim: int
@@ -63,6 +64,7 @@ class EmbeddingArchive:
                 raise DataError(f"archive entry '{seg_id}' contains non-finite values")
             self._by_id[seg_id] = vec
         self.ids = list(self._by_id)
+        self.id_order = string_order(self.ids)
         mat = np.array([vec for _id, _word, vec in self.entries]).reshape(len(self), self.dim)
         self.unit = _unit_length(mat)
 
@@ -104,22 +106,32 @@ def build_archive(
     return EmbeddingArchive(entries=entries, dim=vectors.shape[1])
 
 
+def string_order(ids: Sequence[str]) -> np.ndarray:
+    """Where each of ``ids`` falls in Python's string order.  Python's sort,
+    not a numpy string array, which would drop an id's trailing NULs."""
+    order = np.empty(len(ids), dtype=np.intp)
+    order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return order
+
+
 def order_by_score(
     ids: Sequence[str],
     scores: np.ndarray,
     exclude_id: str | None = None,
     top_k: int | None = None,
+    id_order: np.ndarray | None = None,
 ) -> RankedResult:
     """``(ids[i], scores[i])`` pairs by (-score, id), without ``exclude_id``;
-    a -0.0 score is reported as 0.0."""
+    a -0.0 score is reported as 0.0.  ``id_order`` is ``string_order(ids)``,
+    computed here when not given."""
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    values = (np.asarray(scores) + 0.0).tolist()
-    order = sorted(
-        (i for i, seg_id in enumerate(ids) if seg_id != exclude_id),
-        key=lambda i: (-values[i], ids[i]),
-    )
-    return [(ids[i], values[i]) for i in order[:top_k]]
+    values = np.asarray(scores) + 0.0
+    order = np.lexsort((string_order(ids) if id_order is None else id_order, -values))
+    if exclude_id is not None:
+        order = order[np.fromiter(map(exclude_id.__ne__, ids), bool, len(ids))[order]]
+    order = order[:top_k]
+    return list(zip([ids[i] for i in order.tolist()], values[order].tolist()))
 
 
 def rank(
@@ -132,7 +144,8 @@ def rank(
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (archive.dim,):
         raise DimensionError(f"query width {q.shape} does not match archive dim {archive.dim}")
-    return order_by_score(archive.ids, archive.unit @ _unit_length(q), exclude_id, top_k)
+    return order_by_score(archive.ids, archive.unit @ _unit_length(q), exclude_id, top_k,
+                          id_order=archive.id_order)
 
 
 def cosine_matrix(archive: EmbeddingArchive) -> np.ndarray:

@@ -1,15 +1,20 @@
-"""Reference scoring: per-entry cosine, per-query rankers, ranker-based MAP
-and the pair-by-pair similarity table.
+"""Reference scoring: per-entry cosine, per-query rankers, ranker-based MAP,
+per-query score-matrix MAP, a recursive edit distance and the pair-by-pair
+similarity table.
 
 This is the scoring code that the score-matrix path in ``seqembed.retrieval``
 and ``seqembed.evaluation`` replaced, kept as the oracle the equivalence
 tests compare against.  Every score is computed pair by pair, every query
 sorts its own (id, score) list by (-score, id), relevance is found by
 scanning all records per query, and the similarity table adds each pair's
-cosine to its bucket in a Python loop.
+cosine to its bucket in a Python loop.  ``order_by_score`` and
+``map_from_scores`` are the Python sort and the per-query loop that the
+lexsort ranking and the per-word MAP blocks replaced.
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,9 +27,85 @@ from seqembed.evaluation import (
     QueryResult,
     SimilarityBucket,
     average_precision,
-    phoneme_edit_distance,
 )
 from seqembed.retrieval import EmbeddingArchive, RankedResult, cosine_matrix
+
+
+def levenshtein(p, q) -> int:
+    """Naive recursive memoized edit distance with unit costs."""
+    p, q = tuple(p), tuple(q)
+
+    @lru_cache(maxsize=None)
+    def dist(i, j):
+        if i == 0:
+            return j
+        if j == 0:
+            return i
+        return min(
+            dist(i - 1, j) + 1,
+            dist(i, j - 1) + 1,
+            dist(i - 1, j - 1) + (p[i - 1] != q[j - 1]),
+        )
+
+    return dist(len(p), len(q))
+
+
+def order_by_score(
+    ids: Sequence[str],
+    scores: np.ndarray,
+    exclude_id: str | None = None,
+    top_k: int | None = None,
+    id_order: np.ndarray | None = None,
+) -> RankedResult:
+    """``(ids[i], scores[i])`` pairs by a Python sort on (-score, id), without
+    ``exclude_id``; a -0.0 score is reported as 0.0.  ``id_order`` is not
+    read: the sort compares the ids themselves."""
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    values = (np.asarray(scores) + 0.0).tolist()
+    order = sorted(
+        (i for i, seg_id in enumerate(ids) if seg_id != exclude_id),
+        key=lambda i: (-values[i], ids[i]),
+    )
+    return [(ids[i], values[i]) for i in order[:top_k]]
+
+
+def map_from_scores(scores: np.ndarray, records: Sequence[SegmentRecord]) -> MapReport:
+    """Score-matrix MAP one query at a time: each relevant record's rank is
+    counted from one comparison of the query's row."""
+    records = list(records)
+    if not records:
+        raise DataError("MAP requires a non-empty record set")
+    if np.shape(scores) != (len(records), len(records)):
+        raise DimensionError(f"scores of shape {np.shape(scores)} for {len(records)} records")
+    ids = [rec.id for rec in records]
+    if len(set(ids)) != len(ids):
+        raise DataError("MAP requires distinct record ids")
+    id_order = np.empty(len(ids), dtype=np.intp)
+    id_order[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    members: dict[str, list[int]] = defaultdict(list)
+    for i, rec in enumerate(records):
+        members[rec.word.casefold()].append(i)
+    rows: list[QueryResult] = []
+    aps: list[float] = []
+    excluded = 0
+    for q, (rec, row) in enumerate(zip(records, np.asarray(scores))):
+        relevant = np.array([i for i in members[rec.word.casefold()] if i != q], dtype=np.intp)
+        if not len(relevant):
+            excluded += 1
+            rows.append(QueryResult(rec.id, rec.word, 0, None))
+            continue
+        score = row[relevant, None]
+        before = (row > score) | ((row == score) & (id_order < id_order[relevant, None]))
+        before[:, q] = False
+        total = 0.0
+        for hits, ahead in enumerate(sorted(before.sum(axis=1).tolist()), start=1):
+            total += hits / (ahead + 1)
+        ap = total / len(relevant)
+        rows.append(QueryResult(rec.id, rec.word, len(relevant), ap))
+        aps.append(ap)
+    mean = sum(aps) / len(aps) if aps else None
+    return MapReport(mean_ap=mean, rows=rows, num_excluded=excluded)
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -142,7 +223,7 @@ def similarity_table(
     def cached_distance(pa, pb):
         key = (pa, pb) if pa <= pb else (pb, pa)
         if key not in dist_cache:
-            dist_cache[key] = phoneme_edit_distance(key[0], key[1])
+            dist_cache[key] = levenshtein(key[0], key[1])
         return dist_cache[key]
 
     n = len(seqs)

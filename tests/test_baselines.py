@@ -19,9 +19,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dtw_oracle
+import naive_oracle
 from conftest import GRID, dtw_records
 from seqembed import baselines, blas
-from seqembed.baselines import dtw_distance, dtw_distances, dtw_path, naive_encode
+from seqembed.baselines import (
+    dtw_distance,
+    dtw_distances,
+    dtw_path,
+    naive_encode,
+    naive_encode_batch,
+)
 from seqembed.errors import DimensionError
 
 
@@ -111,6 +118,29 @@ class TestNaiveEncode:
     def test_bad_m(self):
         with pytest.raises(ValueError):
             naive_encode(np.ones((3, 2)), 0)
+
+    @given(st.sampled_from([1, 2, 3, 5, 8]), st.lists(st.integers(1, 300), min_size=1, max_size=12),
+           st.integers(1, 50), st.integers(-8, 8), st.integers(0, 2**32 - 1))
+    @example(1, [40, 40, 19], 2, 0, 0)  # D = 1, segments of 9 frames or more
+    @example(3, [2, 5, 2], 50, 0, 1)  # T < m: segments with no frames
+    @example(8, [300, 299], 13, 8, 2)
+    @example(2, [17, 17, 17], 4, -8, 3)
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_per_record_loop_bit_for_bit(self, d, lengths, m, exponent, seed):
+        rng = np.random.default_rng(seed)
+        # repeated lengths, so most length runs stack several sequences
+        xs = [rng.standard_normal((t, d)) * 10.0**exponent for t in lengths + lengths[:3]]
+        want = naive_oracle.naive_encode_batch(xs, m)
+        assert naive_encode_batch(xs, m).tobytes() == want.tobytes()
+        assert naive_encode(xs[0], m).tobytes() == want[0].tobytes()
+
+    def test_batch_errors(self):
+        with pytest.raises(DimensionError, match="T >= 1"):
+            naive_encode_batch([np.ones((3, 2)), np.ones((0, 2))], 2)  # no frames
+        with pytest.raises(DimensionError, match="widths differ"):
+            naive_encode_batch([np.ones((3, 2)), np.ones((3, 3))], 2)
+        with pytest.raises(ValueError, match=">= 1"):
+            naive_encode_batch([np.ones((3, 2))], 0)
 
 
 class TestDtw:

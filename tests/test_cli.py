@@ -13,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqembed import blas
+import data_oracle
+import naive_oracle
+import retrieval_oracle
+from seqembed import blas, cli, data, retrieval
 from seqembed.autoencoder import (
     TrainConfig,
     encode_batch,
@@ -719,6 +722,61 @@ class TestEvaluate:
         assert sorted(outputs[0]) == ["archive.csv", "comparison.csv", "per_query_dtw.csv",
                                       "per_query_ne4.csv", "per_query_sa.csv"]
         assert outputs[0] == outputs[1]
+
+
+class TestKernelsKeepTheBytes:
+    """The whole-array kernels against the per-item loops they replaced, end
+    to end: every output file and every stdout line is the same."""
+
+    ORACLES = [(data, "_read_csv_features", data_oracle.read_csv_features),
+               (cli, "naive_encode_batch", naive_oracle.naive_encode_batch),
+               (cli, "mean_average_precision", retrieval_oracle.map_from_scores),
+               (cli, "similarity_table", retrieval_oracle.similarity_table),
+               (retrieval, "order_by_score", retrieval_oracle.order_by_score)]
+
+    def outputs(self, root, capsys):
+        manifest = root / "corpus" / "manifest.jsonl"
+        out, ckpt = root / "out", str(root / "model.json")
+        shutil.rmtree(out, ignore_errors=True)
+        query = "w001_t04"  # a test record
+        commands = [
+            ["evaluate", "--manifest", str(manifest), "--method", f"sa={ckpt}", "--method", "ne4",
+             "--method", "dtw", "--report-dir", str(out / "reports"),
+             "--out", str(out / "comparison.csv")],
+            ["encode", "--manifest", str(manifest), "--encoder", "ne", "--m", "4",
+             "--out", str(out / "ne4.csv")],
+            ["encode", "--manifest", str(manifest), "--checkpoint", ckpt, "--out", str(out / "sa.csv")],
+            ["analyze", "edit-distance", "--archive", str(out / "sa.csv"), "--manifest", str(manifest),
+             "--out", str(out / "table.csv")],
+            ["analyze", "edit-distance", "--archive", str(out / "ne4.csv"), "--manifest", str(manifest),
+             "--max-bucket", "2"],
+            ["search", "--archive", str(out / "ne4.csv"), "--query-id", query, "--top", "30"],
+            ["search", "--checkpoint", ckpt, "--manifest", str(manifest), "--query-features",
+             str(manifest.parent / "features" / f"{query}.csv")],
+            ["search", "--method", "dtw", "--manifest", str(manifest), "--query-id", query],
+        ]
+        stdout = [run(capsys, *argv)[:2] for argv in commands]
+        files = {str(path.relative_to(out)): path.read_bytes()
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        return stdout, files
+
+    def test_outputs_equal_those_of_the_per_item_loops(self, tmp_path, monkeypatch, capsys):
+        assert main(["synth", "--out-dir", str(tmp_path / "corpus"), "--seed", "4",
+                     "--alphabet", "5", "--words", "8", "--tokens", "6", "--phonemes-min", "1",
+                     "--phonemes-max", "4", "--dim", "3", "--frames-min", "1",
+                     "--frames-max", "3"]) == 0
+        save_checkpoint(init_params(3, 4, seed=1), tmp_path / "model.json")
+        shipped = self.outputs(tmp_path, capsys)
+        called = set()
+        for module, name, oracle in self.ORACLES:
+            def traced(*args, name=name, oracle=oracle, **kwargs):
+                called.add(name)
+                return oracle(*args, **kwargs)
+            monkeypatch.setattr(module, name, traced)
+        assert self.outputs(tmp_path, capsys) == shipped
+        assert called == {name for _, name, _ in self.ORACLES}
+        assert [code for code, _ in shipped[0]] == [0] * 8
+        assert len(shipped[1]) == 7
 
 
 class TestAnalyze:

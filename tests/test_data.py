@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import data_oracle
+from seqembed.cli import main
 from seqembed.data import (
     Dataset,
     SegmentRecord,
@@ -162,6 +164,24 @@ class TestParseManifest:
         with pytest.raises(DataError, match=r"line 2: record 'b': features path .* no '\.\.' part"):
             parse_manifest(manifest)
 
+    @pytest.mark.parametrize("features, refused", [
+        ("..", True), ("feat/..", True), ("feat/../b.csv", True), ("/feat/b.csv", True),
+        ("//feat/b.csv", True), ("...", False), ("..b", False), ("feat/..b.csv", False),
+        ("..\\feat", False), ("./feat//nope.csv", False)])
+    def test_dot_dot_is_a_whole_posix_part(self, two_record_dir, features, refused):
+        manifest = two_record_dir / "manifest.jsonl"
+        manifest.write_text(json.dumps(dict(GOOD_B, features=features)) + "\n")
+        with pytest.raises(DataError) as exc:
+            read_manifest(manifest)
+        missing = f"record 'b': feature file not found: {two_record_dir / Path(features)}"
+        assert str(exc.value).endswith("no '..' part" if refused else missing)
+
+    @pytest.mark.parametrize("features", ["./feat/b.csv", "feat//b.csv", "feat/./b.csv", "feat/b.csv/"])
+    def test_spellings_of_one_path_name_one_file(self, two_record_dir, features):
+        manifest = two_record_dir / "manifest.jsonl"
+        manifest.write_text(json.dumps(dict(GOOD_B, features=features)) + "\n")
+        assert read_manifest(manifest)[0].path == two_record_dir / "feat" / "b.csv"
+
 
 class TestReadManifest:
     def test_entries_without_reading_features(self, two_record_dir):
@@ -284,6 +304,93 @@ class TestRoundTrip:
         (tmp_path / "x.bin").write_bytes(blob[:-4])
         with pytest.raises(DataError, match="bytes"):
             load_feature_file(tmp_path / "x.bin")
+
+
+def read_outcome(read, path):
+    """The bits a reader returns, or the kind and text of the error it raises."""
+    try:
+        return "frames", read(path).tobytes()
+    except DataError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_as_float_reader(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    got = read_outcome(load_feature_file, path)
+    assert got == read_outcome(data_oracle.read_csv_features, path)
+    return got
+
+
+# a field's characters: digits, float grammar, whitespace, a comment mark and NUL
+FIELD_CHARS = "0123456789.eE+-infatyINFATY #\t\x00\u2003\u3000\x0c"
+
+
+class TestCsvReader:
+    """The numpy reader against the per-field ``float()`` one it replaced."""
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0663", "1_000.5"])
+    def test_float_only_grammar_is_non_numeric(self, tmp_path, capsys, field):
+        # float() reads digit separators and non-ASCII digits; numpy's parser does not
+        path = tmp_path / "x.csv"
+        path.write_text(f"1.0,2.0\n3.0,{field}\n", encoding="utf-8")
+        assert read_outcome(data_oracle.read_csv_features, path)[0] == "frames"
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 1: non-numeric value")):
+            load_feature_file(path)
+        write_line_manifest(tmp_path / "m.jsonl", [
+            {"id": "a", "word": "w", "split": "test", "features": "x.csv"}])
+        assert main(["encode", "--manifest", str(tmp_path / "m.jsonl"), "--encoder", "ne",
+                     "--m", "2", "--out", str(tmp_path / "a.csv")]) == 3
+        assert "row 1: non-numeric value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, kind", [
+        ("1,2\n\n   \n\t\n3,4\n", "frames"),  # blank and whitespace-only lines are skipped
+        ("1,2\r\n3,4\r\n", "frames"),
+        ("1,2\r3,4\r", "frames"),
+        (" 1 ,\u20032\u3000\n", "frames"),  # Unicode whitespace around a field
+        ("-0.0,1e-400\n", "frames"),  # a signed zero and an underflow to zero
+        ("1,2,\n", "DataError"),  # a trailing comma is an empty, non-numeric field
+        ("#1,2\n", "DataError"),  # "#" is a field, not a comment
+        ("1,2\n# note\n", "DataError"),
+        ("\n  \n\r\n", "DataError"),  # only blank lines: an empty feature file
+        ("", "DataError"),
+        ("1,2\n3\nx,4\n", "DimensionError"),  # a ragged row before a non-numeric one
+        ("1,2\nx,4\n3\n", "DataError"),  # a non-numeric row before a ragged one
+        ("1,2\n3,x,4\n", "DataError"),  # in one row, non-numeric before width
+        ("1,inf\n", "DataError"),
+        ("nan,1\n", "DataError"),
+        ("1e400,1\n", "DataError"),  # overflows to inf
+        ("\ufeff1,2\n", "DataError"),  # a byte-order mark
+        ("1\x00,2\n", "DataError"),
+    ])
+    def test_same_outcome_as_float_reader(self, tmp_path, text, kind):
+        assert same_as_float_reader(tmp_path / "x.csv", text)[0] == kind
+
+    @given(st.lists(st.lists(st.text(FIELD_CHARS, max_size=6), min_size=1, max_size=3),
+                    min_size=1, max_size=4),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_on_drawn_fields(self, rows, end):
+        with tempfile.TemporaryDirectory() as tmp:
+            same_as_float_reader(Path(tmp) / "x.csv", "".join(",".join(r) + end for r in rows))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                    | st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-"]),
+                                st.integers(0, 9), st.text("0123456789", min_size=16, max_size=24),
+                                st.integers(-330, 310)),
+                    min_size=3, max_size=3))
+    @example(["2.2250738585072011e-308", "4.9406564584124654e-324",
+              "1.7976931348623157e+308"])
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_strings_read_to_float_bits(self, fields):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            path.write_text(",".join(fields) + "\n", encoding="utf-8")
+            want = np.array([[float(f) for f in fields]])
+            if np.isfinite(want).all():
+                assert load_feature_file(path).tobytes() == want.tobytes()
+            else:
+                with pytest.raises(DataError, match="non-finite"):
+                    load_feature_file(path)
 
 
 class TestOutputFiles:

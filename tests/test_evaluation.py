@@ -1,16 +1,18 @@
 """Evaluation tests: edit distance, similarity tables, AP/MAP, difference
 vectors and the 2-D projection."""
 import math
-from functools import lru_cache
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import retrieval_oracle as oracle
 from conftest import GRID, ID_POOL, WORD_POOL, grid_archive, grid_records, make_records, tie_blocks
+from seqembed import evaluation
 from seqembed.data import SegmentRecord
 from seqembed.errors import DataError, DimensionError
 from seqembed.evaluation import (
@@ -24,25 +26,6 @@ from seqembed.evaluation import (
     word_mean_embeddings,
 )
 from seqembed.retrieval import EmbeddingArchive, build_archive, cosine_matrix, dtw_matrix
-
-
-def levenshtein_oracle(p, q):
-    """Naive recursive memoized reference."""
-    p, q = tuple(p), tuple(q)
-
-    @lru_cache(maxsize=None)
-    def dist(i, j):
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        return min(
-            dist(i - 1, j) + 1,
-            dist(i, j - 1) + 1,
-            dist(i - 1, j - 1) + (p[i - 1] != q[j - 1]),
-        )
-
-    return dist(len(p), len(q))
 
 
 phoneme_lists = st.lists(st.sampled_from(["AA", "AE", "K", "T", "IH", "N", "S"]), max_size=6)
@@ -68,7 +51,21 @@ class TestEditDistance:
         for _ in range(200):
             p = [symbols[int(k)] for k in rng.integers(0, len(symbols), size=rng.integers(0, 8))]
             q = [symbols[int(k)] for k in rng.integers(0, len(symbols), size=rng.integers(0, 8))]
-            assert phoneme_edit_distance(p, q) == levenshtein_oracle(p, q)
+            assert phoneme_edit_distance(p, q) == oracle.levenshtein(p, q)
+
+    @pytest.mark.parametrize("p, q", [([], []), ([], ["A"]), (["A"], []), (["A"], ["A"]),
+                                      (["A"], ["B"]), (["A"], ["B", "A"]), (["B", "A"], ["A"])])
+    def test_empty_and_length_one(self, p, q):
+        assert phoneme_edit_distance(p, q) == oracle.levenshtein(p, q)
+
+    @given(st.lists(st.lists(st.sampled_from("ABC"), max_size=5), min_size=1, max_size=10))
+    @example([[], ["A"], ["B"], ["A", "B"]])
+    @settings(max_examples=200, deadline=None)
+    def test_all_pairs_at_once_match_recursive_oracle(self, seqs):
+        codes, lengths = evaluation._symbol_codes(seqs)
+        u, v = np.triu_indices(len(seqs), 1)
+        got = evaluation._edit_distances(codes[u], lengths[u], codes[v], lengths[v])
+        assert got.tolist() == [oracle.levenshtein(seqs[i], seqs[j]) for i, j in zip(u, v)]
 
     @given(phoneme_lists, phoneme_lists)
     @settings(max_examples=60, deadline=None)
@@ -315,6 +312,46 @@ class TestMapFromRanks:
         report = mean_average_precision(np.zeros((3, 3)), records)
         # query "9" ranks "10", then "a": AP 1/2; query "a" ranks "10", then "9": AP 1/2
         assert [row.ap for row in report.rows] == [0.5, None, 0.5]
+
+    @given(scored_records(), st.sampled_from([1, 7, evaluation._MAP_BLOCK_CELLS]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_query_loop_exactly(self, case, cells):
+        records, scores = case
+        with mock.patch.object(evaluation, "_MAP_BLOCK_CELLS", cells):
+            assert mean_average_precision(scores, records) == oracle.map_from_scores(scores, records)
+
+    def test_singleton_case_folded_words_and_exact_ties(self):
+        # "solo" has one record and is excluded; "New"/"new"/"NEW" are one word;
+        # every score but two ties, so the ids order most of each ranking
+        records = make_records([np.ones((1, 1))] * 5, words=["New", "solo", "new", "few", "NEW"])
+        scores = np.zeros((5, 5))
+        scores[:, 3] = 1.0
+        scores[0, 4] = -0.0
+        report = mean_average_precision(scores, records)
+        assert report == oracle.map_from_scores(scores, records)
+        assert report.num_excluded == 2
+        assert [row.num_relevant for row in report.rows] == [2, 0, 2, 0, 2]
+        # query r0 ranks r3, then r1, r2, r4 (tied at zero, by id): AP (1/3 + 2/4) / 2
+        assert report.rows[0].ap == (1 / 3 + 2 / 4) / 2
+
+    def test_blocks_of_a_large_word_stay_within_their_budget(self):
+        # one word of 600 records and 600 words of one record: comparing the
+        # word's queries all at once would take 600 x 600 x 1200 booleans
+        n = 600
+        records = make_records([np.ones((1, 1))] * 2 * n,
+                               words=["big"] * n + [f"w{i}" for i in range(n)])
+        scores = np.random.default_rng(0).standard_normal((2 * n, 2 * n))
+        mean_average_precision(scores[:4, :4], records[:4])  # numpy's own first-use allocations
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = mean_average_precision(scores, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.num_excluded == n
+        assert peak - start <= 4 * evaluation._MAP_BLOCK_CELLS
 
     def test_duplicate_ids_rejected(self):
         records = make_records([np.ones((1, 1))] * 2, words=["w", "w"])

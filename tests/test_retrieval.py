@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dtw_oracle
@@ -27,6 +27,7 @@ from seqembed.retrieval import (
     rank,
     rank_dtw,
     save_archive,
+    string_order,
 )
 
 
@@ -119,6 +120,25 @@ class TestOrderByScore:
 
     def test_negative_zero_reported_as_zero(self):
         assert repr(order_by_score(["a"], np.array([-0.0]))[0][1]) == "0.0"
+
+    @given(st.lists(st.sampled_from(["a", "a\x00", "a\x00\x00", "b", "B", "10", "9", ""])
+                    | st.text(max_size=2), min_size=1, max_size=12, unique=True),
+           st.data())
+    @example(["a\x00\x00", "a", "a\x00"], None)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_sort(self, ids, data):
+        if data is None:  # every score tied and signed zeros: the ids alone order them
+            scores, exclude, top_k = np.array([0.0, -0.0, 0.0]), None, None
+        else:
+            scores = np.array(data.draw(st.lists(
+                st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf]) | st.floats(-2, 2),
+                min_size=len(ids), max_size=len(ids))))
+            exclude = data.draw(st.sampled_from([None, "zz", *ids]))
+            top_k = data.draw(st.one_of(st.none(), st.integers(1, len(ids) + 1)))
+        want = oracle.order_by_score(ids, scores, exclude_id=exclude, top_k=top_k)
+        # repr tells 0.0 from -0.0
+        assert repr(order_by_score(ids, scores, exclude, top_k)) == repr(want)
+        assert repr(order_by_score(ids, scores, exclude, top_k, string_order(ids))) == repr(want)
 
 
 def toy_archive():

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blas import one_thread
 from .data import SegmentRecord, read_input, replace_on_close, validate_frames, write_csv
 from .errors import CheckpointError, DataError, DimensionError, DivergenceError
 from .lstm import GATE_ORDER, Tape, backward, forward, weight_grads
@@ -246,6 +247,9 @@ def loss_and_gradients(
     ``x_in`` is the (possibly corrupted) sequence fed to the encoder; the
     loss target is always ``x``.  Backpropagation covers the decoder's
     output-feedback edges y_{t-1} -> y_t, the z handoff, and the encoder.
+    At D=39, H=100 and T >= 60 the gradient's last bits depend on OpenBLAS's
+    thread count; a caller that needs fixed bits holds ``blas.one_thread()``,
+    as ``train`` does.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:  # the decoder runs len(x) steps
@@ -292,6 +296,9 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
 
+# a second BLAS thread doubles training's CPU and saves no time, and at
+# D=39, H=100 it changes the last bits of the decoder's feedback product
+@one_thread()
 def train(
     params: ModelParams, records: Sequence[SegmentRecord], config: TrainConfig
 ) -> tuple[ModelParams, list[float]]:
@@ -301,7 +308,8 @@ def train(
     (inert at 0.0) while the loss target stays uncorrupted.  If
     ``clip_norm`` is set, the whole gradient is rescaled so its global L2
     norm is at most that value before the update.  Returns the (mutated)
-    params and the per-epoch mean loss log.
+    params and the per-epoch mean loss log.  OpenBLAS is held at one thread
+    for the call, so the result does not depend on its thread count.
     """
     records = list(records)
     if not records:

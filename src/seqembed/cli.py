@@ -147,10 +147,7 @@ def cmd_train(args, parser) -> int:
     records = dataset.records
     params = init_params(dataset.dim, args.hidden, args.seed)
     config = TrainConfig(seed=args.seed, epochs=args.epochs, **settings)
-    # a second BLAS thread doubles training's CPU and saves no time, and at
-    # D=39, H=100 it changes the last bits of the decoder's feedback product
-    with one_thread():
-        params, losses = train(params, records, config)
+    params, losses = train(params, records, config)
     write_loss_log(losses, loss_log)
     save_checkpoint(params, args.out, train_meta=settings)
     final = losses[-1] if losses else float("nan")
@@ -249,7 +246,7 @@ def cmd_search(args, parser) -> int:
             query_vec = archive.vector(args.query_id)
         else:
             query_vec = segment_encoder([_query_features(args.query_features, records)])[0]
-        words = {seg_id: word for seg_id, word, _vec in archive.entries}
+        words = dict(zip(archive.ids, archive.words))
         ranked = rank(query_vec, archive, exclude_id=args.query_id, top_k=args.top)
 
     rows = [(pos, seg_id, words[seg_id], score) for pos, (seg_id, score) in enumerate(ranked, 1)]

@@ -206,7 +206,7 @@ def word_mean_embeddings(archive: EmbeddingArchive) -> dict[str, np.ndarray]:
     archive order."""
     sums: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(archive.dim))
     counts: dict[str, int] = defaultdict(int)
-    for _seg_id, word, vec in archive.entries:
+    for word, vec in zip(archive.words, archive.vectors):
         sums[word.casefold()] += vec
         counts[word.casefold()] += 1
     return {w: total / counts[w] for w, total in sums.items()}

@@ -9,7 +9,6 @@ the archive never retrieves itself.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -42,39 +41,46 @@ def _unit_length(x: np.ndarray) -> np.ndarray:
     return x / np.where(norm == 0.0, 1.0, norm)
 
 
-@dataclass
 class EmbeddingArchive:
-    """Off-line encoded segments: (id, word, vector) entries of one width,
-    with their ``ids``, the ids' ``string_order`` and ``unit``-length rows
-    (a zero row stays zero)."""
+    """Off-line encoded segments in columns: ``ids``, their ``words`` and one
+    (N, d) ``vectors`` matrix with a row per id, plus the ids' ``string_order``
+    and the ``unit``-length rows (a zero row stays zero).  An error raised for
+    one row holds its index as ``row``."""
 
-    entries: list[tuple[str, str, np.ndarray]]
-    dim: int
-
-    def __post_init__(self):
-        self._by_id: dict[str, np.ndarray] = {}
-        for seg_id, _word, vec in self.entries:
-            if seg_id in self._by_id:
-                raise DataError(f"duplicate archive id '{seg_id}'")
-            if vec.shape != (self.dim,):
-                raise DimensionError(
-                    f"archive entry '{seg_id}' has shape {vec.shape}, expected ({self.dim},)"
-                )
-            if not np.isfinite(vec).all():
-                raise DataError(f"archive entry '{seg_id}' contains non-finite values")
-            self._by_id[seg_id] = vec
-        self.ids = list(self._by_id)
+    def __init__(self, ids: Sequence[str], words: Sequence[str], vectors):
+        self.ids, self.words = list(ids), list(words)
+        try:  # rows of different widths make no matrix either
+            self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+            if self.vectors.ndim != 2 or not len(self.vectors) == len(self.ids) == len(self.words):
+                raise ValueError
+        except ValueError:
+            raise DimensionError(f"an archive of {len(self.ids)} records takes one word and"
+                                 " one vector row each") from None
+        self.dim = self.vectors.shape[1]
+        self._row: dict[str, int] = {}
+        finite = np.isfinite(self.vectors).all(axis=1).tolist()
+        for row, seg_id in enumerate(self.ids):
+            if seg_id in self._row or not finite[row]:
+                error = DataError(f"duplicate archive id '{seg_id}'" if seg_id in self._row
+                                  else f"archive entry '{seg_id}' contains non-finite values")
+                error.row = row
+                raise error
+            self._row[seg_id] = row
         self.id_order = string_order(self.ids)
-        mat = np.array([vec for _id, _word, vec in self.entries]).reshape(len(self), self.dim)
-        self.unit = _unit_length(mat)
+        self.unit = _unit_length(self.vectors)
+
+    @property
+    def entries(self) -> list[tuple[str, str, np.ndarray]]:
+        """(id, word, vector row) per segment: a view made on each read."""
+        return list(zip(self.ids, self.words, self.vectors))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.vectors)
 
     def vector(self, seg_id: str) -> np.ndarray:
-        if seg_id not in self._by_id:
+        if seg_id not in self._row:
             raise DataError(f"unknown archive id '{seg_id}'")
-        return self._by_id[seg_id]
+        return self.vectors[self._row[seg_id]]
 
 
 def build_archive(
@@ -97,13 +103,7 @@ def build_archive(
             except Exception as own:
                 raise DataError(f"encoding failed for record '{rec.id}': {own}") from own
         raise DataError(f"encoding failed: {exc}") from exc
-    if vectors.ndim != 2 or len(vectors) != len(records):
-        raise DimensionError(
-            f"encoder returned shape {vectors.shape} for {len(records)} records,"
-            " expected one vector each"
-        )
-    entries = [(rec.id, rec.word, vec) for rec, vec in zip(records, vectors)]
-    return EmbeddingArchive(entries=entries, dim=vectors.shape[1])
+    return EmbeddingArchive([rec.id for rec in records], [rec.word for rec in records], vectors)
 
 
 def string_order(ids: Sequence[str]) -> np.ndarray:
@@ -182,7 +182,8 @@ def dtw_scores(distances: np.ndarray) -> np.ndarray:
 def save_archive(archive: EmbeddingArchive, path: str | Path) -> None:
     """CSV with header id,word,z0,...,z{d-1}; floats keep round-trip precision."""
     header = ["id", "word"] + [f"z{i}" for i in range(archive.dim)]
-    write_csv(path, [header] + [[seg_id, word, *vec] for seg_id, word, vec in archive.entries])
+    rows = zip(archive.ids, archive.words, archive.vectors.tolist())
+    write_csv(path, [header] + [[seg_id, word, *vec] for seg_id, word, vec in rows])
 
 
 def load_archive(path: str | Path) -> EmbeddingArchive:
@@ -195,7 +196,7 @@ def load_archive(path: str | Path) -> EmbeddingArchive:
     if len(header) < 3 or header[:2] != ["id", "word"]:
         raise DataError(f"{path}: unexpected archive header {header!r}")
     dim = len(header) - 2
-    entries = []
+    ids, words, rows, starts = [], [], [], []
     end = reader.line_num
     for row in reader:
         # a quoted field may hold line breaks: name the line the record starts on
@@ -205,10 +206,15 @@ def load_archive(path: str | Path) -> EmbeddingArchive:
         if len(row) != dim + 2:
             raise DimensionError(f"{path}: line {lineno} has {len(row)} fields, expected {dim + 2}")
         try:
-            vec = np.array([float(v) for v in row[2:]], dtype=np.float64)
+            rows.append(np.array([float(v) for v in row[2:]], dtype=np.float64))
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: non-numeric embedding value") from exc
-        entries.append((row[0], row[1], vec))
-    if not entries:
+        ids.append(row[0])
+        words.append(row[1])
+        starts.append(lineno)
+    if not rows:
         raise DataError(f"{path}: archive contains no entries")
-    return EmbeddingArchive(entries=entries, dim=dim)
+    try:
+        return EmbeddingArchive(ids, words, np.stack(rows))
+    except DataError as exc:  # a duplicate id or a non-finite value
+        raise DataError(f"{path}: line {starts[exc.row]}: {exc}") from None

@@ -84,10 +84,15 @@ def grid_records(draw, max_frames=1):
     return records
 
 
+def archive_from(entries):
+    """The archive of (id, word, vector) ``entries``, in their order."""
+    ids, words, vectors = zip(*entries)
+    return EmbeddingArchive(ids, words, vectors)
+
+
 def grid_archive(records):
     """One archive entry per record: its first frame."""
-    entries = [(rec.id, rec.word, rec.features[0]) for rec in records]
-    return EmbeddingArchive(entries=entries, dim=records[0].features.shape[1])
+    return archive_from([(rec.id, rec.word, rec.features[0]) for rec in records])
 
 
 def tie_blocks(ranked, tol=1e-12):

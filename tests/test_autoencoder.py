@@ -476,31 +476,35 @@ class TestTrain:
         # threaded dot product to split and clipping to read its last bit.
         # At H=100 a sequence of T >= 60 makes OpenBLAS split the
         # weight-gradient products across threads, which at D=8 keeps every
-        # bit (at D=39 it does not: test_cli's TestBlasThreads)
+        # bit; at D=39 the decoder's feedback product ``dA[1:] @ W_y`` does
+        # not, and only ``train``'s own hold keeps the bytes
         script = (
             "import sys\n"
             "from seqembed.autoencoder import TrainConfig, init_params, save_checkpoint, train\n"
             "from seqembed.data import generate_synthetic\n"
-            "hidden, frames, out = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]\n"
-            "ds = generate_synthetic(10, 20, 2, (3, 6), 8, (2, frames), 0.1, seed=11)\n"
+            "dim, hidden, frames, out = *map(int, sys.argv[1:4]), sys.argv[4]\n"
+            "ds = generate_synthetic(10, 20, 2, (3, 6), dim, (2, frames), 0.1, seed=11)\n"
             "records = ds.subset('train')\n"
             "if hidden > 32:  # the four longest, the first of T >= 60\n"
             "    records = sorted(records, key=lambda rec: -len(rec.features))[:4]\n"
             "    assert len(records[0].features) >= 60\n"
-            "params, _ = train(init_params(8, hidden, seed=5), records,\n"
+            "params, _ = train(init_params(dim, hidden, seed=5), records,\n"
             "                  TrainConfig(seed=17, lr=0.05, epochs=1, clip_norm=5.0))\n"
             "save_checkpoint(params, out)\n"
         )
         src = str(Path(seqembed.__file__).resolve().parents[1])
-        for hidden, frames in ((32, 4), (100, 15)):
+        for dim, hidden, frames in ((8, 32, 4), (8, 100, 15), (39, 100, 15)):
+            outputs = []
             for threads in ("1", "2"):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-                out = tmp_path / f"{hidden}_{threads}.json"
-                child = subprocess.run([sys.executable, "-c", script, str(hidden), str(frames), str(out)],
-                                       env=env, capture_output=True, text=True, timeout=120)
+                out = tmp_path / f"{dim}_{hidden}_{threads}.json"
+                child = subprocess.run(
+                    [sys.executable, "-c", script, str(dim), str(hidden), str(frames), str(out)],
+                    env=env, capture_output=True, text=True, timeout=120)
                 assert child.returncode == 0, child.stderr
-            assert (tmp_path / f"{hidden}_1.json").read_bytes() == (tmp_path / f"{hidden}_2.json").read_bytes()
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], (dim, hidden)
 
 
 CHECKPOINT_KEYS = [

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import retrieval_oracle as oracle
-from conftest import GRID, ID_POOL, WORD_POOL, grid_archive, grid_records, make_records, tie_blocks
+from conftest import (GRID, ID_POOL, WORD_POOL, archive_from, grid_archive, grid_records,
+                      make_records, tie_blocks)
 from seqembed import evaluation
 from seqembed.data import SegmentRecord
 from seqembed.errors import DataError, DimensionError
@@ -25,7 +26,7 @@ from seqembed.evaluation import (
     word_difference_vectors,
     word_mean_embeddings,
 )
-from seqembed.retrieval import EmbeddingArchive, build_archive, cosine_matrix, dtw_matrix
+from seqembed.retrieval import build_archive, cosine_matrix, dtw_matrix
 
 
 phoneme_lists = st.lists(st.sampled_from(["AA", "AE", "K", "T", "IH", "N", "S"]), max_size=6)
@@ -86,8 +87,8 @@ class TestEditDistance:
 
 
 def archive_with_phonemes(vectors, phoneme_lists_):
-    entries = [(f"r{i}", f"word{i}", np.asarray(v, dtype=float)) for i, v in enumerate(vectors)]
-    archive = EmbeddingArchive(entries=entries, dim=len(vectors[0]))
+    archive = archive_from([(f"r{i}", f"word{i}", np.asarray(v, dtype=float))
+                            for i, v in enumerate(vectors)])
     records = make_records(
         [np.ones((1, 2))] * len(vectors),
         phonemes=phoneme_lists_,
@@ -365,8 +366,7 @@ def archive_of(vec_by_word):
     for word, vecs in vec_by_word.items():
         for i, v in enumerate(vecs):
             entries.append((f"{word}{i}", word, np.asarray(v, dtype=float)))
-    dim = len(entries[0][2])
-    return EmbeddingArchive(entries=entries, dim=dim)
+    return archive_from(entries)
 
 
 class TestWordDifferenceVectors:

@@ -12,6 +12,7 @@ import pytest
 
 import seqembed
 import seqembed.data
+from conftest import archive_from
 from seqembed.autoencoder import init_params, save_checkpoint, write_loss_log
 from seqembed.cli import main
 from seqembed.data import Dataset, SegmentRecord, write_manifest
@@ -23,7 +24,7 @@ from seqembed.evaluation import (
     write_map_report,
     write_similarity_table,
 )
-from seqembed.retrieval import EmbeddingArchive, save_archive
+from seqembed.retrieval import save_archive
 
 # Vectors with one nonzero component, or 3-4-5 sides, have exact unit rows and
 # cosines, so the CLI tables below do not depend on the BLAS build.
@@ -50,7 +51,7 @@ def write_every_output(root: Path) -> dict[str, bytes]:
         for seg_id, word, phonemes, frames, _vec in RECORDS
     ])
     manifest = write_manifest(dataset, root / "m.jsonl")
-    archive = EmbeddingArchive([(r[0], r[1], np.array(r[4])) for r in RECORDS], dim=3)
+    archive = archive_from([(r[0], r[1], np.array(r[4])) for r in RECORDS])
     save_archive(archive, root / "archive.csv")
     write_loss_log([2.5, 1 / 3, np.float64(0.1), 4], root / "loss.csv")
     save_checkpoint(init_params(2, 3, seed=4), root / "model.json",

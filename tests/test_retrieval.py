@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import dtw_oracle
 import retrieval_oracle as oracle
-from conftest import GRID, dtw_records, grid_archive, grid_records, make_records, tie_blocks
+from conftest import (GRID, archive_from, dtw_records, grid_archive, grid_records, make_records,
+                      tie_blocks)
 from seqembed import baselines
 from seqembed.autoencoder import encode_batch, init_params
 from seqembed.baselines import dtw_distance
@@ -44,8 +45,7 @@ ARCHIVE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300]) 
 
 def archive_of(*vectors):
     """Archive with ids e0, e1, ... holding ``vectors``."""
-    entries = [(f"e{i}", "w", np.asarray(v, dtype=float)) for i, v in enumerate(vectors)]
-    return EmbeddingArchive(entries=entries, dim=len(entries[0][2]))
+    return archive_from([(f"e{i}", "w", np.asarray(v, dtype=float)) for i, v in enumerate(vectors)])
 
 
 class TestCosine:
@@ -142,14 +142,11 @@ class TestOrderByScore:
 
 
 def toy_archive():
-    return EmbeddingArchive(
-        entries=[
-            ("a", "wa", np.array([1.0, 0.0])),
-            ("b", "wb", np.array([0.0, 1.0])),
-            ("c", "wc", np.array([-1.0, 0.0])),
-        ],
-        dim=2,
-    )
+    return archive_from([
+        ("a", "wa", np.array([1.0, 0.0])),
+        ("b", "wb", np.array([0.0, 1.0])),
+        ("c", "wc", np.array([-1.0, 0.0])),
+    ])
 
 
 def row_map(encode_one):
@@ -207,12 +204,40 @@ class TestArchive:
     def test_duplicate_ids_rejected(self):
         entries = [("x", "w", np.zeros(2)), ("x", "w", np.zeros(2))]
         with pytest.raises(DataError, match="duplicate"):
-            EmbeddingArchive(entries=entries, dim=2)
+            archive_from(entries)
+
+    def test_columns(self):
+        vectors = np.arange(6.0).reshape(3, 2)
+        archive = EmbeddingArchive(("a", "b", "c"), ["wa", "wb", "wc"], vectors)
+        assert (len(archive), archive.dim) == (3, 2)
+        assert (archive.ids, archive.words) == (["a", "b", "c"], ["wa", "wb", "wc"])
+        npt.assert_array_equal(archive.vector("b"), [2.0, 3.0])
+        assert [(i, w, v.tolist()) for i, w, v in archive.entries] == [
+            ("a", "wa", [0.0, 1.0]), ("b", "wb", [2.0, 3.0]), ("c", "wc", [4.0, 5.0])]
+        with pytest.raises(DataError, match="unknown archive id 'd'"):
+            archive.vector("d")
+
+    @pytest.mark.parametrize("ids, bad_row, row, message", [
+        (["a", "b", "a"], 1, 1, "archive entry 'b' contains non-finite values"),
+        (["a", "b", "a"], 2, 2, "duplicate archive id 'a'"),  # in one row, the id first
+        (["a", "b", "b"], 0, 0, "archive entry 'a' contains non-finite values"),
+    ])
+    def test_first_faulty_row_is_reported(self, ids, bad_row, row, message):
+        vectors = np.zeros((3, 2))
+        vectors[bad_row, 1] = np.inf
+        with pytest.raises(DataError, match=f"^{message}$") as caught:
+            EmbeddingArchive(ids, ["w"] * 3, vectors)
+        assert caught.value.row == row
+
+    @pytest.mark.parametrize("vectors", [np.zeros((2, 2)), np.zeros(3), np.zeros((3, 2, 1))])
+    def test_one_row_per_id(self, vectors):
+        with pytest.raises(DimensionError, match="one vector row each"):
+            EmbeddingArchive(["a", "b", "c"], ["w"] * 3, vectors)
 
     def test_inconsistent_width_rejected(self):
         entries = [("x", "w", np.zeros(2)), ("y", "w", np.zeros(3))]
         with pytest.raises(DimensionError):
-            EmbeddingArchive(entries=entries, dim=2)
+            archive_from(entries)
 
 
 class TestRank:
@@ -230,21 +255,18 @@ class TestRank:
         assert ranked == [("a", 1.0)]
 
     def test_tie_break_ascending_id(self):
-        archive = EmbeddingArchive(
-            entries=[
-                ("zz", "w", np.array([1.0, 0.0])),
-                ("aa", "w", np.array([2.0, 0.0])),
-                ("mm", "w", np.array([0.0, 1.0])),
-            ],
-            dim=2,
-        )
+        archive = archive_from([
+            ("zz", "w", np.array([1.0, 0.0])),
+            ("aa", "w", np.array([2.0, 0.0])),
+            ("mm", "w", np.array([0.0, 1.0])),
+        ])
         ranked = rank(np.array([1.0, 0.0]), archive)
         assert [seg_id for seg_id, _ in ranked] == ["aa", "zz", "mm"]
 
     def test_scale_invariance_of_order(self):
         rng = np.random.default_rng(0)
         entries = [(f"s{i}", "w", rng.standard_normal(4)) for i in range(10)]
-        archive = EmbeddingArchive(entries=entries, dim=4)
+        archive = archive_from(entries)
         q = rng.standard_normal(4)
         base = [seg_id for seg_id, _ in rank(q, archive)]
         for lam in (0.001, 3.7, 250.0):
@@ -253,7 +275,7 @@ class TestRank:
     def test_pure_function(self):
         rng = np.random.default_rng(1)
         entries = [(f"s{i}", "w", rng.standard_normal(3)) for i in range(5)]
-        archive = EmbeddingArchive(entries=entries, dim=3)
+        archive = archive_from(entries)
         q = rng.standard_normal(3)
         assert rank(q, archive) == rank(q, archive)
 
@@ -262,7 +284,7 @@ class TestRank:
         for _ in range(10):
             n = int(rng.integers(2, 12))
             entries = [(f"s{i}", "w", rng.standard_normal(3)) for i in range(n)]
-            archive = EmbeddingArchive(entries=entries, dim=3)
+            archive = archive_from(entries)
             excluded = f"s{int(rng.integers(0, n))}"
             ranked = rank(rng.standard_normal(3), archive, exclude_id=excluded)
             assert excluded not in {seg_id for seg_id, _ in ranked}
@@ -407,7 +429,7 @@ class TestArchiveCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         entries = [(f"seg{i}", f"word{i % 2}", rng.standard_normal(4)) for i in range(6)]
-        archive = EmbeddingArchive(entries=entries, dim=4)
+        archive = archive_from(entries)
         path = tmp_path / "archive.csv"
         save_archive(archive, path)
         header = path.read_text().splitlines()[0]
@@ -421,7 +443,7 @@ class TestArchiveCsv:
     def test_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(6)
         entries = [(f"seg{i}", "w", rng.standard_normal(3)) for i in range(3)]
-        archive = EmbeddingArchive(entries=entries, dim=3)
+        archive = archive_from(entries)
         save_archive(archive, tmp_path / "a.csv")
         save_archive(archive, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -440,6 +462,19 @@ class TestArchiveCsv:
         with pytest.raises(DataError, match=rf": line {line}: non-numeric embedding value$"):
             load_archive(tmp_path / "b.csv")
 
+    def test_non_finite_value_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,word,z0\na,w,1.0\nb,w,inf\n")
+        with pytest.raises(DataError, match=(
+                rf"^{path}: line 3: archive entry 'b' contains non-finite values$")):
+            load_archive(path)
+
+    def test_duplicate_id_names_the_line_its_record_starts_on(self, tmp_path):
+        # r0 spans lines 2 and 3, so the repeat of its id is on line 4
+        self.write_two_line_record_archive(tmp_path, b"r1,", b"r0,")
+        with pytest.raises(DataError, match=r": line 4: duplicate archive id 'r0'$"):
+            load_archive(tmp_path / "b.csv")
+
     @pytest.mark.parametrize("old, new, line", [(b",2.0", b"", 2), (b",4.0", b"", 4)])
     def test_field_count_names_the_line_its_record_starts_on(self, tmp_path, old, new, line):
         self.write_two_line_record_archive(tmp_path, old, new)
@@ -449,14 +484,14 @@ class TestArchiveCsv:
     @staticmethod
     def write_two_line_record_archive(tmp_path, old, new):
         entries = [("r0", "new\nyork", np.array([1.0, 2.0])), ("r1", "w", np.array([3.0, 4.0]))]
-        save_archive(EmbeddingArchive(entries=entries, dim=2), tmp_path / "a.csv")
+        save_archive(archive_from(entries), tmp_path / "a.csv")
         text = (tmp_path / "a.csv").read_bytes()
         assert text.count(b"\n") == 4 and text.count(old) == 1
         (tmp_path / "b.csv").write_bytes(text.replace(old, new))
 
     @pytest.mark.parametrize("seg_id", ["a\rb", "tail\r", "\r", "a\r\nb"])
     def test_carriage_return_round_trips(self, tmp_path, seg_id):
-        archive = EmbeddingArchive(entries=[(seg_id, "w\r", np.array([1.5, -0.0]))], dim=2)
+        archive = archive_from([(seg_id, "w\r", np.array([1.5, -0.0]))])
         save_archive(archive, tmp_path / "a.csv")
         [(got_id, got_word, got_vec)] = load_archive(tmp_path / "a.csv").entries
         assert (got_id, got_word) == (seg_id, "w\r")
@@ -472,9 +507,7 @@ class TestArchiveCsv:
     def test_round_trip_is_exact(self, dim, entries, data):
         vectors = [np.array(data.draw(st.lists(ARCHIVE_FLOATS, min_size=dim, max_size=dim)))
                    for _ in entries]
-        archive = EmbeddingArchive(
-            entries=[(i, w, v) for (i, w), v in zip(entries, vectors)], dim=dim
-        )
+        archive = archive_from([(i, w, v) for (i, w), v in zip(entries, vectors)])
         with tempfile.TemporaryDirectory() as tmp:
             save_archive(archive, Path(tmp) / "a.csv")
             loaded = load_archive(Path(tmp) / "a.csv")

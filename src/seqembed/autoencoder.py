@@ -239,6 +239,7 @@ def corrupt_zero_mask(x: np.ndarray, p: float, rng: np.random.Generator) -> np.n
     return np.where(keep, x, 0.0)
 
 
+@one_thread()
 def loss_and_gradients(
     params: ModelParams, x: np.ndarray, x_in: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
@@ -247,9 +248,8 @@ def loss_and_gradients(
     ``x_in`` is the (possibly corrupted) sequence fed to the encoder; the
     loss target is always ``x``.  Backpropagation covers the decoder's
     output-feedback edges y_{t-1} -> y_t, the z handoff, and the encoder.
-    At D=39, H=100 and T >= 60 the gradient's last bits depend on OpenBLAS's
-    thread count; a caller that needs fixed bits holds ``blas.one_thread()``,
-    as ``train`` does.
+    OpenBLAS is held at one thread for the call: at D=39, H=100 and T >= 60
+    a second thread changes the last bits of the decoder's feedback product.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:  # the decoder runs len(x) steps
@@ -296,9 +296,6 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
 
-# a second BLAS thread doubles training's CPU and saves no time, and at
-# D=39, H=100 it changes the last bits of the decoder's feedback product
-@one_thread()
 def train(
     params: ModelParams, records: Sequence[SegmentRecord], config: TrainConfig
 ) -> tuple[ModelParams, list[float]]:
@@ -308,8 +305,7 @@ def train(
     (inert at 0.0) while the loss target stays uncorrupted.  If
     ``clip_norm`` is set, the whole gradient is rescaled so its global L2
     norm is at most that value before the update.  Returns the (mutated)
-    params and the per-epoch mean loss log.  OpenBLAS is held at one thread
-    for the call, so the result does not depend on its thread count.
+    params and the per-epoch mean loss log.
     """
     records = list(records)
     if not records:

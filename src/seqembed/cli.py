@@ -29,7 +29,6 @@ from .autoencoder import (
 from .baselines import dtw_started, naive_encode_batch
 from .blas import one_thread
 from .data import (
-    check_output_dirs,
     generate_synthetic,
     load_feature_file,
     output_dir,
@@ -93,31 +92,33 @@ PROBABILITY = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 ALPHABET_SIZE = _bounded(int, lambda v: v >= 2, "an integer >= 2")
 
 
-def _check_distinct(parser, outputs, inputs):
-    """A usage error when an output path names an input or another output.
-    ``outputs`` and ``inputs`` are (option, path) pairs, the path None when
-    not given; paths are compared after ``Path.resolve()``."""
+def _check_files(parser, outputs, inputs):
+    """Check a command's files before it reads any.  ``outputs`` and
+    ``inputs`` are (option, path) pairs, the path None when not given.  An
+    output that names an input or another output is a usage error (paths
+    compared after ``Path.resolve()``); an output whose directory is missing,
+    or that is a directory, is the DataError a later write would raise.
+    Returns the ``check`` of ``parse_manifest`` that makes an output that is
+    the feature file of a manifest entry a usage error.  Only an output that
+    exists can be a feature file, so a run whose outputs are all new looks
+    at no entry."""
+    outputs = [(option, path) for option, path in outputs if path is not None]
     named = {}
     for option, path in inputs:
         if path is not None:
             named.setdefault(Path(path).resolve(), option)
     for option, path in outputs:
-        if path is not None:
-            key = Path(path).resolve()
-            if key in named:
-                parser.error(f"{option} and {named[key]} name the same file {path}")
-            named[key] = option
-
-
-def _not_features(parser, outputs):
-    """The ``check`` of ``parse_manifest`` that makes an output path that is
-    the feature file of a manifest entry a usage error.  ``outputs`` are
-    (option, path) pairs as for ``_check_distinct``.  Only an output that
-    exists can be a feature file, so a run whose outputs are all new looks
-    at no entry."""
+        key = Path(path).resolve()
+        if key in named:
+            parser.error(f"{option} and {named[key]} name the same file {path}")
+        named[key] = option
     existing = {}
     for option, path in outputs:
-        if path is not None and Path(path).is_file():
+        if not Path(path).parent.is_dir():
+            raise DataError(f"cannot write {path}: {Path(path).parent} is not a directory")
+        if Path(path).is_dir():
+            raise DataError(f"cannot write {path}: Is a directory")
+        if Path(path).is_file():
             stat = os.stat(path)
             existing[stat.st_dev, stat.st_ino] = option, path
 
@@ -139,11 +140,9 @@ def cmd_train(args, parser) -> int:
     settings = {"denoise_p": denoise, "lr": args.lr, "clip_norm": clip}  # checkpoint records it too
 
     loss_log = args.loss_log if args.loss_log else f"{args.out}.loss.csv"
-    outputs = [("--out", args.out), ("--loss-log", loss_log)]
-    _check_distinct(parser, outputs, [("--manifest", args.manifest)])
-    check_output_dirs(args.out, loss_log)  # so a bad one does not cost the trained model
-
-    dataset = parse_manifest(args.manifest, "train", check=_not_features(parser, outputs))
+    check = _check_files(parser, [("--out", args.out), ("--loss-log", loss_log)],
+                         [("--manifest", args.manifest)])
+    dataset = parse_manifest(args.manifest, "train", check=check)
     records = dataset.records
     params = init_params(dataset.dim, args.hidden, args.seed)
     config = TrainConfig(seed=args.seed, epochs=args.epochs, **settings)
@@ -185,13 +184,11 @@ def cmd_encode(args, parser) -> int:
         _reject_ignored(parser, args, "--encoder model", "m")
     if not naive and not args.checkpoint:
         parser.error("model encoding requires --checkpoint")
-    outputs = [("--out", args.out)]
-    _check_distinct(parser, outputs,
-                    [("--manifest", args.manifest), ("--checkpoint", args.checkpoint)])
-    check_output_dirs(args.out)  # so a bad one does not cost the encoding
+    check = _check_files(parser, [("--out", args.out)],
+                         [("--manifest", args.manifest), ("--checkpoint", args.checkpoint)])
     start = time.perf_counter()
     segment_encoder = _segment_encoder(args.checkpoint, args.m)
-    records = parse_manifest(args.manifest, args.split, check=_not_features(parser, outputs)).records
+    records = parse_manifest(args.manifest, args.split, check=check).records
     read = time.perf_counter()
     archive = build_archive(segment_encoder, records)
     encoded = time.perf_counter()
@@ -289,20 +286,17 @@ def _parse_methods(tokens, parser):
 
 def cmd_evaluate(args, parser) -> int:
     methods = _parse_methods(args.method, parser)
-    reports = [("--report-dir", Path(args.report_dir, f"per_query_{label}.csv"))
-               for label, _ in methods]
+    report_dir = output_dir(args.report_dir)  # so its reports are checked like any output
+    reports = [("--report-dir", report_dir / f"per_query_{label}.csv") for label, _ in methods]
     checkpoints = [(f"--method {label}", source.get("checkpoint"))
                    for label, source in methods if source]
-    outputs = [("--out", args.out), *reports]
-    _check_distinct(parser, outputs, [("--manifest", args.manifest), *checkpoints])
+    check = _check_files(parser, [("--out", args.out), *reports],
+                         [("--manifest", args.manifest), *checkpoints])
     # every token is checked before any checkpoint is loaded
     methods = [(label, _segment_encoder(**source) if source else None) for label, source in methods]
     start = time.perf_counter()
-    records = parse_manifest(args.manifest, args.split, check=_not_features(parser, outputs)).records
+    records = parse_manifest(args.manifest, args.split, check=check).records
     print(f"evaluate: read {time.perf_counter() - start:.3f} s", file=sys.stderr)
-    report_dir = output_dir(args.report_dir)
-    if args.out:
-        check_output_dirs(args.out)  # so a bad one does not cost the scoring
 
     results = []
     with contextlib.ExitStack() as pending:
@@ -337,11 +331,11 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_analyze_edit_distance(args, parser) -> int:
-    _check_distinct(parser, [("--out", args.out)],
-                    [("--archive", args.archive), ("--manifest", args.manifest)])
+    check = _check_files(parser, [("--out", args.out)],
+                         [("--archive", args.archive), ("--manifest", args.manifest)])
     archive = load_archive(args.archive)
     entries = read_manifest(args.manifest)
-    _not_features(parser, [("--out", args.out)])(entries)
+    check(entries)
     rows = similarity_table(archive, entries, max_bucket=args.max_bucket)
     if args.out:
         write_similarity_table(rows, args.out)
@@ -372,7 +366,7 @@ def _parse_pairs(spec, parser):
 
 def cmd_analyze_diff_vectors(args, parser) -> int:
     pairs = _parse_pairs(args.pairs, parser)
-    _check_distinct(parser, [("--out", args.out)], [("--archive", args.archive)])
+    _check_files(parser, [("--out", args.out)], [("--archive", args.archive)])
     archive = load_archive(args.archive)
     diffs = word_difference_vectors(archive, pairs)
     projections = project_2d(diffs)

@@ -136,17 +136,6 @@ def output_dir(path: str | Path) -> Path:
     return path
 
 
-def check_output_dirs(*paths: str | Path) -> None:
-    """Raise the DataError a later write to any of ``paths`` would raise
-    because its directory does not exist or it is itself a directory,
-    before any work is done."""
-    for path in paths:
-        if not Path(path).parent.is_dir():
-            raise DataError(f"cannot write {path}: {Path(path).parent} is not a directory")
-        if Path(path).is_dir():
-            raise DataError(f"cannot write {path}: Is a directory")
-
-
 @contextmanager
 def replace_on_close(path: str | Path):
     """A text file whose bytes replace ``path`` on a clean exit; on an

@@ -45,12 +45,18 @@ class EmbeddingArchive:
     """Off-line encoded segments in columns: ``ids``, their ``words`` and one
     (N, d) ``vectors`` matrix with a row per id, plus the ids' ``string_order``
     and the ``unit``-length rows (a zero row stays zero).  An error raised for
-    one row holds its index as ``row``."""
+    one row holds its index as ``row``.
+
+    ``vectors`` and ``unit`` are read-only.  A read-only float64 matrix is
+    kept as given; a writable array of the caller's is copied, never shared
+    or made read-only."""
 
     def __init__(self, ids: Sequence[str], words: Sequence[str], vectors):
         self.ids, self.words = list(ids), list(words)
         try:  # rows of different widths make no matrix either
             self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+            if self.vectors.flags.writeable and np.may_share_memory(self.vectors, vectors):
+                self.vectors = self.vectors.copy()
             if self.vectors.ndim != 2 or not len(self.vectors) == len(self.ids) == len(self.words):
                 raise ValueError
         except ValueError:
@@ -68,6 +74,7 @@ class EmbeddingArchive:
             self._row[seg_id] = row
         self.id_order = string_order(self.ids)
         self.unit = _unit_length(self.vectors)
+        self.vectors.flags.writeable = self.unit.flags.writeable = False
 
     @property
     def entries(self) -> list[tuple[str, str, np.ndarray]]:
@@ -90,7 +97,9 @@ def build_archive(
     """Encode every record with the batch ``encoder``, which maps a list of
     T x D feature arrays to one vector row each; entry order follows record
     order.  If the batch fails, the error names the first record that fails
-    on its own."""
+    on its own.  The archive takes the encoder's matrix over, made
+    read-only, so the encoder returns a fresh one, as ``encode_batch`` and
+    ``naive_encode_batch`` do."""
     records = list(dataset)
     if not records:
         raise DataError("cannot build an archive from zero records")
@@ -103,6 +112,7 @@ def build_archive(
             except Exception as own:
                 raise DataError(f"encoding failed for record '{rec.id}': {own}") from own
         raise DataError(f"encoding failed: {exc}") from exc
+    vectors.flags.writeable = False  # so the archive keeps it with no copy
     return EmbeddingArchive([rec.id for rec in records], [rec.word for rec in records], vectors)
 
 
@@ -215,6 +225,8 @@ def load_archive(path: str | Path) -> EmbeddingArchive:
     if not rows:
         raise DataError(f"{path}: archive contains no entries")
     try:
-        return EmbeddingArchive(ids, words, np.stack(rows))
+        vectors = np.stack(rows)
+        vectors.flags.writeable = False  # so the archive keeps it with no copy
+        return EmbeddingArchive(ids, words, vectors)
     except DataError as exc:  # a duplicate id or a non-finite value
         raise DataError(f"{path}: line {starts[exc.row]}: {exc}") from None

@@ -201,6 +201,7 @@ def test_criterion_3_edit_distance_and_ap_oracles():
     report(3, "edit-distance and AP oracles", True, "500 pairs + fixtures")
 
 
+@pytest.mark.slow  # the 300-epoch fits
 def test_criterion_4_similarity_trend(corpus, trained_sa):
     params, losses, train_time = trained_sa
     start = time.time()
@@ -228,6 +229,7 @@ def test_criterion_4_similarity_trend(corpus, trained_sa):
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.slow  # the 300-epoch fits
 def test_criterion_5_retrieval_gains(corpus, corpus_dir, trained_sa, trained_dsa, tmp_path):
     sa_params = trained_sa[0]
     dsa_params = trained_dsa[0]

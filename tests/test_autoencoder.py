@@ -477,7 +477,7 @@ class TestTrain:
         # At H=100 a sequence of T >= 60 makes OpenBLAS split the
         # weight-gradient products across threads, which at D=8 keeps every
         # bit; at D=39 the decoder's feedback product ``dA[1:] @ W_y`` does
-        # not, and only ``train``'s own hold keeps the bytes
+        # not, and only the hold in ``loss_and_gradients`` keeps the bytes
         script = (
             "import sys\n"
             "from seqembed.autoencoder import TrainConfig, init_params, save_checkpoint, train\n"

@@ -230,7 +230,9 @@ class TestTrain:
 
 @pytest.mark.parametrize("case", ["train --out", "train --loss-log", "train --out dir",
                                   "encode --out", "encode --out dir", "evaluate --report-dir",
-                                  "evaluate --out", "evaluate --out dir", "synth --out-dir"])
+                                  "evaluate --out", "evaluate --out dir", "evaluate no inputs",
+                                  "edit-distance no inputs", "diff-vectors no inputs",
+                                  "synth --out-dir"])
 def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
     manifest, nodir, afile = str(corpus_dir / "manifest.jsonl"), tmp_path / "nodir", tmp_path / "f"
     afile.write_text("kept\n")
@@ -255,6 +257,19 @@ def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
         "evaluate --out dir": (tmp_path / "adir", ["evaluate", "--manifest", manifest,
                                                    "--method", "ne2", "--report-dir",
                                                    str(tmp_path), "--out", str(tmp_path / "adir")]),
+        # checked before any input is read, so their absence is never found
+        "evaluate no inputs": (nodir / "c.csv", ["evaluate", "--manifest", str(nodir / "m.jsonl"),
+                                                 "--method", f"sa={nodir / 'm.json'}",
+                                                 "--report-dir", str(tmp_path),
+                                                 "--out", str(nodir / "c.csv")]),
+        "edit-distance no inputs": (nodir / "t.csv", ["analyze", "edit-distance",
+                                                      "--archive", str(nodir / "a.csv"),
+                                                      "--manifest", str(nodir / "m.jsonl"),
+                                                      "--out", str(nodir / "t.csv")]),
+        "diff-vectors no inputs": (nodir / "t.csv", ["analyze", "diff-vectors",
+                                                     "--archive", str(nodir / "a.csv"),
+                                                     "--pairs", "w000:w001",
+                                                     "--out", str(nodir / "t.csv")]),
         "synth --out-dir": (afile / "x", ["synth", "--out-dir", str(afile / "x"), "--seed", "0"]),
     }[case]
     code, _, err = run(capsys, *argv)
@@ -273,7 +288,9 @@ def test_unwritable_output_exit_code(corpus_dir, tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", ["train --out", "train --loss-log", "encode --out",
                                   "encode --checkpoint", "evaluate --out", "evaluate --report-dir",
-                                  "evaluate --method", "edit-distance --out", "diff-vectors --out"])
+                                  "evaluate --method", "edit-distance --out", "diff-vectors --out",
+                                  "train --loss-log, bad --out dir",
+                                  "evaluate --method, bad --out dir"])
 def test_output_that_names_an_input_or_output_is_usage_error(corpus_dir, trained, tmp_path,
                                                              capsys, case):
     manifest, ckpt = str(corpus_dir / "manifest.jsonl"), str(trained)
@@ -301,6 +318,12 @@ def test_output_that_names_an_input_or_output_is_usage_error(corpus_dir, trained
                                  "--manifest", manifest, "--out", archive], "--out and --archive"),
         "diff-vectors --out": (["analyze", "diff-vectors", "--archive", archive,
                                 "--pairs", "w000:w001", "--out", archive], "--out and --archive"),
+        # every output is checked for a name clash before any for its directory
+        "train --loss-log, bad --out dir": ([*train, "--out", str(tmp_path / "nodir" / "m.json"),
+                                             "--loss-log", same], "--loss-log and --manifest"),
+        "evaluate --method, bad --out dir": ([*evaluate, "--method", f"sa={report_ckpt}",
+                                              "--out", str(tmp_path / "nodir" / "c.csv")],
+                                             "--report-dir and --method sa"),
     }[case]
     before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     with pytest.raises(SystemExit) as exc:
@@ -1160,11 +1183,11 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("names, argv, want", [
         # a second thread doubles training's CPU time and saves no wall time;
-        # ``train()`` holds the count, so it is read inside training
-        ("autoencoder.loss_and_gradients",
+        # ``loss_and_gradients`` holds the count, so it is read inside it
+        ("autoencoder.backward",
          ["train", "--manifest", "manifest.jsonl", "--out", "out.json", "--seed", "1",
           "--hidden", "4", "--epochs", "2"], "0 [1] 2"),
-        ("autoencoder.loss_and_gradients",
+        ("autoencoder.backward",
          ["train", "--manifest", "manifest.jsonl", "--out", "out.json", "--seed", "1",
           "--hidden", "4", "--epochs", "3", "--lr", "1e300", "--no-clip"], "4 [1] 2"),
         # a large archive's cosine gemm gains from two
@@ -1182,6 +1205,45 @@ class TestBlasThreads:
         # the count after the command
         out = self.fresh(["-c", FRESH_CLI, str(tmp_path), names, *argv], "2")
         assert out.splitlines()[-1] == want
+
+    def test_library_calls_give_the_same_bits_at_any_count(self, tmp_path):
+        # at D=39, H=100 and T >= 60 the decoder's feedback product rounds
+        # differently across two threads unless ``loss_and_gradients`` holds one
+        script = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "from seqembed.autoencoder import (TrainConfig, encode_batch, init_params,\n"
+            "                                  loss_and_gradients, save_checkpoint, train)\n"
+            "from seqembed.cli import main\n"
+            "from seqembed.data import generate_synthetic, write_manifest\n"
+            "root = sys.argv[1]\n"
+            "ds = generate_synthetic(10, 20, 2, (3, 6), 39, (2, 15), 0.1, seed=11)\n"
+            "longest = max(ds.subset('train'), key=lambda rec: len(rec.features))\n"
+            "assert len(longest.features) >= 60\n"
+            "params = init_params(39, 100, seed=5)\n"
+            "loss, grad = loss_and_gradients(params, longest.features)\n"
+            "vectors = encode_batch(params, [rec.features for rec in ds.subset('test')])\n"
+            "trained, losses = train(params, ds.subset('train'),\n"
+            "                        TrainConfig(seed=17, lr=0.05, epochs=1))\n"
+            "save_checkpoint(trained, root + '/model.json')\n"
+            "manifest = str(write_manifest(ds, root + '/manifest.jsonl'))\n"
+            "assert main(['evaluate', '--manifest', manifest, '--split', 'all', '--method',\n"
+            "             'sa=' + root + '/model.json', '--method', 'ne4', '--report-dir', root,\n"
+            "             '--out', root + '/c.csv']) == 0\n"
+            "files = [open(root + '/' + name, 'rb').read()\n"
+            "         for name in ('c.csv', 'per_query_sa.csv', 'per_query_ne4.csv')]\n"
+            "outputs = {'loss_and_gradients': np.float64(loss).tobytes() + grad.tobytes(),\n"
+            "           'encode_batch': vectors.tobytes(),\n"
+            "           'train': trained.flat.tobytes() + np.array(losses).tobytes(),\n"
+            "           'evaluate': b''.join(files)}\n"
+            "print(json.dumps({k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()}))\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            out = self.fresh(["-c", script, str(tmp_path / threads)], threads)
+            digests.append(json.loads(out.splitlines()[-1]))
+        assert digests[0] == digests[1]
 
     def test_train_writes_the_same_bytes_at_any_count(self, tmp_path):
         # at D=39, H=100 and T >= 60 the decoder's feedback product

@@ -217,6 +217,26 @@ class TestArchive:
         with pytest.raises(DataError, match="unknown archive id 'd'"):
             archive.vector("d")
 
+    def test_read_only_and_apart_from_the_callers_array(self):
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
+        archive = EmbeddingArchive(["x", "y"], ["a", "b"], vectors)
+        for view in (archive.vector("x"), archive.entries[0][2], archive.vectors, archive.unit):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 5.0
+        assert vectors.flags.writeable and not np.shares_memory(archive.vectors, vectors)
+        vectors[0] = [0.0, 5.0]
+        npt.assert_array_equal(archive.vector("x"), [1.0, 0.0])
+        assert rank([1.0, 0.0], archive) == [("x", 1.0), ("y", 0.0)]
+
+    def test_build_and_load_hand_their_matrix_over(self, tmp_path):
+        records = make_records([np.ones((2, 3)), np.ones((4, 3))])
+        made = []
+        archive = build_archive(lambda xs: made.append(np.ones((len(xs), 2))) or made[0], records)
+        assert archive.vectors is made[0] and not made[0].flags.writeable
+        save_archive(archive, tmp_path / "a.csv")
+        loaded = load_archive(tmp_path / "a.csv")
+        assert not loaded.vectors.flags.writeable
+
     @pytest.mark.parametrize("ids, bad_row, row, message", [
         (["a", "b", "a"], 1, 1, "archive entry 'b' contains non-finite values"),
         (["a", "b", "a"], 2, 2, "duplicate archive id 'a'"),  # in one row, the id first

@@ -420,9 +420,13 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if not isinstance(blob, dict):
         raise CheckpointError(f"{path}: 'params' must be an object")
 
+    keys = _layout(input_dim, hidden_dim)[1]
+    unknown = sorted(blob.keys() - {key for key, *_ in keys})
+    if unknown:
+        raise CheckpointError(f"{path}: checkpoint has unknown parameter '{unknown[0]}'")
     # every array is sized by the file's own lists, never by the header
     blocks = []
-    for key, _, _, shape in _layout(input_dim, hidden_dim)[1]:
+    for key, _, _, shape in keys:
         if key not in blob:
             raise CheckpointError(f"{path}: checkpoint is missing parameter '{key}'")
         value = blob[key]

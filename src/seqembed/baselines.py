@@ -40,6 +40,17 @@ _BLOCK_BYTES = 1 << 20
 _SHARE_CELLS = 1 << 19
 
 
+def _checked(*batches: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
+    """Each batch's sequences validated, the k-th named ``sequence k`` in the
+    first batch and ``other sequence k`` in a second, then held to one width."""
+    checked = [[validate_frames(x, f"{side}sequence {k}") for k, x in enumerate(batch)]
+               for side, batch in zip(("", "other "), batches)]
+    widths = sorted({x.shape[1] for batch in checked for x in batch})
+    if len(widths) > 1:
+        raise DimensionError(f"feature widths differ: {' vs '.join(map(str, widths))}")
+    return checked
+
+
 def naive_encode(x: np.ndarray, m: int) -> np.ndarray:
     """Average m floor-partitioned segments and concatenate: a (D*m,) vector."""
     return naive_encode_batch([x], m)[0]
@@ -50,13 +61,10 @@ def naive_encode_batch(xs: Sequence[np.ndarray], m: int) -> np.ndarray:
     of each length are stacked (n, T, D), and a segment of all of them is one
     ``mean(axis=1)``, which adds its frames in order, as ``x[lo:hi].mean(axis=0)``
     does for one sequence."""
-    xs = [validate_frames(x) for x in xs]
+    (xs,) = _checked(xs)
     if m < 1:
         raise ValueError(f"segment count must be >= 1, got {m}")
-    widths = sorted({x.shape[1] for x in xs})
-    if len(widths) > 1:
-        raise DimensionError(f"feature widths differ: {widths}")
-    out = np.zeros((len(xs), m, widths[0] if widths else 0))
+    out = np.zeros((len(xs), m, xs[0].shape[1] if xs else 0))
     members: dict[int, list[int]] = {}
     for k, x in enumerate(xs):
         members.setdefault(len(x), []).append(k)
@@ -291,11 +299,7 @@ def dtw_started(seqs: Sequence[np.ndarray], others: Sequence[np.ndarray] | None 
     held.  On exit every worker still running is killed and reaped.
     """
     mirror = others is None
-    seqs = [validate_frames(x, f"sequence {k}") for k, x in enumerate(seqs)]
-    others = seqs if mirror else [validate_frames(x, f"other sequence {k}") for k, x in enumerate(others)]
-    widths = sorted({x.shape[1] for x in seqs + others})
-    if len(widths) > 1:
-        raise DimensionError(f"feature widths differ: {' vs '.join(map(str, widths))}")
+    seqs, others = _checked(seqs) * 2 if mirror else _checked(seqs, others)
     runs = _length_runs(seqs)
     other_runs = None if mirror else _length_runs(others)
     groups = [(x, y) for k, x in enumerate(runs) for y in (runs[k:] if mirror else other_runs)]
@@ -371,12 +375,7 @@ def dtw_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list[tuple[int, int]]
     """DTW distance plus the chosen alignment path from (0, 0) to (T_a-1, T_b-1);
     each step back takes the cheapest in-grid predecessor, ties preferring
     the diagonal, then up (i-1, j), then left (i, j-1)."""
-    a = validate_frames(a, "first sequence")
-    b = validate_frames(b, "second sequence")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(
-            f"feature widths differ: {a.shape[1]} vs {b.shape[1]}"
-        )
+    (a,), (b,) = _checked([a], [b])
     layout, pair = _compact_layout(len(a), len(b)), np.zeros(1, dtype=np.intp)
     table = _dtw_tables(a.T[..., None], pair, b.T[..., None], pair, layout)[:, 0].tolist()
     base = layout[0]

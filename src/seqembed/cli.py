@@ -251,7 +251,7 @@ def cmd_search(args, parser) -> int:
     return EXIT_OK
 
 
-_NE_METHOD = re.compile(r"ne(\d+)$")
+_NE_METHOD = re.compile(r"ne([0-9]+)$")  # ASCII digits only, as in the CSV fields
 
 
 def _parse_methods(tokens, parser):

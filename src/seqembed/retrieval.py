@@ -189,11 +189,15 @@ def dtw_scores(distances: np.ndarray) -> np.ndarray:
     return distances
 
 
+def _header(dim: int) -> list[str]:
+    """The archive CSV's header at width ``dim``: id, word, z0, ..., z{dim-1}."""
+    return ["id", "word"] + [f"z{i}" for i in range(dim)]
+
+
 def save_archive(archive: EmbeddingArchive, path: str | Path) -> None:
     """CSV with header id,word,z0,...,z{d-1}; floats keep round-trip precision."""
-    header = ["id", "word"] + [f"z{i}" for i in range(archive.dim)]
     rows = zip(archive.ids, archive.words, archive.vectors.tolist())
-    write_csv(path, [header] + [[seg_id, word, *vec] for seg_id, word, vec in rows])
+    write_csv(path, [_header(archive.dim)] + [[seg_id, word, *vec] for seg_id, word, vec in rows])
 
 
 def load_archive(path: str | Path) -> EmbeddingArchive:
@@ -203,9 +207,9 @@ def load_archive(path: str | Path) -> EmbeddingArchive:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: empty archive file") from None
-    if len(header) < 3 or header[:2] != ["id", "word"]:
-        raise DataError(f"{path}: unexpected archive header {header!r}")
     dim = len(header) - 2
+    if dim < 1 or header != _header(dim):
+        raise DataError(f"{path}: unexpected archive header {header!r}")
     ids, words, rows, starts = [], [], [], []
     end = reader.line_num
     for row in reader:

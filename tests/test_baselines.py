@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,7 +30,7 @@ from seqembed.baselines import (
     naive_encode,
     naive_encode_batch,
 )
-from seqembed.errors import DimensionError
+from seqembed.errors import DataError, DimensionError
 
 
 @st.composite
@@ -350,6 +351,40 @@ class TestDtw:
     def test_empty_sequence_rejected(self):
         with pytest.raises(DimensionError):
             dtw_distance(np.ones((0, 3)), np.ones((2, 3)))
+
+
+SEQUENCE_CHECKS = {  # each call is given a 5-wide sequence first, then the one under test
+    "naive_encode_batch": lambda a, b: naive_encode_batch([a, b], 2),
+    "naive_encode": lambda a, b: naive_encode(b, 2),
+    "dtw_distances, one batch": lambda a, b: dtw_distances([a, b]),
+    "dtw_distances, two batches": lambda a, b: dtw_distances([a], [b]),
+    "dtw_path": dtw_path,
+    "dtw_distance": dtw_distance,
+}
+WIDTHS = "feature widths differ: 3 vs 5"
+
+
+@pytest.mark.parametrize("call, text", [
+    ("naive_encode_batch", "sequence 1: contains non-finite values"),
+    ("naive_encode_batch", WIDTHS),
+    ("naive_encode", "sequence 0: contains non-finite values"),
+    ("dtw_distances, one batch", "sequence 1: contains non-finite values"),
+    ("dtw_distances, one batch", WIDTHS),
+    ("dtw_distances, two batches", "other sequence 0: contains non-finite values"),
+    ("dtw_distances, two batches", WIDTHS),
+    ("dtw_path", "other sequence 0: contains non-finite values"),
+    ("dtw_path", WIDTHS),
+    ("dtw_distance", "other sequence 0: contains non-finite values"),
+    ("dtw_distance", WIDTHS),
+])
+def test_every_baseline_checks_its_sequences_through_one_rule(call, text):
+    """A bad sequence is named by its batch and index, and mixed widths read
+    sorted.  The NaN sequence is 3 wide too, so its error also shows that
+    every sequence is validated before any width is compared."""
+    nan = text != WIDTHS
+    b = np.array([[1.0, np.nan, 1.0]]) if nan else np.ones((2, 3))
+    with pytest.raises(DataError if nan else DimensionError, match=f"^{re.escape(text)}$"):
+        SEQUENCE_CHECKS[call](np.ones((4, 5)), b)
 
 
 MULTI_CPU = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,

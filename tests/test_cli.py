@@ -459,6 +459,19 @@ class TestEncode:
         )
         assert code == 3 and "width" in err
 
+    def test_checkpoint_with_an_unknown_parameter_exits_3(self, corpus_dir, trained, tmp_path, capsys):
+        # the unknown key is refused before any array is read: output.b is not numeric either
+        payload = json.loads(trained.read_text())
+        payload["params"].update({"bogus": [1.0], "output.b": "x"})
+        ckpt = tmp_path / "bogus.json"
+        ckpt.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "encode", "--manifest", str(corpus_dir / "manifest.jsonl"),
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3 and f"{ckpt}: checkpoint has unknown parameter 'bogus'" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSearch:
     def test_self_exclusion_and_top(self, corpus_dir, trained, tmp_path, capsys):
@@ -681,6 +694,16 @@ class TestEvaluate:
             ])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("token", ["ne\u0663", "ne\uff14"])
+    def test_naive_method_takes_ascii_digits_only(self, corpus_dir, tmp_path, capsys, token):
+        # an Arabic-Indic three and a fullwidth four, which int() reads as 3 and 4
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--manifest", str(corpus_dir / "manifest.jsonl"), "--method", token,
+                  "--report-dir", str(tmp_path / "reports")])
+        assert exc.value.code == 2
+        assert f"unknown method '{token}'" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
 
     def test_unloadable_checkpoint_stops_before_scoring(self, corpus_dir, tmp_path, capsys):
         reports = tmp_path / "reports"

@@ -1,5 +1,6 @@
 """Retrieval tests: cosine scores, archives, ranking, DTW ranking and score
 matrices, CSV round-trip, and equivalence with the per-entry oracle."""
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -472,6 +473,14 @@ class TestArchiveCsv:
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar,z0\nx,w,1.0\n")
         with pytest.raises(DataError):
+            load_archive(path)
+
+    @pytest.mark.parametrize("header", ["id,word,a,b", "id,word,z1,z0", "id,word,z0,z0", "id,word,z0,Z1"])
+    def test_header_must_be_the_one_save_archive_writes(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\nx,w,1.0,2.0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: unexpected archive header {header.split(',')!r}")):
             load_archive(path)
 
     @pytest.mark.parametrize("old, new, line", [(b"1.0", b"x", 2), (b"3.0", b"x", 4)])
